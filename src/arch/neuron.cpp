@@ -10,7 +10,7 @@ bool NeuronParams::valid() const noexcept {
   if (threshold <= 0 || threshold > kPotentialMax) return false;
   if (reset_value < kPotentialMin || reset_value > kPotentialMax) return false;
   if (floor < kPotentialMin || floor > 0) return false;
-  if (threshold_mask_bits > 16) return false;
+  if (threshold_mask_bits > kMaxThresholdMaskBits) return false;
   if (reset_mode != ResetMode::kAbsolute && reset_mode != ResetMode::kLinear &&
       reset_mode != ResetMode::kNone) {
     return false;

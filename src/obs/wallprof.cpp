@@ -193,6 +193,28 @@ double WallprofSummary::phase_wall_s(WallPhase phase) const {
   return total;
 }
 
+double WallprofSummary::phase_tick_wall_s(WallPhase phase) const {
+  // Captures without loop walls fall back to rank-seconds, which is exact
+  // for a serial run.
+  switch (phase) {
+    case WallPhase::kSynapse:
+    case WallPhase::kNeuron: {
+      const double rank_s = phase_wall_s(WallPhase::kSynapse) +
+                            phase_wall_s(WallPhase::kNeuron);
+      if (rank_s <= 0.0) return 0.0;
+      const double loop_s = compute_loop_s > 0.0 ? compute_loop_s : rank_s;
+      return loop_s * phase_wall_s(phase) / rank_s;
+    }
+    case WallPhase::kNetwork:
+      return network_loop_s > 0.0 ? network_loop_s : phase_wall_s(phase);
+    case WallPhase::kSend:
+    case WallPhase::kExchange:
+      return phase_wall_s(phase);
+    default:
+      return -1.0;
+  }
+}
+
 double WallprofSummary::phase_virtual_s(WallPhase phase) const {
   const int p = static_cast<int>(phase);
   if (p >= kRankWallPhases) return 0.0;
@@ -214,7 +236,11 @@ void write_wallprof_summary_json(std::ostream& os,
      << ",\"peak_rss_bytes\":" << s.resources.peak_rss_bytes
      << ",\"overhead_s\":";
   write_json_double(os, s.overhead_s);
-  os << ",\"timer_ops\":" << s.timer_ops << ",\"kernel_dispatch\":{"
+  os << ",\"timer_ops\":" << s.timer_ops << ",\"tick_loops\":{\"compute_s\":";
+  write_json_double(os, s.compute_loop_s);
+  os << ",\"network_s\":";
+  write_json_double(os, s.network_loop_s);
+  os << ",\"team_threads\":" << s.team_threads << "},\"kernel_dispatch\":{"
      << "\"synapse_bitparallel\":" << s.kernels.synapse_bitparallel
      << ",\"synapse_scalar\":" << s.kernels.synapse_scalar
      << ",\"neuron_fast\":" << s.kernels.neuron_fast
@@ -315,11 +341,21 @@ void WallProfiler::add_virtual(int rank, WallPhase phase, double seconds) {
       .virtual_s += seconds;
 }
 
-void WallProfiler::begin_tick() {
+void WallProfiler::record_tick_loops(double compute_s, double network_s,
+                                     int team) {
+  compute_loop_s_ += compute_s;
+  network_loop_s_ += network_s;
+  team_threads_ = std::max(team_threads_, team);
+  ops_.fetch_add(2, std::memory_order_relaxed);
+}
+
+double WallProfiler::begin_tick() {
+  const double now = util::monotonic_seconds();
   if (!epoch_set_) {
-    epoch_s_ = util::monotonic_seconds();
+    epoch_s_ = now;
     epoch_set_ = true;
   }
+  return now;
 }
 
 void WallProfiler::end_tick(std::uint64_t tick) {
@@ -375,6 +411,9 @@ WallprofSummary WallProfiler::summary() const {
   s.timer_ops = ops_.load(std::memory_order_relaxed);
   s.rank_phase = rank_;
   s.global_phase = global_;
+  s.compute_loop_s = compute_loop_s_;
+  s.network_loop_s = network_loop_s_;
+  s.team_threads = team_threads_;
   return s;
 }
 
@@ -513,6 +552,12 @@ WallReport analyze_wallprof(std::istream& is) {
         jsonv::get_u64_or0(v, "peak_rss_bytes", lineno);
     s.overhead_s = jsonv::get_num_or0(v, "overhead_s", lineno);
     s.timer_ops = jsonv::get_u64_or0(v, "timer_ops", lineno);
+    if (const jsonv::JsonValue* loops = v.find("tick_loops")) {
+      s.compute_loop_s = jsonv::get_num_or0(*loops, "compute_s", lineno);
+      s.network_loop_s = jsonv::get_num_or0(*loops, "network_s", lineno);
+      s.team_threads =
+          static_cast<int>(jsonv::get_u64_or0(*loops, "team_threads", lineno));
+    }
     if (const jsonv::JsonValue* k = v.find("kernel_dispatch")) {
       s.kernels.synapse_bitparallel =
           jsonv::get_u64_or0(*k, "synapse_bitparallel", lineno);
@@ -593,23 +638,55 @@ void write_wall_report(std::ostream& os, const WallReport& rep) {
        << " ticks/s)\n";
   }
 
-  os << "\nphase          wall_s     share    virtual_s   wall/virtual\n";
+  // wall_s/share: this phase's part of tick wall (phases outside the tick
+  // loop show their own wall and no share). rank_s: summed per-rank
+  // brackets, the same axis as virtual_s.
+  os << "\nphase          wall_s    share     rank_s   virtual_s  rank/virtual\n";
   const double wall_total = std::max(s.wall_s, 1e-12);
   for (int p = 0; p < kWallPhaseCount; ++p) {
     const auto phase = static_cast<WallPhase>(p);
-    const double wall = s.phase_wall_s(phase);
+    const double rank = s.phase_wall_s(phase);
     const double virt = s.phase_virtual_s(phase);
-    if (wall == 0.0 && virt == 0.0) continue;
+    if (rank == 0.0 && virt == 0.0) continue;
+    const double tick = s.phase_tick_wall_s(phase);
     os << std::left << std::setw(13) << wall_phase_name(phase) << std::right
-       << std::setw(9) << std::setprecision(4) << wall << std::setw(9)
-       << std::setprecision(1) << 100.0 * wall / wall_total << "%"
-       << std::setw(12) << std::setprecision(4) << virt << std::setw(13);
+       << std::setw(9) << std::setprecision(4) << (tick >= 0.0 ? tick : rank)
+       << std::setw(8);
+    if (tick >= 0.0) {
+      os << std::setprecision(1) << 100.0 * tick / wall_total << "%"
+         << std::setw(11) << std::setprecision(4) << rank;
+    } else {
+      os << "--" << ' ' << std::setw(11) << "--";
+    }
+    os << std::setw(12) << std::setprecision(4) << virt << std::setw(14);
     if (virt > 0.0) {
-      os << std::setprecision(2) << wall / virt;
+      os << std::setprecision(2) << rank / virt;
     } else {
       os << "--";
     }
     os << '\n';
+  }
+
+  if (s.team_threads > 0) {
+    // Parallel efficiency: rank-seconds over (loop wall x team width); 100%
+    // means every team thread was busy with rank work for the whole loop.
+    os << "\nrank loops (OpenMP team " << s.team_threads << "):\n";
+    const auto loop_line = [&](const char* name, double loop_s,
+                               double rank_s) {
+      os << "  " << std::left << std::setw(9) << name << std::right
+         << "wall " << std::setprecision(4) << loop_s << " s, rank-seconds "
+         << rank_s << " s";
+      if (loop_s > 0.0) {
+        os << ", parallel efficiency " << std::setprecision(1)
+           << 100.0 * rank_s / (loop_s * s.team_threads) << "%";
+      }
+      os << '\n';
+    };
+    loop_line("compute", s.compute_loop_s,
+              s.phase_wall_s(WallPhase::kSynapse) +
+                  s.phase_wall_s(WallPhase::kNeuron));
+    loop_line("network", s.network_loop_s,
+              s.phase_wall_s(WallPhase::kNetwork));
   }
 
   const KernelDispatchCounts& k = s.kernels;
@@ -651,7 +728,15 @@ void write_wall_report_json(std::ostream& os, const WallReport& rep) {
   write_wallprof_summary_json(tmp, rep.summary);
   std::string body = tmp.str();
   while (!body.empty() && body.back() == '\n') body.pop_back();
-  os << body << ",\"heartbeats\":" << rep.heartbeats
+  os << body << ",\"tick_share_pct\":{";
+  for (int p = 0; p < kRankWallPhases; ++p) {
+    const auto phase = static_cast<WallPhase>(p);
+    if (p != 0) os << ',';
+    os << '"' << wall_phase_name(phase) << "\":";
+    write_json_double(os, 100.0 * rep.summary.phase_tick_wall_s(phase) /
+                              std::max(rep.summary.wall_s, 1e-12));
+  }
+  os << "},\"heartbeats\":" << rep.heartbeats
      << ",\"last_heartbeat_ticks_per_second\":";
   write_json_double(os, rep.last_heartbeat_ticks_per_s);
   os << "}\n";

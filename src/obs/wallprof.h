@@ -23,6 +23,14 @@
 // spend; the *wall* seconds are what this host actually spent emulating the
 // same region. Their ratio is the emulation slowdown per phase — the number
 // compass_prof --wall reports. They are different axes, not an error bar.
+//
+// Rank-seconds vs tick wall: per-rank wall brackets summed over ranks are
+// *rank-seconds*. When the rank loops run on an OpenMP team those brackets
+// overlap, so rank-seconds exceed the wall the tick took. The driver thread
+// therefore also records each parallel loop's own wall once per tick
+// (record_tick_loops); phase_tick_wall_s splits that wall among the loop's
+// phases in proportion to their rank-seconds, which keeps the shares of
+// tick wall at or below 100% at any team width.
 #pragma once
 
 #include <array>
@@ -170,9 +178,23 @@ struct WallprofSummary {
   /// Global slots for every phase (exchange/checkpoint/recovery/pcc land
   /// here; per-rank phases stay zero).
   std::array<WallPhaseStats, kWallPhaseCount> global_phase{};
+  /// Host wall of the compute (synapse + neuron) and network rank loops,
+  /// timed once per tick on the driver thread, and the widest OpenMP team
+  /// that ran them, capped by the rank count (1 = serial; 0 = a capture
+  /// that predates the fields).
+  double compute_loop_s = 0.0;
+  double network_loop_s = 0.0;
+  int team_threads = 0;
 
-  /// Wall seconds attributed to `phase` across ranks + global slots.
+  /// Wall seconds attributed to `phase` across ranks + global slots. For
+  /// the per-rank phases these are rank-seconds (see the header comment).
   double phase_wall_s(WallPhase phase) const;
+  /// Seconds of tick wall (wall_s) spent in `phase`: a rank loop's wall
+  /// split among its phases by rank-seconds; send and exchange, which run
+  /// serially on the driver thread, as measured. The tick phases sum to at
+  /// most wall_s. Negative for phases that run outside the tick loop
+  /// (checkpoint, recovery, pcc_compile).
+  double phase_tick_wall_s(WallPhase phase) const;
   /// Virtual seconds attributed to `phase`, summed across ranks.
   double phase_virtual_s(WallPhase phase) const;
 };
@@ -213,9 +235,13 @@ class WallProfiler {
   /// divergence report. Safe from the parallel rank loop.
   void add_virtual(int rank, WallPhase phase, double seconds);
 
+  /// Driver thread, once per tick: the wall of the compute and network rank
+  /// loops and the threads that could take a rank (1 when serial).
+  void record_tick_loops(double compute_s, double network_s, int team);
+
   /// Driver thread, once per tick before the phase loops. The first call
-  /// pins the run's wall epoch.
-  void begin_tick();
+  /// pins the run's wall epoch. Returns the monotonic time it read.
+  double begin_tick();
 
   /// Driver thread, once per tick after the phase loops: advances the tick
   /// count, the rate window, the RSS cadence, and (when due) emits one
@@ -259,6 +285,9 @@ class WallProfiler {
   std::vector<std::array<WallRankPhase, kRankWallPhases>> rank_;
   std::array<WallPhaseStats, kWallPhaseCount> global_{};
   KernelDispatchCounts kernels_;
+  double compute_loop_s_ = 0.0;
+  double network_loop_s_ = 0.0;
+  int team_threads_ = 0;
 
   std::uint64_t ticks_ = 0;
   double epoch_s_ = 0.0;       // monotonic time of the first begin_tick()
@@ -338,7 +367,8 @@ struct WallReport {
 /// JSON lines; unknown record types are skipped.
 WallReport analyze_wallprof(std::istream& is);
 
-/// Human-readable report: run totals, per-phase wall vs virtual table, the
+/// Human-readable report: run totals, per-phase table (share of tick wall,
+/// rank-seconds, virtual seconds), the rank loops' parallel efficiency, the
 /// per-rank divergence table, kernel-dispatch mix, overhead estimate.
 void write_wall_report(std::ostream& os, const WallReport& report);
 

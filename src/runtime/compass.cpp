@@ -1,7 +1,12 @@
 #include "runtime/compass.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
+
+#ifdef COMPASS_HAVE_OPENMP
+#include <omp.h>
+#endif
 
 namespace compass::runtime {
 
@@ -39,7 +44,12 @@ std::uint64_t Compass::step() {
   }
   if (tracer_ != nullptr) tracer_->begin_tick(tick_);
   if (analytics_ != nullptr) analytics_->begin_tick(tick_);
-  if (wall_ != nullptr) wall_->begin_tick();
+  // With a profiler attached, the driver thread also times each rank loop
+  // as a whole: under concurrency the per-rank brackets overlap, so only
+  // the loop's own wall can say how much of the tick it took.
+  const bool wall_on = wall_ != nullptr;
+  double loop_t0 = wall_on ? wall_->begin_tick() : 0.0;
+  double compute_loop_s = 0.0;
   transport_.begin_tick();
   auto& scratch = ledger_.tick_scratch();
   tick_fired_ = 0;
@@ -58,6 +68,7 @@ std::uint64_t Compass::step() {
   for (int rank = 0; rank < num_ranks; ++rank) {
     compute_phases(rank, scratch[static_cast<std::size_t>(rank)]);
   }
+  if (wall_on) compute_loop_s = util::monotonic_seconds() - loop_t0;
   // The tracer's per-source-rank staging buffers are complete once the
   // compute loop joins; merge them in canonical (rank-ascending) order
   // before any delivery can race ahead.
@@ -75,11 +86,21 @@ std::uint64_t Compass::step() {
 
   // Network phase: local + remote spike delivery per rank. Every rank only
   // writes its own cores' delay buffers, so this also parallelises.
+  if (wall_on) loop_t0 = util::monotonic_seconds();
 #ifdef COMPASS_HAVE_OPENMP
 #pragma omp parallel for schedule(static) if (parallel)
 #endif
   for (int rank = 0; rank < num_ranks; ++rank) {
     network_phase(rank, scratch[static_cast<std::size_t>(rank)]);
+  }
+  if (wall_on) {
+    // Threads that can get a rank: the team, capped by the rank count.
+    int team = 1;
+#ifdef COMPASS_HAVE_OPENMP
+    if (parallel) team = std::min(omp_get_max_threads(), num_ranks);
+#endif
+    wall_->record_tick_loops(compute_loop_s,
+                             util::monotonic_seconds() - loop_t0, team);
   }
 
   std::uint64_t tick_routed = 0, tick_local = 0, tick_synaptic = 0;
@@ -114,7 +135,7 @@ std::uint64_t Compass::step() {
   // must run before commit_tick() resets the scratch.
   if (!sinks_.empty()) emit_trace_spans(scratch);
   if (profile_ != nullptr) profile_->record_rank_times(scratch);
-  if (wall_ != nullptr) {
+  if (wall_on) {
     // Feed the modelled (virtual) per-rank phase seconds next to the wall
     // brackets recorded above — the two axes compass_prof --wall divides.
     for (int rank = 0; rank < num_ranks; ++rank) {
@@ -170,7 +191,7 @@ std::uint64_t Compass::step() {
   // Before the callbacks: checkpoint/progress callbacks then see the tick as
   // retired, and a checkpoint's wall cost lands in the *next* tick's window
   // delta (the rate estimate stays causal).
-  if (wall_ != nullptr) wall_->end_tick(tick_);
+  if (wall_on) wall_->end_tick(tick_);
 
   ++tick_;
   ++report_.ticks;

@@ -54,10 +54,11 @@ struct Config {
   bool measure = true;
   /// Execute virtual ranks concurrently with OpenMP when the build has it
   /// (the paper's hybrid threading, realised across the emulated ranks).
-  /// Functional results are unchanged — per-rank state is disjoint and
-  /// delivery is order-independent — but a registered spike hook forces
-  /// serial execution (user callbacks are not synchronised).
-  bool parallel_execution = false;
+  /// On by default; OMP_NUM_THREADS sets the team width. Functional results
+  /// are unchanged — per-rank state is disjoint and delivery is
+  /// order-independent — but a registered spike hook forces serial
+  /// execution (user callbacks are not synchronised).
+  bool parallel_execution = true;
   /// Calibration factor applied to *measured* compute times before they
   /// enter the virtual-time ledger: how much slower the simulated machine's
   /// CPU runs the Compass inner loops than this host. 1.0 reports host

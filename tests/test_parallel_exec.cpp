@@ -1,12 +1,19 @@
-// Tests for the OpenMP parallel-execution mode: functional results must be
-// identical to serial execution (per-rank state is disjoint and spike
-// delivery is order-independent), and hooks must force serial execution.
+// Tests for the OpenMP parallel-execution mode (the default): functional
+// results must be identical to serial execution (per-rank state is disjoint
+// and spike delivery is order-independent) at any team width, and hooks
+// must force serial execution.
 #include <gtest/gtest.h>
 
+#ifdef COMPASS_HAVE_OPENMP
+#include <omp.h>
+#endif
+
+#include <memory>
 #include <vector>
 
 #include "cocomac/macaque.h"
 #include "comm/mpi_transport.h"
+#include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
 #include "runtime/compass.h"
 
@@ -59,9 +66,63 @@ TEST(ParallelExecution, HookForcesSerialAndStaysCorrect) {
   cfg.parallel_execution = true;  // hook below overrides this
   Compass sim(model, pcc.partition, transport, cfg);
   std::uint64_t hooked = 0;
-  sim.set_spike_hook([&](arch::Tick, arch::CoreId, unsigned) { ++hooked; });
+  bool hook_in_parallel = false;
+  sim.set_spike_hook([&](arch::Tick, arch::CoreId, unsigned) {
+    ++hooked;
+#ifdef COMPASS_HAVE_OPENMP
+    hook_in_parallel = hook_in_parallel || omp_in_parallel() != 0;
+#endif
+  });
   const RunReport rep = sim.run(40);
   EXPECT_EQ(hooked, rep.fired_spikes);
+  EXPECT_GT(hooked, 0u);
+  EXPECT_FALSE(hook_in_parallel) << "a spike hook ran inside an OpenMP team";
+}
+
+// The default Config runs the ranks on an OpenMP team; its results must not
+// depend on the team's width, on either transport.
+RunReport run_default(const compiler::PccResult& pcc, bool pgas,
+                      arch::Model& final_model) {
+  final_model = pcc.model;
+  std::unique_ptr<comm::Transport> transport;
+  if (pgas) {
+    transport = std::make_unique<comm::PgasTransport>(pcc.partition.ranks(),
+                                                      comm::CommCostModel{});
+  } else {
+    transport = std::make_unique<comm::MpiTransport>(pcc.partition.ranks(),
+                                                     comm::CommCostModel{});
+  }
+  Compass sim(final_model, pcc.partition, *transport, Config{});
+  return sim.run(60);
+}
+
+TEST(ParallelExecution, DefaultConfigIsWidthIndependent) {
+  ASSERT_TRUE(Config{}.parallel_execution);
+#ifdef COMPASS_HAVE_OPENMP
+  const compiler::PccResult pcc = build(96, 5);
+  const int saved = omp_get_max_threads();
+  for (const bool pgas : {false, true}) {
+    SCOPED_TRACE(pgas ? "pgas" : "mpi");
+    arch::Model narrow_model, wide_model;
+    omp_set_num_threads(1);
+    const RunReport narrow = run_default(pcc, pgas, narrow_model);
+    omp_set_num_threads(4);
+    const RunReport wide = run_default(pcc, pgas, wide_model);
+    EXPECT_GT(narrow.fired_spikes, 0u);
+    EXPECT_EQ(narrow.ticks, wide.ticks);
+    EXPECT_EQ(narrow.fired_spikes, wide.fired_spikes);
+    EXPECT_EQ(narrow.routed_spikes, wide.routed_spikes);
+    EXPECT_EQ(narrow.local_spikes, wide.local_spikes);
+    EXPECT_EQ(narrow.remote_spikes, wide.remote_spikes);
+    EXPECT_EQ(narrow.synaptic_events, wide.synaptic_events);
+    EXPECT_EQ(narrow.messages, wide.messages);
+    EXPECT_EQ(narrow.wire_bytes, wide.wire_bytes);
+    EXPECT_TRUE(narrow_model == wide_model);
+  }
+  omp_set_num_threads(saved);
+#else
+  GTEST_SKIP() << "built without OpenMP; width sweep not applicable";
+#endif
 }
 
 TEST(ParallelExecution, CountersSurviveManySmallTicks) {

@@ -15,6 +15,11 @@
 //     bench_headline where ticks are long enough to average).
 #include <gtest/gtest.h>
 
+#ifdef COMPASS_HAVE_OPENMP
+#include <omp.h>
+#endif
+
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -387,6 +392,50 @@ TEST(WallprofIntegration, SimRunProducesAttributedSummary) {
   EXPECT_GT(kc.synapse_bitparallel + kc.synapse_scalar, 0u);
   EXPECT_GT(kc.neuron_fast + kc.neuron_stoch_soa + kc.neuron_scalar, 0u);
   EXPECT_EQ(report.heartbeats, 5u);  // 40 ticks / heartbeat_every=8
+}
+
+TEST(WallprofIntegration, TickSharesStayWithinWallAtFourThreads) {
+  // Under a 4-thread team the per-rank brackets overlap, so rank-seconds can
+  // exceed the tick wall; the shares compass_prof --wall prints split each
+  // rank loop's own wall instead and must sum to at most 100%.
+#ifdef COMPASS_HAVE_OPENMP
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(4);
+#endif
+  const compiler::PccResult pcc = build_fixed_model();
+  const TracedRun run = run_once(pcc, /*with_wallprof=*/true,
+                                 /*use_pgas=*/false, /*parallel=*/true);
+#ifdef COMPASS_HAVE_OPENMP
+  omp_set_num_threads(saved);
+#endif
+  std::istringstream is(run.wallprof_jsonl);
+  const obs::WallprofSummary s = obs::analyze_wallprof(is).summary;
+  ASSERT_GT(s.wall_s, 0.0);
+  EXPECT_GT(s.compute_loop_s, 0.0);
+  EXPECT_GT(s.network_loop_s, 0.0);
+#ifdef COMPASS_HAVE_OPENMP
+  EXPECT_EQ(s.team_threads, std::min(4, pcc.partition.ranks()));
+#else
+  EXPECT_EQ(s.team_threads, 1);
+#endif
+  double tick_sum = 0.0;
+  for (int p = 0; p < obs::kRankWallPhases; ++p) {
+    const double tick = s.phase_tick_wall_s(static_cast<obs::WallPhase>(p));
+    EXPECT_GE(tick, 0.0);
+    tick_sum += tick;
+  }
+  EXPECT_GT(tick_sum, 0.0);
+  EXPECT_LE(tick_sum, s.wall_s);
+  // The compute loop's wall is shared out exactly between its two phases.
+  EXPECT_NEAR(s.phase_tick_wall_s(obs::WallPhase::kSynapse) +
+                  s.phase_tick_wall_s(obs::WallPhase::kNeuron),
+              s.compute_loop_s, 1e-12);
+  // Phases outside the tick loop get no share.
+  EXPECT_LT(s.phase_tick_wall_s(obs::WallPhase::kPccCompile), 0.0);
+  std::ostringstream text;
+  obs::write_wall_report(text, obs::WallReport{true, s, 0, 0.0});
+  EXPECT_NE(text.str().find("parallel efficiency"), std::string::npos)
+      << text.str();
 }
 
 TEST(WallprofIntegration, RankCountMismatchThrows) {

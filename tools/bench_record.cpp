@@ -12,8 +12,9 @@
 //   ./build/tools/bench_record --bench-dir build/bench --out BENCH_kernels.json
 //
 // Every output carries a "provenance" object (git SHA, hostname, CPU count,
-// OMP_NUM_THREADS, engine) so bench_trend can line snapshots up across PRs
-// and machines. Key ordering is stable (std::map / fixed emit order), so
+// OMP_NUM_THREADS as set, the host-thread count the benches actually run
+// with, engine) so bench_trend can line snapshots up across PRs and
+// machines. Key ordering is stable (std::map / fixed emit order), so
 // regenerating on the same machine diffs cleanly.
 //
 // Flags:
@@ -46,6 +47,10 @@
 //   --tools-dir <dir>   with --serve: directory holding compass_served and
 //                       compass_swarm (default build/tools)
 #include <unistd.h>
+
+#ifdef COMPASS_HAVE_OPENMP
+#include <omp.h>
+#endif
 
 #include <cctype>
 #include <cstdio>
@@ -183,11 +188,17 @@ std::string provenance_json(const std::string& engine) {
     std::snprintf(host, sizeof host, "unknown");
   }
   const char* omp_env = std::getenv("OMP_NUM_THREADS");
+  // The benches inherit this process's environment, so its OpenMP default
+  // width is the team their emulated ranks run on.
+  int host_threads = 1;
+#ifdef COMPASS_HAVE_OPENMP
+  host_threads = omp_get_max_threads();
+#endif
   std::ostringstream os;
   os << "{\"git_sha\": \"" << sha << "\", \"host\": \"" << host
      << "\", \"cpus\": " << std::thread::hardware_concurrency()
      << ", \"omp_num_threads\": \"" << (omp_env != nullptr ? omp_env : "")
-     << "\"";
+     << "\", \"host_threads\": " << host_threads;
   if (!engine.empty()) os << ", \"engine\": \"" << engine << "\"";
   os << "}";
   return os.str();

@@ -13,7 +13,9 @@
 //
 //   --append          append the current metrics as a new history line
 //                     (stamped with the provenance of the first file that
-//                     carries one) — run after regenerating the BENCH files
+//                     carries one: git SHA, host, cpus and the host-thread
+//                     count the run used) — run after regenerating the
+//                     BENCH files
 //   --check           compare current metrics against the most recent
 //                     history entry; a *directional* metric that moved the
 //                     wrong way by more than --tolerance fails the gate
@@ -79,6 +81,8 @@ struct Snapshot {
   std::map<std::string, double> metrics;  // stable iteration order
   std::string git_sha;
   std::string host;
+  int cpus = 0;          // 0 = not recorded
+  int host_threads = 0;  // OpenMP width the benches ran with; 0 = unknown
 };
 
 std::string read_file(const std::string& path) {
@@ -99,6 +103,15 @@ double num_or(const JsonValue& obj, const char* key, double fallback) {
   return v->number;
 }
 
+/// cpus / host_threads from a provenance object or history line, keeping
+/// values already set (the first file that carries one wins).
+void take_thread_counts(const JsonValue& obj, Snapshot& snap) {
+  if (snap.cpus == 0) snap.cpus = static_cast<int>(num_or(obj, "cpus", 0.0));
+  if (snap.host_threads == 0) {
+    snap.host_threads = static_cast<int>(num_or(obj, "host_threads", 0.0));
+  }
+}
+
 void take_provenance(const JsonValue& root, Snapshot& snap) {
   const JsonValue* prov = root.find("provenance");
   if (prov == nullptr || prov->kind != JsonValue::Kind::kObject) return;
@@ -112,6 +125,7 @@ void take_provenance(const JsonValue& root, Snapshot& snap) {
       host->kind == JsonValue::Kind::kString) {
     snap.host = host->string;
   }
+  take_thread_counts(*prov, snap);
 }
 
 /// Reduce one BENCH snapshot file into flat metrics; throws on an unknown
@@ -222,6 +236,7 @@ std::vector<Snapshot> load_history(const std::string& path) {
     if (host != nullptr && host->kind == JsonValue::Kind::kString) {
       snap.host = host->string;
     }
+    take_thread_counts(root, snap);
     const JsonValue* metrics = root.find("metrics");
     if (metrics == nullptr || metrics->kind != JsonValue::Kind::kObject) {
       throw std::runtime_error(path + " line " + std::to_string(lineno) +
@@ -255,7 +270,9 @@ void append_history(const std::string& path, const Snapshot& snap) {
   if (!os) throw std::runtime_error("cannot append to " + path);
   os << "{\"schema\":\"compass.bench_history.v1\",\"recorded_unix\":"
      << static_cast<long long>(std::time(nullptr)) << ",\"git_sha\":\""
-     << snap.git_sha << "\",\"host\":\"" << snap.host << "\",\"metrics\":{";
+     << snap.git_sha << "\",\"host\":\"" << snap.host
+     << "\",\"cpus\":" << snap.cpus
+     << ",\"host_threads\":" << snap.host_threads << ",\"metrics\":{";
   bool first = true;
   for (const auto& [name, value] : snap.metrics) {
     os << (first ? "" : ",") << "\"" << name << "\":";
@@ -349,6 +366,16 @@ int main(int argc, char** argv) {
     std::cout << std::setw(14) << short_sha(s.git_sha);
   }
   std::cout << std::setw(14) << "current" << "delta\n";
+  // Provenance rows: a change in either means the columns are not measuring
+  // the same machine shape.
+  const auto count_row = [&](const char* name, int Snapshot::*field) {
+    const auto cell = [](int v) { return v > 0 ? std::to_string(v) : "-"; };
+    std::cout << std::left << std::setw(34) << name << std::setw(5) << "";
+    for (const Snapshot& s : history) std::cout << std::setw(14) << cell(s.*field);
+    std::cout << std::setw(14) << cell(current.*field) << "\n";
+  };
+  count_row("cpus", &Snapshot::cpus);
+  count_row("host_threads", &Snapshot::host_threads);
   for (const auto& [name, dir] : all_metrics) {
     std::cout << std::left << std::setw(34) << name << std::setw(5)
               << (dir > 0 ? "up" : dir < 0 ? "down" : "info");

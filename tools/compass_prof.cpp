@@ -24,7 +24,10 @@
 //
 // --wall switches to the host wall-clock analyzer: the input is a
 // --wallprof-out capture ({"type":"wallprof"} summary plus heartbeat
-// records). The report shows where the *host's* wall time went per phase,
+// records). The report shows where the *host's* wall time went per phase
+// (each phase's share of tick wall, with a parallel rank loop's wall split
+// among its phases by rank-seconds, so shares stay at or below 100% at any
+// OpenMP width), the rank loops' parallel efficiency,
 // the per-rank wall-vs-virtual divergence (how much slower this host
 // emulates each rank than the modelled machine would run it), the
 // kernel-dispatch mix, RSS, and the instrumentation's own measured cost —
@@ -82,9 +85,10 @@ void usage(std::ostream& os) {
         "                causal spike chains and report per-hop latencies\n"
         "  --flow F      with --spans: write a Chrome trace with flow\n"
         "                arrows per sampled spike (open in Perfetto)\n"
-        "  --wall        input is a --wallprof-out capture: report host\n"
-        "                wall time per phase, wall-vs-virtual divergence\n"
-        "                per rank, kernel mix, RSS, and overhead\n"
+        "  --wall        input is a --wallprof-out capture: report each\n"
+        "                phase's share of tick wall, rank-seconds, parallel\n"
+        "                efficiency, wall-vs-virtual divergence per rank,\n"
+        "                kernel mix, RSS, and overhead\n"
         "  --analytics   input is an --analytics-out capture: rebuild the\n"
         "                engine from its config header, replay the raster\n"
         "                named by --raster through it, and verify every\n"
