@@ -1,7 +1,8 @@
 // Microbenchmarks for the simulator hot loops: synapse-phase propagation,
 // the neuron-phase integrate-leak-fire sweep, delay-buffer operations, and
 // transport exchange — the kernels whose per-core cost sets the paper's
-// "388x slower than real time" figure.
+// "388x slower than real time" figure — plus the snapshot layer (CRC-32 and
+// a whole checkpoint round trip).
 //
 // Every hot-loop benchmark has a `...Reference` twin that forces the
 // original scalar walk (arch/kernels.h engine toggle), so one run of this
@@ -18,8 +19,13 @@
 
 #include "arch/core.h"
 #include "arch/kernels.h"
+#include "cocomac/macaque.h"
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
+#include "compiler/pcc.h"
+#include "resilience/checkpoint.h"
+#include "runtime/compass.h"
+#include "util/crc32.h"
 #include "util/prng.h"
 
 namespace {
@@ -236,6 +242,47 @@ void BM_CorePrngDraw(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CorePrngDraw);
+
+// --- Snapshot layer -----------------------------------------------------------
+
+void BM_Crc32(benchmark::State& state, std::size_t bytes) {
+  std::string buf(bytes, '\0');
+  util::CorePrng prng(11);
+  for (char& c : buf) c = static_cast<char>(prng.next_u64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::crc32(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK_CAPTURE(BM_Crc32, 4MiB, std::size_t{4} << 20);
+
+/// One checkpoint round trip as the served snapshot RPC and
+/// --checkpoint-every pay it: capture, serialize, parse, restore, on a
+/// ticked CoCoMac model of state.range(0) cores (the resilience.*_ms
+/// stages of perfbench, in isolation).
+void BM_CheckpointRoundTrip(benchmark::State& state) {
+  cocomac::MacaqueSpecOptions mopt;
+  mopt.total_cores = static_cast<std::size_t>(state.range(0));
+  mopt.seed = 3;
+  compiler::PccOptions popt;
+  popt.ranks = 16;
+  compiler::PccResult pcc =
+      compiler::compile(cocomac::build_macaque_spec(mopt), popt);
+  comm::MpiTransport transport(pcc.partition.ranks(), comm::CommCostModel{});
+  runtime::Compass sim(pcc.model, pcc.partition, transport);
+  sim.run(20);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string wire =
+        resilience::serialize_checkpoint(resilience::capture(sim, pcc.model));
+    resilience::restore(resilience::parse_checkpoint(wire), sim, pcc.model);
+    bytes = wire.size();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_CheckpointRoundTrip)->Arg(256)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

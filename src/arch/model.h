@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arch/core.h"
@@ -64,6 +65,18 @@ class Model {
   std::string validate() const;
 
   // --- Explicit model file (binary) ---------------------------------------
+  /// Bytes encode() appends: a 24-byte header, a u16 region label per core
+  /// and one NeurosynapticCore::kRecordBytes record per core.
+  std::size_t encoded_size() const noexcept;
+  /// Append the model file bytes to `out`, written in place.
+  void encode(std::string& out) const;
+  /// The one validating decoder, shared by model files and checkpoints.
+  /// Throws std::runtime_error on a bad header, a buffer that does not hold
+  /// exactly the declared core count, or an out-of-range field.
+  static Model decode(std::string_view bytes);
+
+  /// Stream wrappers over the codec. save() writes one core record at a
+  /// time; load() reads the rest of the stream (which need not seek).
   void save(std::ostream& os) const;
   static Model load(std::istream& is);
   bool save_file(const std::string& path) const;

@@ -1,13 +1,12 @@
 #include "resilience/checkpoint.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "util/crc32.h"
 
@@ -31,13 +30,23 @@ void append_pod(std::string& out, const T& v) {
   out.append(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
-void append_section(std::string& out, std::uint32_t id,
-                    const std::string& payload) {
-  append_pod(out, id);
-  append_pod(out, std::uint32_t{0});  // reserved
-  append_pod(out, static_cast<std::uint64_t>(payload.size()));
-  append_pod(out, util::crc32(payload.data(), payload.size()));
-  out.append(payload);
+/// Append one section whose payload `encode(out)` appends in place: the
+/// header is reserved first, then its size and CRC are patched in, so no
+/// payload is ever built in a temporary and copied.
+template <typename Encode>
+void append_section(std::string& out, std::uint32_t id, Encode&& encode) {
+  const std::size_t header = out.size();
+  out.resize(header + kSectionHeaderBytes);
+  encode(out);
+  const std::size_t payload = header + kSectionHeaderBytes;
+  const std::uint64_t size = out.size() - payload;
+  const std::uint32_t crc = util::crc32(out.data() + payload, size);
+  const std::uint32_t reserved = 0;
+  char* h = out.data() + header;
+  std::memcpy(h, &id, sizeof id);
+  std::memcpy(h + 4, &reserved, sizeof reserved);
+  std::memcpy(h + 8, &size, sizeof size);
+  std::memcpy(h + 16, &crc, sizeof crc);
 }
 
 /// Bounds-checked little-endian reader over an in-memory buffer. Reading
@@ -78,8 +87,7 @@ class Cursor {
   std::size_t pos_ = 0;
 };
 
-std::string encode_runtime(const runtime::RunReport& r) {
-  std::string out;
+void encode_runtime(std::string& out, const runtime::RunReport& r) {
   append_pod(out, r.ticks);
   append_pod(out, r.fired_spikes);
   append_pod(out, r.routed_spikes);
@@ -94,7 +102,6 @@ std::string encode_runtime(const runtime::RunReport& r) {
   append_pod(out, r.host_wall_s);
   append_pod(out, r.recoveries);
   append_pod(out, r.recovery_ticks_lost);
-  return out;
 }
 
 void decode_runtime(std::string_view payload, runtime::RunReport& r) {
@@ -120,13 +127,11 @@ void decode_runtime(std::string_view payload, runtime::RunReport& r) {
   }
 }
 
-std::string encode_ledger(const Checkpoint& cp) {
-  std::string out;
+void encode_ledger(std::string& out, const Checkpoint& cp) {
   append_pod(out, cp.virtual_time.synapse);
   append_pod(out, cp.virtual_time.neuron);
   append_pod(out, cp.virtual_time.network);
   append_pod(out, cp.ledger_ticks);
-  return out;
 }
 
 void decode_ledger(std::string_view payload, Checkpoint& cp) {
@@ -161,17 +166,22 @@ const char* to_string(CheckpointErrc code) {
 
 std::string serialize_checkpoint(const Checkpoint& cp) {
   std::string out;
+  // Runtime and ledger sections are well under 1 KiB; sizing for them up
+  // front keeps the model bytes from being copied by a reallocation.
+  out.reserve(kHeaderBytes + 3 * kSectionHeaderBytes +
+              cp.model.encoded_size() + 1024);
   append_pod(out, kMagic);
   append_pod(out, kVersion);
   append_pod(out, static_cast<std::uint64_t>(cp.tick));
   append_pod(out, std::uint32_t{3});  // section count
   append_pod(out, util::crc32(out.data(), out.size()));
 
-  std::ostringstream model_os(std::ios::binary);
-  cp.model.save(model_os);
-  append_section(out, kSectionModel, model_os.str());
-  append_section(out, kSectionRuntime, encode_runtime(cp.report));
-  append_section(out, kSectionLedger, encode_ledger(cp));
+  append_section(out, kSectionModel,
+                 [&](std::string& o) { cp.model.encode(o); });
+  append_section(out, kSectionRuntime,
+                 [&](std::string& o) { encode_runtime(o, cp.report); });
+  append_section(out, kSectionLedger,
+                 [&](std::string& o) { encode_ledger(o, cp); });
   return out;
 }
 
@@ -219,9 +229,8 @@ Checkpoint parse_checkpoint(std::string_view bytes) {
     }
     switch (id) {
       case kSectionModel: {
-        std::istringstream is{std::string(payload), std::ios::binary};
         try {
-          cp.model = arch::Model::load(is);
+          cp.model = arch::Model::decode(payload);
         } catch (const std::exception& e) {
           // CRC-valid but undecodable: produced by a buggy writer, still a
           // typed rejection rather than a crash.
@@ -299,18 +308,37 @@ void save_checkpoint_file(const Checkpoint& cp, const std::string& path) {
 }
 
 Checkpoint load_checkpoint_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
     throw CheckpointError(CheckpointErrc::kIo,
                           "cannot open checkpoint " + path);
   }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  if (is.bad()) {
+  // One buffer sized from the file's length, filled by read(2): the parse
+  // then works on a view of it with no further copy of the payload.
+  struct stat st{};
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    ::close(fd);
     throw CheckpointError(CheckpointErrc::kIo,
-                          "cannot read checkpoint " + path);
+                          "cannot read checkpoint " + path +
+                              ": not a regular file");
   }
-  return parse_checkpoint(buf.str());
+  std::string bytes(static_cast<std::size_t>(st.st_size), '\0');
+  std::size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      const int saved = errno;
+      ::close(fd);
+      errno = saved;
+      throw_io("read", path);
+    }
+    if (n == 0) break;  // shrank since fstat: parse reports the truncation
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  bytes.resize(got);
+  return parse_checkpoint(bytes);
 }
 
 Checkpoint capture(const runtime::Compass& sim, const arch::Model& model) {

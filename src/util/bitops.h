@@ -103,4 +103,20 @@ inline void columns_apply_row_diff(std::span<Bits256> cols, unsigned row_index,
   }
 }
 
+/// In-place transpose of a 64x64 bit matrix held as 64 rows, bit j of a[i]
+/// being element (i, j): afterwards bit i of a[j] holds it. Recursive block
+/// swap (Hacker's Delight §7-3): swap the off-diagonal 32x32 blocks, then
+/// the off-diagonal 16x16 blocks of each quadrant, down to single bits —
+/// 6 rounds of 32 masked word swaps instead of 4096 bit moves.
+inline void transpose_64x64(std::array<std::uint64_t, 64>& a) noexcept {
+  std::uint64_t m = 0x00000000FFFFFFFFULL;
+  for (unsigned j = 32; j != 0; j >>= 1, m ^= m << j) {
+    for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((a[k] >> j) ^ a[k | j]) & m;
+      a[k] ^= t << j;
+      a[k | j] ^= t;
+    }
+  }
+}
+
 }  // namespace compass::util

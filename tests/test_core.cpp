@@ -261,10 +261,10 @@ TEST(Core, SaveLoadRoundTripsExactly) {
   }
   core.prng().next_u64();  // advance PRNG so its state is non-trivial
 
-  std::stringstream ss;
-  core.save(ss);
+  std::vector<char> record(NeurosynapticCore::kRecordBytes);
+  core.encode(record.data());
   NeurosynapticCore loaded;
-  loaded.load(ss);
+  loaded.decode(record.data(), /*num_cores=*/kNeuronsPerCore);
   EXPECT_TRUE(core == loaded);
 
   // Loaded copy must continue the simulation identically.

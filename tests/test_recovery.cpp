@@ -544,8 +544,8 @@ TEST(RecoverySupervisor, MissingCheckpointIsTypedRecoveryError) {
 // Randomized plans × degradation policies × recovery modes. Every
 // combination must either complete all ticks (with the recovery reported)
 // or fail with a typed error — never UB, never silence. Runs under the
-// asan-ubsan-recovery and tsan-recovery presets, so "clean" is enforced by
-// the sanitizers, not by hope.
+// asan-ubsan and tsan presets, so "clean" is enforced by the sanitizers,
+// not by hope.
 TEST(RecoveryChaosSoak, RandomPlansCompleteOrFailTyped) {
   std::mt19937_64 rng(20120815);  // fixed seed: the soak itself is replayable
   const compiler::PccResult pcc = build_fixed_model();
