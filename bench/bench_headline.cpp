@@ -9,7 +9,7 @@
 // and reports the same line: cores / neurons / synapses / mean rate /
 // slowdown vs real time (virtual, i.e. what the modelled parallel machine
 // achieves) plus the host emulation cost.
-// Extra flags (parsed here, before the shared obs flags):
+// Extra flags (rows added to the shared obs flag table):
 //   --engine kernels|reference — hot-loop engine selection (arch/kernels.h);
 //     `reference` forces the original scalar walks, for before/after runs.
 //   --json <path> — append a one-line JSON summary (engine, cores, ticks,
@@ -17,7 +17,6 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "arch/kernels.h"
 #include "common.h"
@@ -28,29 +27,14 @@ int main(int argc, char** argv) {
 
   std::string engine = "kernels";
   std::string json_out;
-  std::vector<char*> rest;
-  rest.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--engine" && i + 1 < argc) {
-      engine = argv[++i];
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_out = argv[++i];
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  if (engine != "kernels" && engine != "reference") {
-    std::cerr << "bench_headline: --engine must be 'kernels' or 'reference' "
-                 "(got '" << engine << "')\n";
-    return 1;
-  }
+  init_obs(argc, argv,
+           {util::Flag::choice("--engine", engine, {"kernels", "reference"},
+                               "hot-loop engine (arch/kernels.h)"),
+            util::Flag::text("--json", json_out, "F",
+                             "append a one-line JSON summary")});
   arch::kernels::set_engine(engine == "reference"
                                 ? arch::kernels::Engine::kReference
                                 : arch::kernels::Engine::kBitParallel);
-
-  init_obs(static_cast<int>(rest.size()),
-           rest.data());  // honour --trace-out / --chrome-out / --metrics-out
 
   const std::uint64_t cores = scaled(8192, 77);
   const arch::Tick ticks = static_cast<arch::Tick>(scaled(100, 10));

@@ -23,7 +23,7 @@
 //
 // Lost work is reported in core-ticks (rolled-back ticks × cores that roll
 // back) — the currency that makes the two strategies comparable.
-// Extra flag (parsed here, before the shared obs flags):
+// Extra flag (a row added to the shared obs flag table):
 //   --json <path> — append one JSON line per strategy for bench_record,
 //     which snapshots the numbers into BENCH_recovery.json.
 #include <unistd.h>
@@ -61,17 +61,9 @@ int main(int argc, char** argv) {
   using namespace compass::bench;
 
   std::string json_out;
-  std::vector<char*> rest;
-  rest.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      json_out = argv[++i];
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  init_obs(static_cast<int>(rest.size()), rest.data());
+  init_obs(argc, argv,
+           {util::Flag::text("--json", json_out, "F",
+                             "append one JSON line per strategy")});
 
   print_header("bench_recovery",
                "survivability drill (DESIGN.md §13, EXPERIMENTS.md)",

@@ -4,187 +4,49 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <vector>
 
-#include "obs/analytics.h"
-#include "obs/metrics.h"
-#include "obs/spiketrace.h"
-#include "obs/trace.h"
-#include "obs/wallprof.h"
 #include "primitives/primitives.h"
+#include "runtime/observers.h"
 #include "util/prng.h"
 
 namespace compass::bench {
 
 namespace {
 
-const char* env_or_empty(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? v : "";
-}
-
-/// Process-wide observability state: one registry and one set of writers
-/// shared by every run_model() call, flushed when the process exits.
-struct BenchObs {
-  ObsOptions options = [] {
-    ObsOptions o;
-    o.trace_out = env_or_empty("COMPASS_TRACE_OUT");
-    o.chrome_out = env_or_empty("COMPASS_CHROME_OUT");
-    o.metrics_out = env_or_empty("COMPASS_METRICS_OUT");
-    o.profile_out = env_or_empty("COMPASS_PROFILE_OUT");
-    o.spike_trace_out = env_or_empty("COMPASS_SPIKE_TRACE_OUT");
-    o.wallprof_out = env_or_empty("COMPASS_WALLPROF_OUT");
-    o.analytics_out = env_or_empty("COMPASS_ANALYTICS_OUT");
-    const char* sample = std::getenv("COMPASS_SPIKE_SAMPLE");
-    if (sample != nullptr && *sample != '\0') {
-      const unsigned long long v = std::strtoull(sample, nullptr, 10);
-      if (v >= 1) o.spike_sample = v;
+/// Process-wide observability: one RunObservers shared by every run_model()
+/// call (configured by init_obs()), finished when the process exits.
+std::optional<runtime::RunObservers>& bench_obs() {
+  static struct Holder {
+    std::optional<runtime::RunObservers> obs;
+    ~Holder() {
+      if (obs) obs->finish();
     }
-    const char* window = std::getenv("COMPASS_ANALYTICS_WINDOW");
-    if (window != nullptr && *window != '\0') {
-      const unsigned long long v = std::strtoull(window, nullptr, 10);
-      if (v >= 1) o.analytics_window = v;
-    }
-    return o;
-  }();
-  obs::MetricsRegistry registry;
-  std::ofstream trace_os;
-  std::optional<obs::JsonlTraceWriter> jsonl;
-  std::ofstream span_os;
-  std::optional<obs::JsonlSpikeSpanWriter> span_writer;
-  std::ofstream wall_os;  // wallprof summaries append across runs
-  std::ofstream analytics_os;  // analytics windows append across runs
-  std::optional<obs::JsonlTraceWriter> analytics_writer;
-  obs::ChromeTraceWriter chrome;
-  bool chrome_active = false;
-
-  ~BenchObs() {
-    if (chrome_active) {
-      std::ofstream os(options.chrome_out);
-      if (os) chrome.write(os);
-    }
-    if (!options.metrics_out.empty()) {
-      std::ofstream os(options.metrics_out);
-      if (os) registry.write_json(os);
-    }
-  }
-};
-
-BenchObs& bench_obs() {
-  static BenchObs b;
-  return b;
-}
-
-void attach_observability(runtime::Compass& sim, comm::Transport& transport) {
-  BenchObs& b = bench_obs();
-  if (!b.options.metrics_out.empty()) {
-    sim.set_metrics(&b.registry);
-    transport.set_metrics(&b.registry);
-  }
-  if (!b.options.trace_out.empty()) {
-    if (!b.jsonl) {
-      b.trace_os.open(b.options.trace_out);
-      if (b.trace_os) b.jsonl.emplace(b.trace_os);
-    }
-    if (b.jsonl) sim.add_trace_sink(&*b.jsonl);
-  }
-  if (!b.options.chrome_out.empty()) {
-    b.chrome_active = true;
-    sim.add_trace_sink(&b.chrome);
-  }
+  } holder;
+  return holder.obs;
 }
 
 }  // namespace
 
-namespace {
-
-void obs_usage(std::ostream& os, const char* prog) {
-  os << "usage: " << prog
-     << " [--trace-out F] [--chrome-out F] [--metrics-out F]\n"
-        "       [--profile-out F] [--spike-trace-out F] [--spike-sample N]\n"
-        "       [--wallprof-out F] [--analytics-out F] [--analytics-window N]\n"
-        "  (environment fallbacks: COMPASS_TRACE_OUT, COMPASS_CHROME_OUT,\n"
-        "   COMPASS_METRICS_OUT, COMPASS_PROFILE_OUT,\n"
-        "   COMPASS_SPIKE_TRACE_OUT, COMPASS_SPIKE_SAMPLE,\n"
-        "   COMPASS_WALLPROF_OUT, COMPASS_ANALYTICS_OUT,\n"
-        "   COMPASS_ANALYTICS_WINDOW;\n"
-        "   COMPASS_BENCH_SCALE scales the model sizes)\n";
-}
-
-}  // namespace
-
-void init_obs(int argc, char** argv) {
-  ObsOptions& o = bench_obs().options;
+void init_obs(int argc, char** argv, std::vector<util::Flag> extra) {
   const char* prog = argc > 0 ? argv[0] : "bench";
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    std::string* dest = nullptr;
-    if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
-      obs_usage(std::cout, prog);
-      std::exit(0);
-    } else if (std::strcmp(a, "--trace-out") == 0) {
-      dest = &o.trace_out;
-    } else if (std::strcmp(a, "--chrome-out") == 0) {
-      dest = &o.chrome_out;
-    } else if (std::strcmp(a, "--metrics-out") == 0) {
-      dest = &o.metrics_out;
-    } else if (std::strcmp(a, "--profile-out") == 0) {
-      dest = &o.profile_out;
-    } else if (std::strcmp(a, "--spike-trace-out") == 0) {
-      dest = &o.spike_trace_out;
-    } else if (std::strcmp(a, "--wallprof-out") == 0) {
-      dest = &o.wallprof_out;
-    } else if (std::strcmp(a, "--analytics-out") == 0) {
-      dest = &o.analytics_out;
-    } else if (std::strcmp(a, "--analytics-window") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << prog << ": --analytics-window requires a value\n";
-        std::exit(1);
-      }
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || v < 1) {
-        std::cerr << prog
-                  << ": --analytics-window requires a positive integer, "
-                  << "got '" << argv[i] << "'\n";
-        std::exit(1);
-      }
-      o.analytics_window = v;
-      continue;
-    } else if (std::strcmp(a, "--spike-sample") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << prog << ": --spike-sample requires a value\n";
-        std::exit(1);
-      }
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || v < 1) {
-        std::cerr << prog << ": --spike-sample requires a positive integer, "
-                  << "got '" << argv[i] << "'\n";
-        std::exit(1);
-      }
-      o.spike_sample = v;
-      continue;
-    } else {
-      // A typo'd flag or stray positional must not silently run the bench
-      // without its outputs.
-      std::cerr << prog << ": unexpected argument '" << a << "'\n";
-      obs_usage(std::cerr, prog);
-      std::exit(1);
-    }
-    if (i + 1 >= argc) {
-      std::cerr << prog << ": " << a << " requires a value\n";
-      std::exit(1);
-    }
-    *dest = argv[++i];
+  runtime::ObsOptions o;
+  util::Flags flags(prog,
+                    std::string("usage: ") + prog +
+                        " [options]\n"
+                        "  (COMPASS_BENCH_SCALE scales the model sizes)\n",
+                    o.flags());
+  flags.add(std::move(extra));
+  flags.parse_or_exit(argc, argv);
+  try {
+    bench_obs().emplace(std::move(o));
+  } catch (const std::exception& e) {
+    std::cerr << prog << ": " << e.what() << "\n";
+    std::exit(1);
   }
 }
-
-const ObsOptions& obs_options() { return bench_obs().options; }
 
 double bench_scale() {
   static const double scale = [] {
@@ -247,77 +109,11 @@ runtime::RunReport run_model(const arch::Model& model,
   arch::Model copy = model;
   auto transport = make_transport(kind, partition.ranks());
   runtime::Compass sim(copy, partition, *transport, config);
-  attach_observability(sim, *transport);
-  BenchObs& b = bench_obs();
-  // The span writer is process-wide (spans append across runs); the tracer
-  // itself is per-run because each run may use a different rank count.
-  std::optional<obs::SpikeTracer> tracer;
-  if (!b.options.spike_trace_out.empty()) {
-    if (!b.span_writer) {
-      b.span_os.open(b.options.spike_trace_out);
-      if (b.span_os) b.span_writer.emplace(b.span_os);
-    }
-    if (b.span_writer) {
-      obs::SpikeTraceOptions topt;
-      topt.sample_every = b.options.spike_sample;
-      tracer.emplace(partition.ranks(), topt);
-      tracer->set_hop_model(transport->hop_matrix(),
-                            transport->cost_model().params().hop_latency_s);
-      if (!b.options.metrics_out.empty()) tracer->set_metrics(&b.registry);
-      tracer->add_sink(&*b.span_writer);
-      sim.set_spike_tracer(&*tracer);
-    }
-  }
-  // Analytics follows the same split: the JSONL sink is process-wide so
-  // window records append across runs, while the engine is per-run (each
-  // run may use a different rank count, and window numbering restarts at
-  // zero with a fresh config header per run). Benches model a single
-  // population, so the region map is empty (one region over all cores).
-  std::optional<obs::AnalyticsEngine> analytics;
-  if (!b.options.analytics_out.empty()) {
-    if (!b.analytics_writer) {
-      b.analytics_os.open(b.options.analytics_out);
-      if (b.analytics_os) b.analytics_writer.emplace(b.analytics_os);
-    }
-    if (b.analytics_writer) {
-      obs::AnalyticsOptions aopt;
-      aopt.window_ticks = b.options.analytics_window;
-      analytics.emplace(partition.ranks(),
-                        static_cast<std::uint32_t>(copy.num_cores()),
-                        std::vector<std::uint32_t>{}, aopt);
-      if (!b.options.metrics_out.empty()) analytics->set_metrics(&b.registry);
-      analytics->add_sink(&*b.analytics_writer);
-      sim.set_analytics(&*analytics);
-    }
-  }
-  const std::string& profile_out = bench_obs().options.profile_out;
-  std::optional<obs::ProfileCollector> collector;
-  if (profile || !profile_out.empty()) {
-    collector.emplace(partition.ranks());
-    sim.set_profile(&*collector);
-  }
-  // Like the span writer, the wallprof sink is process-wide (summaries
-  // append across runs) while the profiler is per-run: each run may use a
-  // different rank count, and the profiler's epoch must start at this run.
-  std::optional<obs::WallProfiler> wallprof;
-  if (!b.options.wallprof_out.empty()) {
-    if (!b.wall_os.is_open()) b.wall_os.open(b.options.wallprof_out);
-    if (b.wall_os) {
-      wallprof.emplace(partition.ranks());
-      wallprof->set_sink(&b.wall_os);
-      sim.set_wall_profiler(&*wallprof);
-    }
-  }
+  std::optional<runtime::RunObservers>& obs = bench_obs();
+  if (!obs) obs.emplace(runtime::ObsOptions{});
+  obs->attach(sim, *transport, *transport, {}, profile);
   runtime::RunReport rep = sim.run(ticks);
-  if (wallprof) {
-    wallprof->write_summary();
-    b.wall_os.flush();
-  }
-  if (analytics) b.analytics_os.flush();
-  if (collector && !profile_out.empty()) {
-    std::ofstream os(profile_out);
-    if (os) obs::write_profile_json(os, *rep.profile, collector->comm_matrix());
-  }
+  obs->end_run(rep);
   return rep;
 }
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "arch/model.h"
 #include "cocomac/macaque.h"
@@ -17,6 +18,7 @@
 #include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
 #include "runtime/compass.h"
+#include "util/flags.h"
 #include "util/table.h"
 
 namespace compass::bench {
@@ -24,45 +26,18 @@ namespace compass::bench {
 /// COMPASS_BENCH_SCALE (default 1.0): multiplies model sizes.
 double bench_scale();
 
-/// Observability outputs shared by every run_model() call in a bench
-/// process. Defaults come from the COMPASS_TRACE_OUT / COMPASS_CHROME_OUT /
-/// COMPASS_METRICS_OUT environment variables; benches that take argv can
-/// override them with --trace-out / --chrome-out / --metrics-out via
-/// init_obs(). JSONL traces append across runs in one process; the Chrome
-/// trace and the metrics snapshot are written once at process exit.
-struct ObsOptions {
-  std::string trace_out;    // per-(tick,rank,phase) JSONL
-  std::string chrome_out;   // Chrome-trace/Perfetto JSON
-  std::string metrics_out;  // metrics-registry snapshot JSON
-  std::string profile_out;  // comm-matrix + imbalance profile JSON
-                            // ($COMPASS_PROFILE_OUT; rewritten per run, so
-                            // the file holds the process's last run)
-  std::string spike_trace_out;      // causal spike-span JSONL
-                                    // ($COMPASS_SPIKE_TRACE_OUT; appends
-                                    // across the process's runs)
-  std::uint64_t spike_sample = 64;  // 1-in-N spike sampling
-                                    // ($COMPASS_SPIKE_SAMPLE)
-  std::string wallprof_out;         // host wall-clock profile JSONL
-                                    // ($COMPASS_WALLPROF_OUT; one wallprof
-                                    // summary record appended per run, so a
-                                    // multi-run bench yields one line per
-                                    // measured configuration)
-  std::string analytics_out;        // streaming spike-analytics JSONL
-                                    // ($COMPASS_ANALYTICS_OUT; window records
-                                    // append across the process's runs; each
-                                    // run re-emits its config header)
-  std::uint64_t analytics_window = 64;  // analytics window length, ticks
-                                        // ($COMPASS_ANALYTICS_WINDOW)
-};
-
-/// Parse the observability flags (--trace-out / --chrome-out /
-/// --metrics-out / --profile-out / --spike-trace-out / --spike-sample /
-/// --wallprof-out / --analytics-out / --analytics-window) from a bench's
-/// argv. Strict: an unknown flag or a stray positional argument
-/// prints usage and exits 1 — a typo'd flag must not silently run the bench
-/// without its outputs. Call once, before the first run_model().
-void init_obs(int argc, char** argv);
-const ObsOptions& obs_options();
+/// Parse a bench's argv: the shared observability flags
+/// (runtime::ObsOptions::flags(): --trace-out, --chrome-out, --metrics-out,
+/// --profile-out, --spike-trace-out, --spike-sample, --wallprof-out,
+/// --analytics-out, --analytics-window) plus the bench's own `extra` rows.
+/// Strict: an unknown flag, a bad value or a stray positional argument
+/// prints usage and exits 1, and so does an output file that cannot be
+/// opened — a typo must not silently run the bench without its outputs.
+/// Call once, before the first run_model(). The outputs are shared by every
+/// run_model() call: JSONL streams append across runs, the profile holds
+/// the last run, and the Chrome trace and metrics snapshot are written at
+/// process exit.
+void init_obs(int argc, char** argv, std::vector<util::Flag> extra = {});
 
 /// Scaled count: max(minimum, round(base * bench_scale())).
 std::uint64_t scaled(std::uint64_t base, std::uint64_t minimum = 1);

@@ -501,4 +501,14 @@ PccResult compile(const Spec& spec, const PccOptions& options,
   return result;
 }
 
+std::vector<std::uint32_t> core_region_map(const PccResult& pcc) {
+  std::vector<std::uint32_t> core_region(pcc.model.num_cores(), 0);
+  for (std::size_t g = 0; g < pcc.regions.size(); ++g) {
+    const RegionInfo& r = pcc.regions[g];
+    std::fill_n(core_region.begin() + static_cast<std::ptrdiff_t>(r.first_core),
+                r.cores, static_cast<std::uint32_t>(g));
+  }
+  return core_region;
+}
+
 }  // namespace compass::compiler

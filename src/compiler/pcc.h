@@ -143,6 +143,11 @@ PccResult compile(const Spec& spec, const PccOptions& options = {},
                   obs::MetricsRegistry* metrics = nullptr,
                   obs::FlightRecorder* flight = nullptr);
 
+/// Core id -> region index over the compiled parcellation (region g owns
+/// cores [first_core, first_core + cores)): the analytics region map the
+/// CLI and served sessions attach, so their records name cortical regions.
+std::vector<std::uint32_t> core_region_map(const PccResult& pcc);
+
 /// Helper shared with tests: true if neuron j is inhibitory under
 /// `excitatory_fraction` (evenly interleaved).
 bool is_inhibitory_neuron(unsigned j, double excitatory_fraction);

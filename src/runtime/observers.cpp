@@ -1,0 +1,135 @@
+#include "runtime/observers.h"
+
+#include <sstream>
+#include <stdexcept>
+
+namespace compass::runtime {
+
+namespace {
+
+void open_output(std::ofstream& os, const std::string& path) {
+  if (path.empty()) return;
+  os.open(path);
+  if (!os) throw std::runtime_error("cannot write " + path);
+}
+
+}  // namespace
+
+std::vector<util::Flag> ObsOptions::flags() {
+  using util::Flag;
+  return {
+      Flag::text("--trace-out", trace_out, "F",
+                 "per-(tick,rank,phase) JSONL trace"),
+      Flag::text("--chrome-out", chrome_out, "F",
+                 "Chrome-trace/Perfetto view of the virtual time"),
+      Flag::text("--metrics-out", metrics_out, "F",
+                 "metrics-registry snapshot (JSON)"),
+      Flag::text("--profile-out", profile_out, "F",
+                 "comm matrix + imbalance/critical-rank profile (JSON)"),
+      Flag::text("--spike-trace-out", spike_trace_out, "F",
+                 "causal spike-span JSONL (compass_prof --spans)"),
+      Flag::u64("--spike-sample", spike_sample, 1, UINT64_MAX,
+                "trace every spike whose id % N == 0"),
+      Flag::text("--wallprof-out", wallprof_out, "F",
+                 "host wall-clock profile JSONL (compass_prof --wall)"),
+      Flag::text("--analytics-out", analytics_out, "F",
+                 "streaming spike-analytics JSONL"),
+      Flag::u64("--analytics-window", analytics_window, 1, UINT64_MAX,
+                "analytics window length in ticks"),
+  };
+}
+
+RunObservers::RunObservers(ObsOptions options)
+    : options_(std::move(options)),
+      metrics_on_(options_.metrics || !options_.metrics_out.empty()) {
+  open_output(trace_os_, options_.trace_out);
+  open_output(chrome_os_, options_.chrome_out);
+  open_output(metrics_os_, options_.metrics_out);
+  open_output(profile_os_, options_.profile_out);
+  open_output(span_os_, options_.spike_trace_out);
+  open_output(wall_os_, options_.wallprof_out);
+  open_output(analytics_os_, options_.analytics_out);
+  if (trace_os_.is_open()) jsonl_.emplace(trace_os_);
+  if (span_os_.is_open()) span_writer_.emplace(span_os_);
+  if (analytics_os_.is_open()) analytics_writer_.emplace(analytics_os_);
+}
+
+void RunObservers::attach(Compass& sim, comm::Transport& transport,
+                          const comm::Transport& hops,
+                          std::vector<std::uint32_t> core_region,
+                          bool profile) {
+  const int ranks = sim.partition().ranks();
+  obs::MetricsRegistry* const m = metrics();
+  transport.set_metrics(m);
+  sim.set_metrics(m);
+
+  profiler_.reset();
+  if (profile || !options_.profile_out.empty()) {
+    profiler_.emplace(ranks);
+    sim.set_profile(&*profiler_);
+  }
+  if (jsonl_) sim.add_trace_sink(&*jsonl_);
+  if (!options_.chrome_out.empty()) sim.add_trace_sink(&chrome_);
+
+  tracer_.reset();
+  if (span_writer_) {
+    obs::SpikeTraceOptions topt;
+    topt.sample_every = options_.spike_sample;
+    tracer_.emplace(ranks, topt);
+    tracer_->set_hop_model(hops.hop_matrix(),
+                           hops.cost_model().params().hop_latency_s);
+    tracer_->set_metrics(m);
+    tracer_->add_sink(&*span_writer_);
+    sim.set_spike_tracer(&*tracer_);
+  }
+
+  analytics_.reset();
+  if (analytics_writer_) {
+    obs::AnalyticsOptions aopt;
+    aopt.window_ticks = options_.analytics_window;
+    analytics_.emplace(ranks,
+                       static_cast<std::uint32_t>(sim.partition().num_cores()),
+                       std::move(core_region), aopt);
+    analytics_->set_metrics(m);
+    analytics_->add_sink(&*analytics_writer_);
+    sim.set_analytics(&*analytics_);
+  }
+
+  // Wall records ride their own stream, never a trace sink, so functional
+  // output stays byte-identical with the profiler attached.
+  wallprof_.reset();
+  if (wall_os_.is_open()) {
+    obs::WallprofOptions wopt;
+    wopt.heartbeat_every_ticks = options_.wallprof_heartbeat;
+    wallprof_.emplace(ranks, wopt);
+    wallprof_->set_sink(&wall_os_);
+    wallprof_->set_metrics(m);
+    sim.set_wall_profiler(&*wallprof_);
+  }
+}
+
+void RunObservers::end_run(const RunReport& report) {
+  if (wallprof_) wallprof_->write_summary();
+  if (profiler_ && report.profile && profile_os_.is_open()) {
+    std::ostringstream os;
+    obs::write_profile_json(os, *report.profile, profiler_->comm_matrix());
+    profile_json_ = os.str();
+  }
+  for (std::ofstream* os : {&trace_os_, &span_os_, &wall_os_, &analytics_os_}) {
+    os->flush();
+  }
+}
+
+void RunObservers::finish() {
+  if (span_writer_) span_writer_->finish();
+  if (chrome_os_.is_open()) chrome_.write(chrome_os_);
+  if (metrics_os_.is_open()) registry_.write_json(metrics_os_);
+  if (profile_os_.is_open()) profile_os_ << profile_json_;
+  for (std::ofstream* os : {&trace_os_, &chrome_os_, &metrics_os_,
+                            &profile_os_, &span_os_, &wall_os_,
+                            &analytics_os_}) {
+    os->flush();
+  }
+}
+
+}  // namespace compass::runtime

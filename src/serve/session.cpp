@@ -88,6 +88,11 @@ Session::Session(const Scenario& scenario, std::uint64_t seed,
   popt.threads_per_rank = scenario.threads_per_rank;
   compiler::PccResult pcc =
       compiler::compile(cocomac::build_macaque_spec(mopt), popt);
+  // The CLI's region map over the compiled parcellation, so a served
+  // analytics line matches a local --analytics-out line
+  // byte-for-byte over the same spike stream.
+  std::vector<std::uint32_t> core_region;
+  if (analytics_window > 0) core_region = compiler::core_region_map(pcc);
   model_ = std::move(pcc.model);
   partition_ = std::move(pcc.partition);
   transport_ = std::make_unique<comm::MpiTransport>(partition_.ranks(),
@@ -102,18 +107,6 @@ Session::Session(const Scenario& scenario, std::uint64_t seed,
                         static_cast<std::uint16_t>(neuron)});
   });
   if (analytics_window > 0) {
-    // Region map from the compiled parcellation, exactly as the CLI builds
-    // it, so a served analytics line matches a local --analytics-out line
-    // byte-for-byte over the same spike stream.
-    std::vector<std::uint32_t> core_region(model_.num_cores(), 0);
-    for (std::size_t g = 0; g < pcc.regions.size(); ++g) {
-      const compiler::RegionInfo& r = pcc.regions[g];
-      for (std::int64_t c = 0; c < r.cores; ++c) {
-        core_region[static_cast<std::size_t>(r.first_core) +
-                    static_cast<std::size_t>(c)] =
-            static_cast<std::uint32_t>(g);
-      }
-    }
     obs::AnalyticsOptions aopt;
     aopt.window_ticks = analytics_window;
     analytics_ = std::make_unique<obs::AnalyticsEngine>(

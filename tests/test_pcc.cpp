@@ -100,6 +100,21 @@ TEST(Pcc, RegionBlocksAreContiguousAndLabelled) {
   }
 }
 
+TEST(Pcc, CoreRegionMapFollowsTheParcellation) {
+  PccOptions opt;
+  opt.ranks = 2;
+  const PccResult r = compile(small_spec(), opt);
+  ASSERT_GE(r.regions.size(), 2u);
+  const std::vector<std::uint32_t> map = core_region_map(r);
+  ASSERT_EQ(map.size(), r.model.num_cores());
+  std::set<std::uint32_t> seen;
+  for (arch::CoreId c = 0; c < r.model.num_cores(); ++c) {
+    EXPECT_EQ(map[c], r.model.region(c)) << "core " << c;
+    seen.insert(map[c]);
+  }
+  EXPECT_EQ(seen.size(), r.regions.size());
+}
+
 TEST(Pcc, GrayMatterStaysWithinRank) {
   PccOptions opt;
   opt.ranks = 4;

@@ -64,6 +64,8 @@
 #include <thread>
 #include <vector>
 
+#include "util/flags.h"
+
 namespace {
 
 struct MicroResult {
@@ -511,50 +513,46 @@ int main(int argc, char** argv) {
   std::string out;
   std::string min_time;
   std::string engine = "kernels";
-  bool headline = true;
   bool recovery = false;
   bool wall = false;
   bool serve = false;
   bool analytics = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--bench-dir" && i + 1 < argc) {
-      bench_dir = argv[++i];
-    } else if (arg == "--tools-dir" && i + 1 < argc) {
-      tools_dir = argv[++i];
-    } else if (arg == "--out" && i + 1 < argc) {
-      out = argv[++i];
-    } else if (arg == "--min-time" && i + 1 < argc) {
-      min_time = argv[++i];
-    } else if (arg == "--engine" && i + 1 < argc) {
-      engine = argv[++i];
-    } else if (arg == "--skip-headline") {
-      headline = false;
-    } else if (arg == "--recovery") {
-      recovery = true;
-    } else if (arg == "--wall") {
-      wall = true;
-    } else if (arg == "--serve") {
-      serve = true;
-    } else if (arg == "--analytics") {
-      analytics = true;
-    } else {
-      std::cerr << "usage: bench_record [--bench-dir <dir>] "
-                   "[--tools-dir <dir>] [--out <path>] "
-                   "[--min-time <t>] [--skip-headline] [--recovery] [--wall] "
-                   "[--serve] [--analytics] [--engine kernels|reference]\n";
-      return 1;
-    }
-  }
+  bool skip_headline = false;
+  using compass::util::Flag;
+  compass::util::Flags(
+      "bench_record", "usage: bench_record [options]\n",
+      {
+          Flag::text("--bench-dir", bench_dir, "DIR",
+                     "directory holding the bench binaries"),
+          Flag::text("--tools-dir", tools_dir, "DIR",
+                     "with --serve: directory holding compass_served and "
+                     "compass_swarm"),
+          Flag::text("--out", out, "PATH",
+                     "output path (default depends on the mode)"),
+          Flag::text("--min-time", min_time, "T",
+                     "forwarded as --benchmark_min_time (e.g. 0.5s)"),
+          Flag::choice("--engine", engine, {"kernels", "reference"},
+                       "with --wall / --analytics: engine for the run"),
+          Flag::toggle("--skip-headline", skip_headline,
+                       "record the microbenchmarks only"),
+          Flag::toggle("--recovery", recovery,
+                       "record the recovery drill (BENCH_recovery.json)"),
+          Flag::toggle("--wall", wall,
+                       "record the host wall-clock profile (BENCH_wall.json)"),
+          Flag::toggle("--serve", serve,
+                       "record the served-simulation drill "
+                       "(BENCH_serve.json)"),
+          Flag::toggle("--analytics", analytics,
+                       "record the analytics overhead "
+                       "(BENCH_analytics.json)"),
+      })
+      .parse_or_exit(argc, argv);
+  const bool headline = !skip_headline;
   if (static_cast<int>(recovery) + static_cast<int>(wall) +
           static_cast<int>(serve) + static_cast<int>(analytics) >
       1) {
     std::cerr << "bench_record: --recovery, --wall, --serve, and --analytics "
                  "are exclusive\n";
-    return 1;
-  }
-  if (engine != "kernels" && engine != "reference") {
-    std::cerr << "bench_record: --engine must be 'kernels' or 'reference'\n";
     return 1;
   }
   if (out.empty()) {

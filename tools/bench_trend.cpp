@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "obs/jsonv.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -293,36 +294,21 @@ int main(int argc, char** argv) {
   bool append = false;
   bool check = false;
   double tolerance_pct = 10.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--history" && i + 1 < argc) {
-      history_path = argv[++i];
-    } else if (arg == "--append") {
-      append = true;
-    } else if (arg == "--check") {
-      check = true;
-    } else if (arg == "--tolerance" && i + 1 < argc) {
-      try {
-        tolerance_pct = std::stod(argv[++i]);
-      } catch (const std::exception&) {
-        tolerance_pct = -1.0;
-      }
-      if (tolerance_pct < 0.0) {
-        std::cerr << "bench_trend: --tolerance requires a non-negative "
-                     "percentage\n";
-        return 1;
-      }
-    } else if (!arg.empty() && arg[0] != '-') {
-      files.push_back(arg);
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: bench_trend [BENCH_*.json ...] [--history F] "
-                   "[--append] [--check] [--tolerance PCT]\n";
-      return 0;
-    } else {
-      std::cerr << "bench_trend: unknown option " << arg << "\n";
-      return 1;
-    }
-  }
+  using compass::util::Flag;
+  compass::util::Flags(
+      "bench_trend", "usage: bench_trend [BENCH_*.json ...] [options]\n",
+      {
+          Flag::text("--history", history_path, "F", "history file"),
+          Flag::toggle("--append", append,
+                       "append the current metrics as a new history line"),
+          Flag::toggle("--check", check,
+                       "fail (exit 3) on a directional metric that moved the "
+                       "wrong way by more than --tolerance"),
+          Flag::real("--tolerance", tolerance_pct, 0.0,
+                     "allowed relative slip for --check, percent"),
+      })
+      .positionals(files, SIZE_MAX)
+      .parse_or_exit(argc, argv);
   if (files.empty()) {
     for (const char* name :
          {"BENCH_kernels.json", "BENCH_recovery.json", "BENCH_wall.json",

@@ -5,62 +5,12 @@
 //   compass info net.co
 //       Parse, validate, and summarise a CoreObject file.
 //   compass run (net.co | --macaque --cores N) [options]
-//       Compile with PCC and simulate.
-//       --ranks R --threads T --ticks N --transport mpi|pgas
-//       --raster out.rst     record spikes (binary; .txt suffix for text)
-//       --save-model m.bin   write the explicit binary model
-//       --series             print per-tick spike/message series
-//       --energy             print the TrueNorth power estimate
-//       --stats              print spike-train statistics + activity plot
-//       --trace-out t.jsonl  per-(tick,rank,phase) JSONL trace (DESIGN.md)
-//       --chrome-out t.json  Chrome-trace/Perfetto view of the virtual time
-//       --metrics-out m.json metrics-registry snapshot (runtime+comm+pcc)
-//       --metrics-prom m.prom  the same snapshot, Prometheus text format
-//       --profile-out p.json comm-matrix + imbalance/critical-rank profile
-//                            (also adds profile rows to the run summary and
-//                            a profile record to --trace-out)
-//       --no-measure         skip host compute timers: traces/reports then
-//                            contain only deterministic modelled times
-//       --checkpoint-every N write a crash-consistent snapshot every N ticks
-//       --checkpoint-dir D   where snapshots go (default: checkpoints)
-//       --checkpoint-keep K  newest snapshots retained (default: 3)
-//       --restore PATH       resume from a checkpoint file (or the newest
-//                            one in a directory); --ticks then counts the
-//                            additional ticks to simulate
-//       --fault-plan SPEC    inject transport faults (DESIGN.md grammar;
-//                            $COMPASS_FAULT_PLAN is used when absent)
-//       --recovery P         what a kill-rank fault does to the run:
-//                            abort (default, today's semantics), or survive
-//                            it by rebuilding the dead rank's cores from
-//                            the newest pre-failure checkpoint and either
-//                            reviving the rank in place (restart-rank) or
-//                            re-homing its cores onto surviving ranks,
-//                            traffic-aware when --profile-out is measuring
-//                            (migrate). Needs a checkpoint setup; a
-//                            baseline snapshot is written automatically.
-//       --spike-trace-out F  causal spike-span JSONL (fire/send/wire/recv/
-//                            ring/integrate chains for sampled spikes;
-//                            analyze with compass_prof --spans)
-//       --spike-sample N     trace every spike whose id % N == 0 (default
-//                            64; 1 = every routed spike)
-//       --flight-recorder F  arm the per-rank flight recorder; the last-N
-//                            event window is dumped to F as JSONL on a
-//                            checkpoint error, the first kill-rank fault,
-//                            or a fatal signal
-//       --placement P        communication-aware core->rank placement
-//                            (uniform|random|greedy-refine|recursive-bisect|
-//                            sfc-torus); attaches a BG/Q-style torus hop
-//                            model sized to the run. Absent: the classic
-//                            block placement, byte-identical to older runs.
-//       --placement-seed S   seed for the random policy (default 0)
-//       --placement-out F    save the active placement to a file
-//       --placement-in F     load a placement file instead of optimising
-//       --ranks-per-node K   ranks sharing one torus node (default 1)
+//       Compile with PCC and simulate. `compass help` lists every option;
+//       the list is generated from the flag table in make_flags().
 //   compass analyze <raster> --ticks N [--neurons M]
 //       Spike-train statistics over a recorded raster.
 //
 // Exit codes: 0 success, 1 usage error, 2 runtime failure.
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -78,8 +28,6 @@
 #include "io/spike_stats.h"
 #include "obs/flightrec.h"
 #include "obs/metrics.h"
-#include "obs/spiketrace.h"
-#include "obs/trace.h"
 #include "perf/energy.h"
 #include "place/placement.h"
 #include "resilience/checkpoint.h"
@@ -87,6 +35,8 @@
 #include "resilience/fault.h"
 #include "resilience/recovery.h"
 #include "runtime/compass.h"
+#include "runtime/observers.h"
+#include "util/flags.h"
 #include "util/table.h"
 
 namespace {
@@ -106,11 +56,8 @@ struct Args {
   std::string raster_file;
   std::string model_file;
   std::string output_file;
-  std::string trace_file;
-  std::string chrome_file;
-  std::string metrics_file;
+  runtime::ObsOptions obs;  // the --*-out observability outputs
   std::string metrics_prom_file;
-  std::string profile_file;
   bool series = false;
   bool energy = false;
   bool stats = false;
@@ -122,13 +69,7 @@ struct Args {
   std::string restore_path;  // checkpoint file or directory to resume from
   std::string fault_plan;    // resilience::FaultPlan spec ("" = none/env)
   std::string recovery = "abort";  // rank-failure policy (recovery.h)
-  std::string spike_trace_file;   // causal spike-span JSONL ("" = off)
-  std::uint64_t spike_sample = 64;  // sample 1-in-N routed spikes
-  std::string analytics_file;     // streaming-analytics JSONL ("" = off)
-  std::uint64_t analytics_window = 64;  // analytics window in ticks
   std::string flight_file;        // flight-recorder dump path ("" = off)
-  std::string wallprof_file;   // host wall-clock profile JSONL ("" = off)
-  std::uint64_t wallprof_heartbeat = 0;  // heartbeat cadence in ticks (0 = off)
   bool progress = false;          // live single-line status on stderr
   bool progress_force = false;    // show it even when stderr is not a TTY
   std::uint64_t progress_every_ms = 500;  // progress redraw interval
@@ -137,289 +78,91 @@ struct Args {
   std::string placement_out;   // save the active placement here
   std::string placement_in;    // load a placement file instead of optimising
   int ranks_per_node = 1;      // torus-node grouping for the hop model
+  std::vector<std::string> positionals;  // spec/raster file
 };
 
-/// Checked numeric flag parsing: the whole token must be digits and the
-/// value in [min, max], or the flag is rejected with a clear error. This is
-/// what keeps `--ranks x` or `--threads 0` from silently simulating a
-/// zero-rank machine (std::atoi would return 0 for both).
-std::optional<std::uint64_t> parse_u64_flag(const char* flag, const char* text,
-                                            std::uint64_t min_value,
-                                            std::uint64_t max_value) {
-  const char* p = text;
-  if (*p == '\0') {
-    std::cerr << "compass: " << flag << " requires a number, got ''\n";
-    return std::nullopt;
-  }
-  std::uint64_t v = 0;
-  for (; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') {
-      std::cerr << "compass: " << flag << " requires a non-negative integer, "
-                << "got '" << text << "'\n";
-      return std::nullopt;
-    }
-    const std::uint64_t next = v * 10 + static_cast<std::uint64_t>(*p - '0');
-    if (next < v) {
-      std::cerr << "compass: " << flag << " value '" << text
-                << "' is out of range\n";
-      return std::nullopt;
-    }
-    v = next;
-  }
-  if (v < min_value || v > max_value) {
-    std::cerr << "compass: " << flag << " must be in [" << min_value << ", "
-              << max_value << "], got " << v << "\n";
-    return std::nullopt;
-  }
-  return v;
-}
-
-void usage(std::ostream& os) {
-  os << "usage:\n"
-        "  compass spec --macaque --cores N [--seed S] [-o net.co]\n"
-        "  compass info <net.co>\n"
-        "  compass run (<net.co> | --macaque --cores N) [--ranks R]\n"
-        "              [--threads T] [--ticks N] [--transport mpi|pgas]\n"
-        "              [--seed S] [--raster out.rst] [--save-model m.bin]\n"
-        "              [--series] [--energy] [--stats] [--no-measure]\n"
-        "              [--trace-out t.jsonl] [--chrome-out t.json]\n"
-        "              [--metrics-out m.json] [--metrics-prom m.prom]\n"
-        "              [--profile-out p.json]\n"
-        "              [--wallprof-out w.jsonl] [--wallprof-heartbeat N]\n"
-        "              [--progress] [--progress-force]\n"
-        "              [--progress-every-ms MS]\n"
-        "              [--checkpoint-every N] [--checkpoint-dir D]\n"
-        "              [--checkpoint-keep K] [--restore PATH]\n"
-        "              [--fault-plan SPEC]\n"
-        "              [--recovery abort|restart-rank|migrate]\n"
-        "              [--spike-trace-out spans.jsonl] [--spike-sample N]\n"
-        "              [--analytics-out a.jsonl] [--analytics-window N]\n"
-        "              [--flight-recorder dump.jsonl]\n"
-        "              [--placement uniform|random|greedy-refine|\n"
-        "                           recursive-bisect|sfc-torus]\n"
-        "              [--placement-seed S] [--placement-out F]\n"
-        "              [--placement-in F] [--ranks-per-node K]\n"
-        "  compass analyze <raster> --ticks N [--neurons M]\n";
-}
-
-std::optional<Args> parse_args(int argc, char** argv) {
-  if (argc < 2) return std::nullopt;
-  Args args;
-  args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "compass: " << what << " requires a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (a == "--macaque") {
-      args.macaque = true;
-    } else if (a == "--series") {
-      args.series = true;
-    } else if (a == "--energy") {
-      args.energy = true;
-    } else if (a == "--stats") {
-      args.stats = true;
-    } else if (a == "--no-measure") {
-      args.no_measure = true;
-    } else if (a == "--trace-out") {
-      const char* v = next("--trace-out");
-      if (!v) return std::nullopt;
-      args.trace_file = v;
-    } else if (a == "--chrome-out") {
-      const char* v = next("--chrome-out");
-      if (!v) return std::nullopt;
-      args.chrome_file = v;
-    } else if (a == "--metrics-out") {
-      const char* v = next("--metrics-out");
-      if (!v) return std::nullopt;
-      args.metrics_file = v;
-    } else if (a == "--metrics-prom") {
-      const char* v = next("--metrics-prom");
-      if (!v) return std::nullopt;
-      args.metrics_prom_file = v;
-    } else if (a == "--profile-out") {
-      const char* v = next("--profile-out");
-      if (!v) return std::nullopt;
-      args.profile_file = v;
-    } else if (a == "--wallprof-out") {
-      const char* v = next("--wallprof-out");
-      if (!v) return std::nullopt;
-      args.wallprof_file = v;
-    } else if (a == "--wallprof-heartbeat") {
-      const char* v = next("--wallprof-heartbeat");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--wallprof-heartbeat", v, 0, UINT64_MAX);
-      if (!n) return std::nullopt;
-      args.wallprof_heartbeat = *n;
-    } else if (a == "--progress") {
-      args.progress = true;
-    } else if (a == "--progress-force") {
-      args.progress = true;
-      args.progress_force = true;
-    } else if (a == "--progress-every-ms") {
-      const char* v = next("--progress-every-ms");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--progress-every-ms", v, 1, 3600000);
-      if (!n) return std::nullopt;
-      args.progress_every_ms = *n;
-    } else if (a == "--neurons") {
-      const char* v = next("--neurons");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--neurons", v, 0, UINT64_MAX);
-      if (!n) return std::nullopt;
-      args.neurons = *n;
-    } else if (a == "--cores") {
-      const char* v = next("--cores");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--cores", v, 1, UINT64_MAX);
-      if (!n) return std::nullopt;
-      args.cores = *n;
-    } else if (a == "--seed") {
-      const char* v = next("--seed");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--seed", v, 0, UINT64_MAX);
-      if (!n) return std::nullopt;
-      args.seed = *n;
-    } else if (a == "--ranks") {
-      const char* v = next("--ranks");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--ranks", v, 1, 1u << 20);
-      if (!n) return std::nullopt;
-      args.ranks = static_cast<int>(*n);
-    } else if (a == "--threads") {
-      const char* v = next("--threads");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--threads", v, 1, 4096);
-      if (!n) return std::nullopt;
-      args.threads = static_cast<int>(*n);
-    } else if (a == "--ticks") {
-      const char* v = next("--ticks");
-      if (!v) return std::nullopt;
-      // 0 is legal: a restore-then-zero-tick run just reprints the report.
-      const auto n = parse_u64_flag("--ticks", v, 0, UINT64_MAX);
-      if (!n) return std::nullopt;
-      args.ticks = *n;
-    } else if (a == "--checkpoint-every") {
-      const char* v = next("--checkpoint-every");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--checkpoint-every", v, 1, UINT64_MAX);
-      if (!n) return std::nullopt;
-      args.checkpoint_every = *n;
-    } else if (a == "--checkpoint-keep") {
-      const char* v = next("--checkpoint-keep");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--checkpoint-keep", v, 1, 1u << 20);
-      if (!n) return std::nullopt;
-      args.checkpoint_keep = static_cast<int>(*n);
-    } else if (a == "--checkpoint-dir") {
-      const char* v = next("--checkpoint-dir");
-      if (!v) return std::nullopt;
-      args.checkpoint_dir = v;
-    } else if (a == "--restore") {
-      const char* v = next("--restore");
-      if (!v) return std::nullopt;
-      args.restore_path = v;
-    } else if (a == "--fault-plan") {
-      const char* v = next("--fault-plan");
-      if (!v) return std::nullopt;
-      args.fault_plan = v;
-    } else if (a == "--recovery" || a.rfind("--recovery=", 0) == 0) {
-      // Both spellings: `--recovery migrate` and `--recovery=migrate`.
-      if (a == "--recovery") {
-        const char* v = next("--recovery");
-        if (!v) return std::nullopt;
-        args.recovery = v;
-      } else {
-        args.recovery = a.substr(std::string("--recovery=").size());
-      }
-      if (args.recovery != "abort" && args.recovery != "restart-rank" &&
-          args.recovery != "migrate") {
-        std::cerr << "compass: --recovery must be abort, restart-rank, or "
-                     "migrate, got '"
-                  << args.recovery << "'\n";
-        return std::nullopt;
-      }
-    } else if (a == "--spike-trace-out") {
-      const char* v = next("--spike-trace-out");
-      if (!v) return std::nullopt;
-      args.spike_trace_file = v;
-    } else if (a == "--spike-sample") {
-      const char* v = next("--spike-sample");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--spike-sample", v, 1, UINT64_MAX);
-      if (!n) return std::nullopt;
-      args.spike_sample = *n;
-    } else if (a == "--analytics-out") {
-      const char* v = next("--analytics-out");
-      if (!v) return std::nullopt;
-      args.analytics_file = v;
-    } else if (a == "--analytics-window") {
-      const char* v = next("--analytics-window");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--analytics-window", v, 1, UINT64_MAX);
-      if (!n) return std::nullopt;
-      args.analytics_window = *n;
-    } else if (a == "--flight-recorder") {
-      const char* v = next("--flight-recorder");
-      if (!v) return std::nullopt;
-      args.flight_file = v;
-    } else if (a == "--placement") {
-      const char* v = next("--placement");
-      if (!v) return std::nullopt;
-      args.placement = v;
-    } else if (a == "--placement-seed") {
-      const char* v = next("--placement-seed");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--placement-seed", v, 0, UINT64_MAX);
-      if (!n) return std::nullopt;
-      args.placement_seed = *n;
-    } else if (a == "--placement-out") {
-      const char* v = next("--placement-out");
-      if (!v) return std::nullopt;
-      args.placement_out = v;
-    } else if (a == "--placement-in") {
-      const char* v = next("--placement-in");
-      if (!v) return std::nullopt;
-      args.placement_in = v;
-    } else if (a == "--ranks-per-node") {
-      const char* v = next("--ranks-per-node");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--ranks-per-node", v, 1, 1u << 20);
-      if (!n) return std::nullopt;
-      args.ranks_per_node = static_cast<int>(*n);
-    } else if (a == "--transport") {
-      const char* v = next("--transport");
-      if (!v) return std::nullopt;
-      args.transport = v;
-    } else if (a == "--raster") {
-      const char* v = next("--raster");
-      if (!v) return std::nullopt;
-      args.raster_file = v;
-    } else if (a == "--save-model") {
-      const char* v = next("--save-model");
-      if (!v) return std::nullopt;
-      args.model_file = v;
-    } else if (a == "-o") {
-      const char* v = next("-o");
-      if (!v) return std::nullopt;
-      args.output_file = v;
-    } else if (!a.empty() && a[0] != '-') {
-      if (!args.spec_file.empty()) {
-        std::cerr << "compass: unexpected extra argument '" << a
-                  << "' (already given '" << args.spec_file << "')\n";
-        return std::nullopt;
-      }
-      args.spec_file = a;
-    } else {
-      std::cerr << "compass: unknown option " << a << "\n";
-      return std::nullopt;
-    }
-  }
-  return args;
+/// The whole command line as one table: every subcommand accepts every
+/// flag, numbers are range-checked (so `--ranks x` or `--threads 0` cannot
+/// silently simulate a zero-rank machine), and `compass help` prints it.
+util::Flags make_flags(Args& a) {
+  using util::Flag;
+  util::Flags flags(
+      "compass",
+      "usage:\n"
+      "  compass spec --macaque --cores N [--seed S] [-o net.co]\n"
+      "  compass info <net.co>\n"
+      "  compass run (<net.co> | --macaque --cores N) [options]\n"
+      "  compass analyze <raster> --ticks N [--neurons M]\n",
+      {
+          Flag::toggle("--macaque", a.macaque,
+                       "generate the CoCoMac macaque network"),
+          Flag::u64("--cores", a.cores, 1, UINT64_MAX,
+                    "cores in the generated network"),
+          Flag::u64("--seed", a.seed, 0, UINT64_MAX, "network seed"),
+          Flag::text("-o", a.output_file, "F",
+                     "spec: write the CoreObject here, not to stdout"),
+          Flag::u64("--ranks", a.ranks, 1, 1u << 20, "emulated ranks"),
+          Flag::u64("--threads", a.threads, 1, 4096, "threads per rank"),
+          Flag::u64("--ticks", a.ticks, 0, UINT64_MAX,
+                    "ticks to simulate (after --restore: additional ticks)"),
+          Flag::choice("--transport", a.transport, {"mpi", "pgas"},
+                       "communication transport"),
+          Flag::text("--raster", a.raster_file, "F",
+                     "record spikes (binary; .txt suffix for text)"),
+          Flag::text("--save-model", a.model_file, "F",
+                     "write the explicit binary model"),
+          Flag::toggle("--series", a.series,
+                       "print per-tick spike/message series"),
+          Flag::toggle("--energy", a.energy,
+                       "print the TrueNorth power estimate"),
+          Flag::toggle("--stats", a.stats,
+                       "print spike-train statistics + activity plot"),
+          Flag::toggle("--no-measure", a.no_measure,
+                       "skip host compute timers (deterministic outputs)"),
+      });
+  flags.add(a.obs.flags());
+  flags.add({
+      Flag::text("--metrics-prom", a.metrics_prom_file, "F",
+                 "metrics snapshot in Prometheus text format"),
+      Flag::u64("--wallprof-heartbeat", a.obs.wallprof_heartbeat, 0,
+                UINT64_MAX, "wall-profile heartbeat every N ticks (0 = off)"),
+      Flag::toggle("--progress", a.progress,
+                   "live status line on stderr (TTY only)"),
+      Flag::toggle("--progress-force", a.progress_force,
+                   "--progress even when stderr is not a TTY"),
+      Flag::u64("--progress-every-ms", a.progress_every_ms, 1, 3600000,
+                "progress redraw interval"),
+      Flag::u64("--checkpoint-every", a.checkpoint_every, 1, UINT64_MAX,
+                "write a crash-consistent snapshot every N ticks"),
+      Flag::text("--checkpoint-dir", a.checkpoint_dir, "D",
+                 "where snapshots go"),
+      Flag::u64("--checkpoint-keep", a.checkpoint_keep, 1, 1u << 20,
+                "newest snapshots retained"),
+      Flag::text("--restore", a.restore_path, "PATH",
+                 "resume from a checkpoint file (or a directory's newest)"),
+      Flag::text("--fault-plan", a.fault_plan, "SPEC",
+                 "inject transport faults (else $COMPASS_FAULT_PLAN)"),
+      Flag::choice("--recovery", a.recovery,
+                   {"abort", "restart-rank", "migrate"},
+                   "what a kill-rank fault does to the run"),
+      Flag::text("--flight-recorder", a.flight_file, "F",
+                 "dump the last-N event window here on failure"),
+      Flag::text("--placement", a.placement, "P",
+                 "core->rank placement: uniform|random|greedy-refine|"
+                 "recursive-bisect|sfc-torus"),
+      Flag::u64("--placement-seed", a.placement_seed, 0, UINT64_MAX,
+                "seed for the random placement"),
+      Flag::text("--placement-out", a.placement_out, "F",
+                 "save the active placement"),
+      Flag::text("--placement-in", a.placement_in, "F",
+                 "load a placement instead of optimising"),
+      Flag::u64("--ranks-per-node", a.ranks_per_node, 1, 1u << 20,
+                "ranks sharing one torus node"),
+      Flag::u64("--neurons", a.neurons, 0, UINT64_MAX,
+                "analyze: population size (0 = infer)"),
+  });
+  flags.positionals(a.positionals, 1);
+  return flags;
 }
 
 compiler::Spec load_spec(const Args& args) {
@@ -476,12 +219,13 @@ int cmd_run(const Args& args) {
     return 1;
   }
 
-  // The metrics registry outlives the run: PCC, the transport, and the
-  // runtime all publish into it, and --metrics-out snapshots it at the end.
-  obs::MetricsRegistry registry;
-  const bool want_metrics =
-      !args.metrics_file.empty() || !args.metrics_prom_file.empty();
-  obs::MetricsRegistry* metrics = want_metrics ? &registry : nullptr;
+  // Every observability output is opened up front. The metrics registry
+  // outlives the run: PCC, the transport, and the runtime all publish into
+  // it, and --metrics-out / --metrics-prom snapshot it at the end.
+  runtime::ObsOptions obs_options = args.obs;
+  obs_options.metrics = !args.metrics_prom_file.empty();
+  runtime::RunObservers observers(std::move(obs_options));
+  obs::MetricsRegistry* metrics = observers.metrics();
 
   // The flight recorder is armed before compilation so the pcc begin/end
   // notes land in the window, and the signal handler covers the whole run.
@@ -567,15 +311,12 @@ int cmd_run(const Args& args) {
   }
 
   std::unique_ptr<comm::Transport> inner_transport;
-  if (args.transport == "mpi") {
-    inner_transport = std::make_unique<comm::MpiTransport>(
-        args.ranks, comm::CommCostModel{});
-  } else if (args.transport == "pgas") {
+  if (args.transport == "pgas") {
     inner_transport = std::make_unique<comm::PgasTransport>(
         args.ranks, comm::CommCostModel{});
   } else {
-    std::cerr << "compass: unknown transport '" << args.transport << "'\n";
-    return 1;
+    inner_transport = std::make_unique<comm::MpiTransport>(
+        args.ranks, comm::CommCostModel{});
   }
   if (active_placement) {
     // Hop charges follow the placement's rank->node embedding (attached to
@@ -656,83 +397,14 @@ int cmd_run(const Args& args) {
     ckpt_mgr->attach(sim, pcc.model);
   }
 
-  transport->set_metrics(metrics);
-  sim.set_metrics(metrics);
-  std::optional<obs::ProfileCollector> profiler;
-  // The migrate planner wants the measured comm matrix even when the user
-  // did not ask for a profile dump; collect silently in that case.
-  if (!args.profile_file.empty() ||
-      (want_recovery && rpolicy == resilience::RecoveryPolicy::kMigrate)) {
-    profiler.emplace(args.ranks);
-    sim.set_profile(&*profiler);
-  }
-  std::ofstream trace_os;
-  std::optional<obs::JsonlTraceWriter> jsonl;
-  if (!args.trace_file.empty()) {
-    trace_os.open(args.trace_file);
-    if (!trace_os) {
-      std::cerr << "compass: cannot write " << args.trace_file << "\n";
-      return 2;
-    }
-    jsonl.emplace(trace_os);
-    sim.add_trace_sink(&*jsonl);
-  }
-  obs::ChromeTraceWriter chrome;
-  if (!args.chrome_file.empty()) sim.add_trace_sink(&chrome);
-
-  // Causal spike tracing: hop distances come from the *inner* transport (the
-  // fault decorator has no topology of its own), matching the hop charges in
-  // its virtual send times.
-  std::ofstream span_os;
-  std::optional<obs::JsonlSpikeSpanWriter> span_writer;
-  std::optional<obs::SpikeTracer> tracer;
-  if (!args.spike_trace_file.empty()) {
-    span_os.open(args.spike_trace_file);
-    if (!span_os) {
-      std::cerr << "compass: cannot write " << args.spike_trace_file << "\n";
-      return 2;
-    }
-    obs::SpikeTraceOptions topt;
-    topt.sample_every = args.spike_sample;
-    tracer.emplace(args.ranks, topt);
-    tracer->set_hop_model(inner_transport->hop_matrix(),
-                          inner_transport->cost_model().params().hop_latency_s);
-    tracer->set_metrics(metrics);
-    span_writer.emplace(span_os);
-    tracer->add_sink(&*span_writer);
-    sim.set_spike_tracer(&*tracer);
-  }
-
-  // Streaming spike analytics: windowed population/region statistics over
-  // the fired-spike stream, with the region map taken from the compiler's
-  // parcellation so records are attributable to named cortical regions.
-  std::ofstream analytics_os;
-  std::optional<obs::JsonlTraceWriter> analytics_writer;
-  std::optional<obs::AnalyticsEngine> analytics;
-  if (!args.analytics_file.empty()) {
-    analytics_os.open(args.analytics_file);
-    if (!analytics_os) {
-      std::cerr << "compass: cannot write " << args.analytics_file << "\n";
-      return 2;
-    }
-    std::vector<std::uint32_t> core_region(pcc.model.num_cores(), 0);
-    for (std::size_t g = 0; g < pcc.regions.size(); ++g) {
-      const compiler::RegionInfo& r = pcc.regions[g];
-      for (std::int64_t c = 0; c < r.cores; ++c) {
-        core_region[static_cast<std::size_t>(r.first_core) +
-                    static_cast<std::size_t>(c)] = static_cast<std::uint32_t>(g);
-      }
-    }
-    obs::AnalyticsOptions aopt;
-    aopt.window_ticks = args.analytics_window;
-    analytics.emplace(args.ranks,
-                      static_cast<std::uint32_t>(pcc.model.num_cores()),
-                      std::move(core_region), aopt);
-    analytics->set_metrics(metrics);
-    analytics_writer.emplace(analytics_os);
-    analytics->add_sink(&*analytics_writer);
-    sim.set_analytics(&*analytics);
-  }
+  // The shared planes. Spike-span hop distances come from the *inner*
+  // transport (the fault decorator has no topology of its own), matching
+  // the hop charges in its virtual send times; analytics regions are the
+  // compiler's parcellation. The migrate planner wants the measured comm
+  // matrix even without --profile-out, so it is collected silently then.
+  observers.attach(
+      sim, *transport, *inner_transport, compiler::core_region_map(pcc),
+      want_recovery && rpolicy == resilience::RecoveryPolicy::kMigrate);
 
   std::optional<resilience::RecoverySupervisor> supervisor;
   if (want_recovery) {
@@ -754,32 +426,16 @@ int cmd_run(const Args& args) {
       ropt.node_of_rank = active_placement->node_of_rank;
     }
     supervisor.emplace(ropt, sim, pcc.model, *faulty, *ckpt_mgr);
-    if (profiler) supervisor->set_profile(&*profiler);
+    supervisor->set_profile(observers.profiler());
     supervisor->set_metrics(metrics);
     if (flight) supervisor->set_flight_recorder(&*flight);
     supervisor->arm();
     std::cout << "recovery armed: " << args.recovery << "\n";
   }
 
-  // Host wall-clock profiler: rides its own JSONL sink (never a trace
-  // stream), so functional output stays byte-identical with it attached.
-  // Armed last so every subsystem that records into it already exists.
-  std::ofstream wall_os;
-  std::optional<obs::WallProfiler> wallprof;
-  if (!args.wallprof_file.empty()) {
-    wall_os.open(args.wallprof_file);
-    if (!wall_os) {
-      std::cerr << "compass: cannot write " << args.wallprof_file << "\n";
-      return 2;
-    }
-    obs::WallprofOptions wopt;
-    wopt.heartbeat_every_ticks = args.wallprof_heartbeat;
-    wallprof.emplace(args.ranks, wopt);
-    wallprof->set_sink(&wall_os);
-    wallprof->set_metrics(metrics);
-    sim.set_wall_profiler(&*wallprof);
-    if (ckpt_mgr) ckpt_mgr->set_wall_profiler(&*wallprof);
-    if (supervisor) supervisor->set_wall_profiler(&*wallprof);
+  if (obs::WallProfiler* wallprof = observers.wall_profiler()) {
+    if (ckpt_mgr) ckpt_mgr->set_wall_profiler(wallprof);
+    if (supervisor) supervisor->set_wall_profiler(wallprof);
     // Compilation already happened (measured by the PCC itself); charge it
     // so the summary's pcc_compile bucket reflects this invocation.
     wallprof->record_global(obs::WallPhase::kPccCompile, pcc.stats.compile_s);
@@ -800,10 +456,7 @@ int cmd_run(const Args& args) {
 
   runtime::RunReport rep = sim.run(args.ticks);
   if (progress) progress->finish();
-  if (wallprof) {
-    wallprof->write_summary();
-    wall_os.flush();
-  }
+  observers.end_run(rep);
   if (faulty) rep.fault_plan = plan->to_string();
 
   util::Table table({"metric", "value"});
@@ -848,7 +501,7 @@ int cmd_run(const Args& args) {
     table.row()
         .add("predicted objective")
         .add(active_placement->predicted_objective, 0);
-    if (profiler) {
+    if (const obs::ProfileCollector* profiler = observers.profiler()) {
       const place::PlacementScore measured = place::evaluate_comm_matrix(
           profiler->comm_matrix(), active_placement->node_of_rank, &*topo);
       table.row()
@@ -918,61 +571,46 @@ int cmd_run(const Args& args) {
               << io::ascii_activity(io::per_tick_counts(raster, rep.ticks));
   }
 
-  if (tracer) {
-    span_writer->finish();
-    span_os.flush();
-    std::cout << "\nspike spans (1-in-" << args.spike_sample << " sampling: "
+  observers.finish();
+  const runtime::ObsOptions& o = args.obs;
+  if (const obs::SpikeTracer* tracer = observers.spike_tracer()) {
+    std::cout << "\nspike spans (1-in-" << o.spike_sample << " sampling: "
               << tracer->sampled_spikes() << " sampled, "
               << tracer->completed_spikes() << " integrated, "
               << tracer->lost_spikes() << " lost) written to "
-              << args.spike_trace_file << "\n";
-    if (span_writer->dropped() > 0) {
+              << o.spike_trace_out << "\n";
+    if (observers.span_writer()->dropped() > 0) {
       std::cerr << "compass: WARNING: spike-span writer hit its record cap; "
-                << span_writer->dropped()
+                << observers.span_writer()->dropped()
                 << " span(s) dropped (raise --spike-sample)\n";
     }
   }
-  if (analytics) {
-    analytics_os.flush();
+  if (const obs::AnalyticsEngine* analytics = observers.analytics()) {
     std::cout << "\nanalytics (" << analytics->windows_emitted()
-              << " window(s) of " << args.analytics_window << " ticks, "
+              << " window(s) of " << o.analytics_window << " ticks, "
               << analytics->num_regions() << " regions) written to "
-              << args.analytics_file << "\n";
+              << o.analytics_out << "\n";
   }
-  if (!args.trace_file.empty()) {
-    trace_os.flush();
-    std::cout << "\nper-tick trace (JSONL) written to " << args.trace_file
-              << "\n";
+  if (const obs::JsonlTraceWriter* jsonl = observers.trace_writer()) {
+    std::cout << "\nper-tick trace (JSONL) written to " << o.trace_out << "\n";
     if (jsonl->dropped() > 0) {
       std::cerr << "compass: WARNING: JSONL trace writer hit its record cap; "
                 << jsonl->dropped() << " record(s) dropped\n";
     }
   }
-  if (!args.chrome_file.empty()) {
-    std::ofstream os(args.chrome_file);
-    if (!os) {
-      std::cerr << "compass: cannot write " << args.chrome_file << "\n";
-      return 2;
-    }
-    chrome.write(os);
+  if (const obs::ChromeTraceWriter* chrome = observers.chrome()) {
     std::cout << "Chrome trace (open in Perfetto / chrome://tracing) written "
                  "to "
-              << args.chrome_file << "\n";
-    if (chrome.dropped() > 0) {
+              << o.chrome_out << "\n";
+    if (chrome->dropped() > 0) {
       std::cerr << "compass: WARNING: Chrome trace buffer hit its record cap; "
-                << chrome.dropped()
+                << chrome->dropped()
                 << " record(s) dropped (the view is a prefix of the run)\n";
     }
   }
-  if (!args.metrics_file.empty()) {
-    std::ofstream os(args.metrics_file);
-    if (!os) {
-      std::cerr << "compass: cannot write " << args.metrics_file << "\n";
-      return 2;
-    }
-    registry.write_json(os);
-    std::cout << "metrics snapshot (" << registry.size() << " series) written "
-              << "to " << args.metrics_file << "\n";
+  if (!o.metrics_out.empty()) {
+    std::cout << "metrics snapshot (" << metrics->size() << " series) written "
+              << "to " << o.metrics_out << "\n";
   }
   if (!args.metrics_prom_file.empty()) {
     std::ofstream os(args.metrics_prom_file);
@@ -980,11 +618,11 @@ int cmd_run(const Args& args) {
       std::cerr << "compass: cannot write " << args.metrics_prom_file << "\n";
       return 2;
     }
-    os << obs::prometheus_exposition(registry.snapshot());
+    os << obs::prometheus_exposition(metrics->snapshot());
     std::cout << "metrics exposition (Prometheus text) written to "
               << args.metrics_prom_file << "\n";
   }
-  if (wallprof) {
+  if (const obs::WallProfiler* wallprof = observers.wall_profiler()) {
     std::cout << "wall profile (wallprof JSONL, "
               << util::format_double(wallprof->wall_total_s(), 3) << " s at "
               << util::format_double(
@@ -993,17 +631,11 @@ int cmd_run(const Args& args) {
                                wallprof->wall_total_s()
                          : 0.0,
                      1)
-              << " ticks/s) written to " << args.wallprof_file << "\n";
+              << " ticks/s) written to " << o.wallprof_out << "\n";
   }
-  if (profiler && !args.profile_file.empty()) {
-    std::ofstream os(args.profile_file);
-    if (!os) {
-      std::cerr << "compass: cannot write " << args.profile_file << "\n";
-      return 2;
-    }
-    obs::write_profile_json(os, *rep.profile, profiler->comm_matrix());
+  if (!o.profile_out.empty()) {
     std::cout << "profile (comm matrix + imbalance) written to "
-              << args.profile_file << "\n";
+              << o.profile_out << "\n";
   }
 
   if (!args.raster_file.empty()) {
@@ -1062,25 +694,30 @@ int cmd_analyze(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::optional<Args> args = parse_args(argc, argv);
-  if (!args) {
-    usage(std::cerr);
+  Args args;
+  util::Flags flags = make_flags(args);
+  if (argc < 2) {
+    flags.usage(std::cerr);
     return 1;
   }
+  args.command = argv[1];
+  flags.parse_or_exit(argc, argv, 2);
+  if (args.progress_force) args.progress = true;
+  if (!args.positionals.empty()) args.spec_file = args.positionals[0];
   try {
-    if (args->command == "spec") return cmd_spec(*args);
-    if (args->command == "info") return cmd_info(*args);
-    if (args->command == "run") return cmd_run(*args);
-    if (args->command == "analyze") return cmd_analyze(*args);
-    if (args->command == "help" || args->command == "--help") {
-      usage(std::cout);
+    if (args.command == "spec") return cmd_spec(args);
+    if (args.command == "info") return cmd_info(args);
+    if (args.command == "run") return cmd_run(args);
+    if (args.command == "analyze") return cmd_analyze(args);
+    if (args.command == "help" || args.command == "--help") {
+      flags.usage(std::cout);
       return 0;
     }
   } catch (const std::exception& e) {
     std::cerr << "compass: " << e.what() << "\n";
     return 2;
   }
-  std::cerr << "compass: unknown command '" << args->command << "'\n";
-  usage(std::cerr);
+  std::cerr << "compass: unknown command '" << args.command << "'\n";
+  flags.usage(std::cerr);
   return 1;
 }

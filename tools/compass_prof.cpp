@@ -51,6 +51,7 @@
 //
 // Exit codes: 0 success, 1 usage error, 2 unreadable/malformed input.
 #include <algorithm>
+#include <climits>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -65,37 +66,9 @@
 #include "obs/spiketrace.h"
 #include "obs/wallprof.h"
 #include "place/placement.h"
+#include "util/flags.h"
 
 namespace {
-
-void usage(std::ostream& os) {
-  os << "usage: compass_prof <trace.jsonl> [--json] [--top K] "
-        "[--what-if placement]\n"
-        "       compass_prof --spans <spans.jsonl> [--json] [--top K] "
-        "[--flow out.json]\n"
-        "       compass_prof --wall <wallprof.jsonl> [--json]\n"
-        "       compass_prof --analytics <analytics.jsonl> --raster <raster> "
-        "[--json]\n"
-        "  analyze a Compass --trace-out JSONL capture\n"
-        "  --json        machine-readable report (one JSON object)\n"
-        "  --top K       rows in the heaviest-ranks table (default 5)\n"
-        "  --what-if F   rescore the measured comm matrix under the\n"
-        "                rank->node embedding of placement file F\n"
-        "  --spans       input is a --spike-trace-out capture: stitch the\n"
-        "                causal spike chains and report per-hop latencies\n"
-        "  --flow F      with --spans: write a Chrome trace with flow\n"
-        "                arrows per sampled spike (open in Perfetto)\n"
-        "  --wall        input is a --wallprof-out capture: report each\n"
-        "                phase's share of tick wall, rank-seconds, parallel\n"
-        "                efficiency, wall-vs-virtual divergence per rank,\n"
-        "                kernel mix, RSS, and overhead\n"
-        "  --analytics   input is an --analytics-out capture: rebuild the\n"
-        "                engine from its config header, replay the raster\n"
-        "                named by --raster through it, and verify every\n"
-        "                re-derived line matches the recording byte-for-byte\n"
-        "  --raster F    with --analytics: the spike raster recorded by the\n"
-        "                same run (tools/compass run --raster F)\n";
-}
 
 int run_wall(const std::string& path, bool json) {
   std::ifstream is(path);
@@ -296,7 +269,7 @@ int run_analytics(const std::string& analytics_path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string path;
+  std::vector<std::string> paths;
   std::string what_if;
   std::string flow_file;
   bool json = false;
@@ -305,69 +278,49 @@ int main(int argc, char** argv) {
   bool analytics = false;
   std::string raster_file;
   int top_k = 5;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--json") {
-      json = true;
-    } else if (a == "--spans") {
-      spans = true;
-    } else if (a == "--wall") {
-      wall = true;
-    } else if (a == "--analytics") {
-      analytics = true;
-    } else if (a == "--raster") {
-      if (i + 1 >= argc) {
-        std::cerr << "compass_prof: --raster requires a raster file\n";
-        return 1;
-      }
-      raster_file = argv[++i];
-    } else if (a == "--flow") {
-      if (i + 1 >= argc) {
-        std::cerr << "compass_prof: --flow requires an output file\n";
-        return 1;
-      }
-      flow_file = argv[++i];
-    } else if (a == "--top") {
-      if (i + 1 >= argc) {
-        std::cerr << "compass_prof: --top requires a value\n";
-        return 1;
-      }
-      try {
-        top_k = std::stoi(argv[++i]);
-      } catch (const std::exception&) {
-        top_k = 0;
-      }
-      if (top_k < 1) {
-        std::cerr << "compass_prof: --top requires a positive integer\n";
-        return 1;
-      }
-    } else if (a == "--what-if") {
-      if (i + 1 >= argc) {
-        std::cerr << "compass_prof: --what-if requires a placement file\n";
-        return 1;
-      }
-      what_if = argv[++i];
-    } else if (a == "--help" || a == "-h") {
-      usage(std::cout);
-      return 0;
-    } else if (!a.empty() && a[0] != '-') {
-      if (!path.empty()) {
-        std::cerr << "compass_prof: unexpected extra argument '" << a
-                  << "' (already analyzing " << path << ")\n";
-        usage(std::cerr);
-        return 1;
-      }
-      path = a;
-    } else {
-      std::cerr << "compass_prof: unknown option " << a << "\n";
-      usage(std::cerr);
-      return 1;
-    }
-  }
-  if (path.empty()) {
-    usage(std::cerr);
+  using compass::util::Flag;
+  compass::util::Flags flags(
+      "compass_prof",
+      "usage: compass_prof <trace.jsonl> [--json] [--top K] "
+      "[--what-if placement]\n"
+      "       compass_prof --spans <spans.jsonl> [--json] [--top K] "
+      "[--flow out.json]\n"
+      "       compass_prof --wall <wallprof.jsonl> [--json]\n"
+      "       compass_prof --analytics <analytics.jsonl> --raster <raster> "
+      "[--json]\n"
+      "  analyze a Compass --trace-out JSONL capture\n",
+      {
+          Flag::toggle("--json", json,
+                       "machine-readable report (one JSON object)"),
+          Flag::u64("--top", top_k, 1, INT_MAX,
+                    "rows in the heaviest-ranks table"),
+          Flag::text("--what-if", what_if, "F",
+                     "rescore the measured comm matrix under the rank->node "
+                     "embedding of placement file F"),
+          Flag::toggle("--spans", spans,
+                       "input is a --spike-trace-out capture: stitch the "
+                       "causal spike chains and report per-hop latencies"),
+          Flag::text("--flow", flow_file, "F",
+                     "with --spans: write a Chrome trace with flow arrows "
+                     "per sampled spike (open in Perfetto)"),
+          Flag::toggle("--wall", wall,
+                       "input is a --wallprof-out capture: each phase's "
+                       "share of tick wall, parallel efficiency, "
+                       "wall-vs-virtual divergence, kernel mix, RSS"),
+          Flag::toggle("--analytics", analytics,
+                       "input is an --analytics-out capture: replay the "
+                       "--raster through a rebuilt engine and verify every "
+                       "line byte-for-byte"),
+          Flag::text("--raster", raster_file, "F",
+                     "with --analytics: the spike raster recorded by the "
+                     "same run"),
+      });
+  flags.positionals(paths, 1).parse_or_exit(argc, argv);
+  if (paths.empty()) {
+    flags.usage(std::cerr);
     return 1;
   }
+  const std::string& path = paths[0];
   if (!flow_file.empty() && !spans) {
     std::cerr << "compass_prof: --flow only applies to --spans input\n";
     return 1;

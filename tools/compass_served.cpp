@@ -7,29 +7,7 @@
 // The same port answers `GET /metrics` with the Prometheus exposition of
 // the daemon's registry.
 //
-// Flags:
-//   --port <n>             TCP port (default 0 = ephemeral; see --port-file)
-//   --bind <addr>          bind address (default 127.0.0.1)
-//   --port-file <path>     write the bound port as one line once listening
-//                          (how drills find an ephemeral port)
-//   --max-sessions <n>     concurrent session cap (default 64)
-//   --tick-budget <n>      ticks one session may run per dispatch round
-//                          (default 32)
-//   --client-queue-bytes <n>  send-queue level where a spike subscriber is
-//                          coalesced to rate summaries (default 1048576)
-//   --stall-ticks <n>      coalesced ticks before a saturated subscriber is
-//                          disconnected with a slow-consumer error
-//                          (default 1024)
-//   --rate-window <n>      ticks per kRates summary frame (default 16)
-//   --analytics-window <n> ticks per streaming-analytics window; window
-//                          records stream to Subscribe(analytics) clients
-//                          as kAnalytics frames (default 64, 0 = off)
-//   --heartbeat-ticks <n>  heartbeat frame cadence in stepped ticks
-//                          (default 64, 0 = off)
-//   --trace-out <path>     JSONL trace of session lifecycle events
-//   --max-seconds <s>      exit after this much wall time (default 0 = off)
-//   --exit-on-idle-ms <n>  exit once >=1 client was served, none remain,
-//                          and the daemon idled this long (default 0 = off)
+// `compass_served --help` lists the flags.
 #include <csignal>
 #include <fstream>
 #include <iostream>
@@ -39,6 +17,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/server.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -48,146 +27,58 @@ void handle_signal(int) {
   if (g_server != nullptr) g_server->request_stop();
 }
 
-void usage(std::ostream& os) {
-  os << "usage: compass_served [--port N] [--bind ADDR] [--port-file PATH]\n"
-        "                      [--max-sessions N] [--tick-budget N]\n"
-        "                      [--client-queue-bytes N] [--stall-ticks N]\n"
-        "                      [--rate-window N] [--analytics-window N]\n"
-        "                      [--heartbeat-ticks N]\n"
-        "                      [--trace-out PATH] [--max-seconds S]\n"
-        "                      [--exit-on-idle-ms N]\n";
-}
-
-std::optional<std::uint64_t> parse_u64_flag(const char* flag, const char* text,
-                                            std::uint64_t min_value,
-                                            std::uint64_t max_value) {
-  const char* p = text;
-  if (*p == '\0') {
-    std::cerr << "compass_served: " << flag << " requires a number, got ''\n";
-    return std::nullopt;
-  }
-  std::uint64_t v = 0;
-  for (; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') {
-      std::cerr << "compass_served: " << flag
-                << " requires a non-negative integer, got '" << text << "'\n";
-      return std::nullopt;
-    }
-    const std::uint64_t next = v * 10 + static_cast<std::uint64_t>(*p - '0');
-    if (next < v) {
-      std::cerr << "compass_served: " << flag << " value overflows\n";
-      return std::nullopt;
-    }
-    v = next;
-  }
-  if (v < min_value || v > max_value) {
-    std::cerr << "compass_served: " << flag << " must be in [" << min_value
-              << ", " << max_value << "], got " << v << "\n";
-    return std::nullopt;
-  }
-  return v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   compass::serve::ServerOptions opts;
   std::string port_file;
   std::string trace_out;
-
-  const auto next = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "compass_served: " << flag << " requires a value\n";
-      usage(std::cerr);
-      return nullptr;
-    }
-    return argv[++i];
-  };
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--help" || a == "-h") {
-      usage(std::cout);
-      return 0;
-    } else if (a == "--port") {
-      const char* v = next(i, "--port");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--port", v, 0, 65535);
-      if (!n) return 1;
-      opts.port = static_cast<std::uint16_t>(*n);
-    } else if (a == "--bind") {
-      const char* v = next(i, "--bind");
-      if (!v) return 1;
-      opts.bind = v;
-    } else if (a == "--port-file") {
-      const char* v = next(i, "--port-file");
-      if (!v) return 1;
-      port_file = v;
-    } else if (a == "--max-sessions") {
-      const char* v = next(i, "--max-sessions");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--max-sessions", v, 1, 4096);
-      if (!n) return 1;
-      opts.max_sessions = static_cast<std::uint32_t>(*n);
-    } else if (a == "--tick-budget") {
-      const char* v = next(i, "--tick-budget");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--tick-budget", v, 1, 1u << 20);
-      if (!n) return 1;
-      opts.tick_budget = *n;
-    } else if (a == "--client-queue-bytes") {
-      const char* v = next(i, "--client-queue-bytes");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--client-queue-bytes", v, 1024,
-                                    std::uint64_t{1} << 32);
-      if (!n) return 1;
-      opts.client_queue_soft_bytes = static_cast<std::size_t>(*n);
-    } else if (a == "--stall-ticks") {
-      const char* v = next(i, "--stall-ticks");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--stall-ticks", v, 1, UINT64_MAX);
-      if (!n) return 1;
-      opts.stall_ticks = *n;
-    } else if (a == "--rate-window") {
-      const char* v = next(i, "--rate-window");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--rate-window", v, 1, 1u << 20);
-      if (!n) return 1;
-      opts.rate_window_ticks = *n;
-    } else if (a == "--analytics-window") {
-      const char* v = next(i, "--analytics-window");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--analytics-window", v, 0, 1u << 20);
-      if (!n) return 1;
-      opts.analytics_window_ticks = *n;
-    } else if (a == "--heartbeat-ticks") {
-      const char* v = next(i, "--heartbeat-ticks");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--heartbeat-ticks", v, 0, UINT64_MAX);
-      if (!n) return 1;
-      opts.heartbeat_every_ticks = *n;
-    } else if (a == "--trace-out") {
-      const char* v = next(i, "--trace-out");
-      if (!v) return 1;
-      trace_out = v;
-    } else if (a == "--max-seconds") {
-      const char* v = next(i, "--max-seconds");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--max-seconds", v, 1, 86400);
-      if (!n) return 1;
-      opts.max_seconds = static_cast<double>(*n);
-    } else if (a == "--exit-on-idle-ms") {
-      const char* v = next(i, "--exit-on-idle-ms");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--exit-on-idle-ms", v, 1, 86400000);
-      if (!n) return 1;
-      opts.exit_on_idle_s = static_cast<double>(*n) / 1000.0;
-    } else {
-      std::cerr << "compass_served: unknown argument '" << a << "'\n";
-      usage(std::cerr);
-      return 1;
-    }
-  }
+  std::uint64_t port = opts.port;
+  std::uint64_t max_sessions = opts.max_sessions;
+  std::uint64_t max_seconds = 0;
+  std::uint64_t exit_on_idle_ms = 0;
+  using compass::util::Flag;
+  compass::util::Flags(
+      "compass_served", "usage: compass_served [options]\n",
+      {
+          Flag::u64("--port", port, 0, 65535,
+                    "TCP port (0 = ephemeral; see --port-file)"),
+          Flag::text("--bind", opts.bind, "ADDR", "bind address"),
+          Flag::text("--port-file", port_file, "PATH",
+                     "write the bound port as one line once listening"),
+          Flag::u64("--max-sessions", max_sessions, 1, 4096,
+                    "concurrent session cap"),
+          Flag::u64("--tick-budget", opts.tick_budget, 1, 1u << 20,
+                    "ticks one session may run per dispatch round"),
+          Flag::u64("--client-queue-bytes", opts.client_queue_soft_bytes, 1024,
+                    std::uint64_t{1} << 32,
+                    "send-queue level where a spike subscriber is coalesced "
+                    "to rate summaries"),
+          Flag::u64("--stall-ticks", opts.stall_ticks, 1, UINT64_MAX,
+                    "coalesced ticks before a saturated subscriber is "
+                    "disconnected"),
+          Flag::u64("--rate-window", opts.rate_window_ticks, 1, 1u << 20,
+                    "ticks per rate summary frame"),
+          Flag::u64("--analytics-window", opts.analytics_window_ticks, 0,
+                    1u << 20,
+                    "ticks per analytics window streamed to "
+                    "Subscribe(analytics) clients (0 = off)"),
+          Flag::u64("--heartbeat-ticks", opts.heartbeat_every_ticks, 0,
+                    UINT64_MAX, "heartbeat frame cadence in stepped ticks "
+                                "(0 = off)"),
+          Flag::text("--trace-out", trace_out, "PATH",
+                     "JSONL trace of session lifecycle events"),
+          Flag::u64("--max-seconds", max_seconds, 1, 86400,
+                    "exit after this much wall time (0 = off)"),
+          Flag::u64("--exit-on-idle-ms", exit_on_idle_ms, 1, 86400000,
+                    "exit once a client was served, none remain, and the "
+                    "daemon idled this long (0 = off)"),
+      })
+      .parse_or_exit(argc, argv);
+  opts.port = static_cast<std::uint16_t>(port);
+  opts.max_sessions = static_cast<std::uint32_t>(max_sessions);
+  opts.max_seconds = static_cast<double>(max_seconds);
+  opts.exit_on_idle_s = static_cast<double>(exit_on_idle_ms) / 1000.0;
 
   compass::obs::MetricsRegistry metrics;
   opts.metrics = &metrics;

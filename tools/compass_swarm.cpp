@@ -15,65 +15,21 @@
 // exit code alone. --json writes schema compass.bench_serve.v1 (wrapped
 // with provenance by `bench_record --serve`).
 //
-// Flags:
-//   --host <addr>      daemon address (default 127.0.0.1)
-//   --port <n>         daemon port (required)
-//   --clients <n>      concurrent worker connections (default 32)
-//   --sessions <n>     sessions created up front (default 8)
-//   --injects <n>      inject→observe cycles per worker (default 16)
-//   --scenario <name>  session scenario (default tiny)
-//   --seed <n>         base model seed; session i uses seed + i (default 7)
-//   --json <path>      write the machine-readable report
+// `compass_swarm --help` lists the flags; --port is required.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "serve/client.h"
+#include "util/flags.h"
 #include "util/stopwatch.h"
 
 namespace {
-
-void usage(std::ostream& os) {
-  os << "usage: compass_swarm --port N [--host ADDR] [--clients N]\n"
-        "                     [--sessions N] [--injects N] [--scenario S]\n"
-        "                     [--seed N] [--json PATH]\n";
-}
-
-std::optional<std::uint64_t> parse_u64_flag(const char* flag, const char* text,
-                                            std::uint64_t min_value,
-                                            std::uint64_t max_value) {
-  const char* p = text;
-  if (*p == '\0') {
-    std::cerr << "compass_swarm: " << flag << " requires a number, got ''\n";
-    return std::nullopt;
-  }
-  std::uint64_t v = 0;
-  for (; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') {
-      std::cerr << "compass_swarm: " << flag
-                << " requires a non-negative integer, got '" << text << "'\n";
-      return std::nullopt;
-    }
-    const std::uint64_t next = v * 10 + static_cast<std::uint64_t>(*p - '0');
-    if (next < v) {
-      std::cerr << "compass_swarm: " << flag << " value overflows\n";
-      return std::nullopt;
-    }
-    v = next;
-  }
-  if (v < min_value || v > max_value) {
-    std::cerr << "compass_swarm: " << flag << " must be in [" << min_value
-              << ", " << max_value << "], got " << v << "\n";
-    return std::nullopt;
-  }
-  return v;
-}
 
 struct WorkerResult {
   std::vector<double> latencies_s;
@@ -95,81 +51,35 @@ double quantile(const std::vector<double>& sorted, double q) {
 
 int main(int argc, char** argv) {
   std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
-  bool have_port = false;
+  std::uint64_t port = 0;  // 0 = not given
   std::uint64_t clients = 32;
   std::uint64_t sessions = 8;
   std::uint64_t injects = 16;
   std::string scenario = "tiny";
   std::uint64_t seed = 7;
   std::string json_out;
-
-  const auto next = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "compass_swarm: " << flag << " requires a value\n";
-      usage(std::cerr);
-      return nullptr;
-    }
-    return argv[++i];
-  };
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--help" || a == "-h") {
-      usage(std::cout);
-      return 0;
-    } else if (a == "--host") {
-      const char* v = next(i, "--host");
-      if (!v) return 1;
-      host = v;
-    } else if (a == "--port") {
-      const char* v = next(i, "--port");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--port", v, 1, 65535);
-      if (!n) return 1;
-      port = static_cast<std::uint16_t>(*n);
-      have_port = true;
-    } else if (a == "--clients") {
-      const char* v = next(i, "--clients");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--clients", v, 1, 4096);
-      if (!n) return 1;
-      clients = *n;
-    } else if (a == "--sessions") {
-      const char* v = next(i, "--sessions");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--sessions", v, 1, 4096);
-      if (!n) return 1;
-      sessions = *n;
-    } else if (a == "--injects") {
-      const char* v = next(i, "--injects");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--injects", v, 1, 1u << 20);
-      if (!n) return 1;
-      injects = *n;
-    } else if (a == "--scenario") {
-      const char* v = next(i, "--scenario");
-      if (!v) return 1;
-      scenario = v;
-    } else if (a == "--seed") {
-      const char* v = next(i, "--seed");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--seed", v, 0, UINT64_MAX);
-      if (!n) return 1;
-      seed = *n;
-    } else if (a == "--json") {
-      const char* v = next(i, "--json");
-      if (!v) return 1;
-      json_out = v;
-    } else {
-      std::cerr << "compass_swarm: unknown argument '" << a << "'\n";
-      usage(std::cerr);
-      return 1;
-    }
-  }
-  if (!have_port) {
+  using compass::util::Flag;
+  compass::util::Flags flags(
+      "compass_swarm", "usage: compass_swarm --port N [options]\n",
+      {
+          Flag::text("--host", host, "ADDR", "daemon address"),
+          Flag::u64("--port", port, 1, 65535, "daemon port (required)"),
+          Flag::u64("--clients", clients, 1, 4096,
+                    "concurrent worker connections"),
+          Flag::u64("--sessions", sessions, 1, 4096,
+                    "sessions created up front"),
+          Flag::u64("--injects", injects, 1, 1u << 20,
+                    "inject->observe cycles per worker"),
+          Flag::text("--scenario", scenario, "S", "session scenario"),
+          Flag::u64("--seed", seed, 0, UINT64_MAX,
+                    "base model seed; session i uses seed + i"),
+          Flag::text("--json", json_out, "PATH",
+                     "write the machine-readable report"),
+      });
+  flags.parse_or_exit(argc, argv);
+  if (port == 0) {
     std::cerr << "compass_swarm: --port is required\n";
-    usage(std::cerr);
+    flags.usage(std::cerr);
     return 1;
   }
 
@@ -183,7 +93,7 @@ int main(int argc, char** argv) {
   std::vector<std::uint32_t> sids;
   double setup_s = 0.0;
   try {
-    setup.connect(host, port);
+    setup.connect(host, static_cast<std::uint16_t>(port));
     const double t0 = compass::util::monotonic_seconds();
     for (std::uint64_t s = 0; s < sessions; ++s) {
       sids.push_back(setup.create_session(scenario, seed + s));
@@ -203,7 +113,7 @@ int main(int argc, char** argv) {
       WorkerResult& r = results[w];
       try {
         Client c;
-        c.connect(host, port);
+        c.connect(host, static_cast<std::uint16_t>(port));
         const std::uint32_t sid = sids[w % sids.size()];
         c.subscribe(sid, Stream::kSpikes);
         for (std::uint64_t k = 0; k < injects; ++k) {
