@@ -1,5 +1,6 @@
 #include "arch/core.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "util/bitops.h"
@@ -37,6 +38,7 @@ void NeurosynapticCore::configure_neuron(unsigned j, const NeuronParams& params,
   } else {
     stoch_nrn_mask_.clear(j);
   }
+  census_.state = UniformCensus::State::kStale;
 }
 
 NeuronParams NeurosynapticCore::params_of(unsigned j) const {
@@ -87,6 +89,19 @@ void NeurosynapticCore::rebuild_derived() {
       stoch_nrn_mask_.set(j);
     }
   }
+  census_.state = UniformCensus::State::kStale;
+}
+
+void NeurosynapticCore::take_census() {
+  const auto same = [](const auto& lane) {
+    return std::all_of(lane.begin(), lane.end(),
+                       [&](auto x) { return x == lane[0]; });
+  };
+  const bool uniform = same(leak_) && same(threshold_) && same(reset_) &&
+                       same(floor_) && same(reset_mode_) && same(flags_) &&
+                       same(tmask_bits_);
+  census_.state = uniform ? UniformCensus::State::kUniform
+                          : UniformCensus::State::kMixed;
 }
 
 }  // namespace compass::arch

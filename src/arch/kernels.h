@@ -14,8 +14,11 @@
 // reference walk whenever no neuron on the core draws from the PRNG in the
 // corresponding phase — synaptic accumulation is a commutative integer sum
 // and the fast neuron step reproduces neuron_step()'s arithmetic exactly.
-// Cores with stochastic neurons keep the exact PRNG-draw-order scalar path
-// (NeurosynapticCore dispatches; see DESIGN.md §12).
+// Cores that draw in a phase take a PRNG-exact path instead: the scalar
+// synapse walk for stochastic synapses, and NeurosynapticCore's SoA
+// stochastic sweep for stochastic leak/threshold, which makes neuron_step()'s
+// draws in ascending-neuron order (NeurosynapticCore dispatches; see
+// DESIGN.md §12).
 #pragma once
 
 #include <array>
@@ -35,8 +38,8 @@ namespace compass::arch::kernels {
 /// production default; kReference forces the original scalar walk
 /// everywhere. The toggle exists for differential tests and for recording
 /// before/after numbers from one binary (tools/bench_record) — it changes
-/// nothing observable: on eligible cores both engines are bit-identical,
-/// and stochastic cores always take the reference path.
+/// nothing observable: every production path is bit-identical to the
+/// reference walk, stochastic cores included.
 enum class Engine : std::uint8_t { kBitParallel = 0, kReference = 1 };
 
 namespace detail {

@@ -7,10 +7,16 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <string>
 
 namespace compass::place {
 
 namespace {
+
+/// Upper bound load_placement() puts on the torus node count, the rank
+/// count and ranks x threads before it trusts them: 16M, far above a full
+/// Sequoia (98,304 nodes x 16 ranks per node).
+constexpr int kMaxPlacementCount = 1 << 24;
 
 int node_for_rank(int rank, std::span<const int> node_of_rank, int nodes) {
   if (!node_of_rank.empty()) return node_of_rank[static_cast<std::size_t>(rank)];
@@ -186,30 +192,44 @@ Placement load_placement(std::istream& is) {
   expect_keyword(is, "torus");
   long long torus_nodes = 1;
   for (int d = 0; d < 5; ++d) {
-    out.torus_dims[static_cast<std::size_t>(d)] =
-        read_value<int>(is, "torus dimension");
-    if (out.torus_dims[static_cast<std::size_t>(d)] < 1) {
+    const int dim = read_value<int>(is, "torus dimension");
+    if (dim < 1) {
       throw PlacementError("placement file: torus dimension must be >= 1");
     }
-    torus_nodes *= out.torus_dims[static_cast<std::size_t>(d)];
+    // torus_nodes <= kMaxPlacementCount and dim fits in an int, so the
+    // product fits in a long long and is bounded before the next multiply.
+    torus_nodes *= dim;
+    if (torus_nodes > kMaxPlacementCount) {
+      throw PlacementError("placement file: torus has more than " +
+                           std::to_string(kMaxPlacementCount) + " nodes");
+    }
+    out.torus_dims[static_cast<std::size_t>(d)] = dim;
   }
   expect_keyword(is, "objective");
   out.predicted_objective = read_value<double>(is, "objective");
   expect_keyword(is, "nodes");
-  if (ranks <= 0) throw PlacementError("placement file: ranks must be > 0");
-  out.node_of_rank.resize(static_cast<std::size_t>(ranks));
+  if (ranks <= 0 || ranks > kMaxPlacementCount) {
+    throw PlacementError("placement file: ranks must be in [1, " +
+                         std::to_string(kMaxPlacementCount) + "]");
+  }
+  if (threads > 0 && static_cast<long long>(ranks) * threads >
+                         kMaxPlacementCount) {
+    throw PlacementError("placement file: ranks x threads exceeds " +
+                         std::to_string(kMaxPlacementCount));
+  }
+  // Both lists grow as entries are read rather than being sized from the
+  // header, so a truncated or lying file fails on its missing entries.
   for (int r = 0; r < ranks; ++r) {
     const int node = read_value<int>(is, "node id");
     if (node < 0 || node >= torus_nodes) {
       throw PlacementError("placement file: node id outside torus");
     }
-    out.node_of_rank[static_cast<std::size_t>(r)] = node;
+    out.node_of_rank.push_back(node);
   }
   expect_keyword(is, "assign");
-  std::vector<int> rank_of_core(static_cast<std::size_t>(cores));
+  std::vector<int> rank_of_core;
   for (long long c = 0; c < cores; ++c) {
-    rank_of_core[static_cast<std::size_t>(c)] =
-        read_value<int>(is, "core rank");
+    rank_of_core.push_back(read_value<int>(is, "core rank"));
   }
   // Rank-id range validation lives in Partition::from_rank_assignment
   // (PartitionError) — the one funnel every untrusted assignment goes

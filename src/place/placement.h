@@ -89,8 +89,10 @@ double objective(const CoreGraph& graph, const runtime::Partition& partition,
 
 void save_placement(std::ostream& os, const Placement& placement);
 
-/// Parse a placement file. Malformed structure throws PlacementError; an
-/// invalid core->rank assignment (rank id out of range, empty) throws
+/// Parse a placement file. Malformed structure, a torus node count, rank
+/// count or ranks x threads above 2^24, and a file with fewer entries than
+/// its header declares throw PlacementError; an invalid core->rank
+/// assignment (rank id out of range, empty) throws
 /// runtime::PartitionError from Partition::from_rank_assignment — the loader
 /// deliberately funnels untrusted input through that validation.
 Placement load_placement(std::istream& is);

@@ -471,6 +471,35 @@ TEST(PlacementFile, MalformedInputsThrowTyped) {
                "ranks_per_node 1\ntorus 2 1 1 1 1\nobjective 0\n"
                "nodes 0 1\nassign 0 1\n"),
       PlacementError);
+  // Hostile counts: a torus whose node product overflows a 64-bit integer,
+  // a core count no memory could hold, and ranks / ranks x threads past the
+  // fixed bound. Each is a typed error, never UB or std::bad_alloc.
+  EXPECT_THROW(
+      load_str("compass-placement v1\npolicy x\ncores 2\nranks 2\nthreads 1\n"
+               "ranks_per_node 1\ntorus 65536 65536 65536 65536 65536\n"
+               "objective 0\nnodes 0 1\nassign 0 1\n"),
+      PlacementError);
+  EXPECT_THROW(
+      load_str("compass-placement v1\npolicy x\ncores 4000000000000\n"
+               "ranks 2\nthreads 1\nranks_per_node 1\ntorus 2 1 1 1 1\n"
+               "objective 0\nnodes 0 1\nassign 0 1\n"),
+      PlacementError);
+  EXPECT_THROW(
+      load_str("compass-placement v1\npolicy x\ncores 2\nranks 2000000000\n"
+               "threads 1\nranks_per_node 1\ntorus 2 1 1 1 1\nobjective 0\n"
+               "nodes 0 1\nassign 0 1\n"),
+      PlacementError);
+  EXPECT_THROW(
+      load_str("compass-placement v1\npolicy x\ncores 2\nranks 2\n"
+               "threads 2000000000\nranks_per_node 1\ntorus 2 1 1 1 1\n"
+               "objective 0\nnodes 0 1\nassign 0 1\n"),
+      PlacementError);
+  // A rank count the node list does not back.
+  EXPECT_THROW(
+      load_str("compass-placement v1\npolicy x\ncores 2\nranks 1000\n"
+               "threads 1\nranks_per_node 1\ntorus 2 1 1 1 1\nobjective 0\n"
+               "nodes 0 1\nassign 0 1\n"),
+      PlacementError);
   EXPECT_THROW(load_placement_file("/nonexistent/path.place"), PlacementError);
 }
 
