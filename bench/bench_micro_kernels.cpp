@@ -1,8 +1,8 @@
 // Microbenchmarks for the simulator hot loops: synapse-phase propagation,
 // the neuron-phase integrate-leak-fire sweep, delay-buffer operations, and
 // transport exchange — the kernels whose per-core cost sets the paper's
-// "388x slower than real time" figure — plus the snapshot layer (CRC-32 and
-// a whole checkpoint round trip).
+// "388x slower than real time" figure — plus the snapshot layer (CRC-32
+// per body, a whole checkpoint round trip, and a served snapshot pair).
 //
 // Every hot-loop benchmark has a `...Reference` twin that forces the
 // original scalar walk (arch/kernels.h engine toggle), so one run of this
@@ -25,6 +25,7 @@
 #include "compiler/pcc.h"
 #include "resilience/checkpoint.h"
 #include "runtime/compass.h"
+#include "serve/session.h"
 #include "util/crc32.h"
 #include "util/prng.h"
 
@@ -259,17 +260,33 @@ BENCHMARK(BM_CorePrngDraw);
 
 // --- Snapshot layer -----------------------------------------------------------
 
-void BM_Crc32(benchmark::State& state, std::size_t bytes) {
+/// `body` is crc32() itself (the body this CPU dispatches to) or one body
+/// called directly, so a silent fallback to slice-by-8 shows as
+/// BM_Crc32/4MiB running at BM_Crc32/portable_4MiB's rate.
+void BM_Crc32(benchmark::State& state, util::detail::Crc32Body body,
+              std::size_t bytes) {
   std::string buf(bytes, '\0');
   util::CorePrng prng(11);
   for (char& c : buf) c = static_cast<char>(prng.next_u64());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(util::crc32(buf.data(), buf.size()));
+    benchmark::DoNotOptimize(body(buf.data(), buf.size(), 0));
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(bytes));
 }
-BENCHMARK_CAPTURE(BM_Crc32, 4MiB, std::size_t{4} << 20);
+BENCHMARK_CAPTURE(BM_Crc32, 4MiB, &util::crc32, std::size_t{4} << 20);
+BENCHMARK_CAPTURE(BM_Crc32, portable_4MiB, &util::detail::crc32_portable,
+                  std::size_t{4} << 20);
+#if defined(__x86_64__)
+void BM_Crc32Clmul(benchmark::State& state) {
+  if (util::detail::crc32_body() != &util::detail::crc32_clmul) {
+    state.SkipWithError("this CPU lacks pclmul/sse4.1");
+    return;
+  }
+  BM_Crc32(state, &util::detail::crc32_clmul, std::size_t{4} << 20);
+}
+BENCHMARK(BM_Crc32Clmul)->Name("BM_Crc32/clmul_4MiB");
+#endif
 
 /// One checkpoint round trip as the served snapshot RPC and
 /// --checkpoint-every pay it: capture, serialize, parse, restore, on a
@@ -297,6 +314,25 @@ void BM_CheckpointRoundTrip(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_CheckpointRoundTrip)->Arg(256)->Unit(benchmark::kMillisecond);
+
+/// The served snapshot RPC pair on a session of state.range(0) cores: a
+/// live write into the session's buffer, then an in-place restore.
+void BM_SessionSnapshot(benchmark::State& state) {
+  serve::Session session(
+      serve::parse_scenario("macaque:" + std::to_string(state.range(0)) +
+                            ":1"),
+      /*seed=*/3, /*analytics_window=*/0);
+  session.request(20);
+  session.step(20, nullptr);
+  std::uint64_t bytes = 0;
+  for (auto _ : state) {
+    bytes = session.snapshot_save();
+    session.snapshot_restore();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_SessionSnapshot)->Arg(77)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

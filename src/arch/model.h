@@ -74,6 +74,14 @@ class Model {
   /// Throws std::runtime_error on a bad header, a buffer that does not hold
   /// exactly the declared core count, or an out-of-range field.
   static Model decode(std::string_view bytes);
+  /// decode() into this model in place, all or nothing: the header and
+  /// every core record are checked before anything is overwritten, and a
+  /// model that already holds that many cores reuses them (see
+  /// NeurosynapticCore::decode). Throws as decode() does.
+  void decode_into(std::string_view bytes);
+  /// The core count encoded model bytes declare, after checking the header
+  /// and that the buffer holds exactly that many cores. Throws as decode().
+  static std::uint64_t encoded_core_count(std::string_view bytes);
 
   /// Stream wrappers over the codec. save() writes one core record at a
   /// time; load() reads the rest of the stream (which need not seek).

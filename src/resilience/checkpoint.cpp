@@ -104,8 +104,9 @@ void encode_runtime(std::string& out, const runtime::RunReport& r) {
   append_pod(out, r.recovery_ticks_lost);
 }
 
-void decode_runtime(std::string_view payload, runtime::RunReport& r) {
+runtime::RunReport decode_runtime(std::string_view payload) {
   Cursor c(payload);
+  runtime::RunReport r;
   r.ticks = c.read<std::uint64_t>("runtime.ticks");
   r.fired_spikes = c.read<std::uint64_t>("runtime.fired");
   r.routed_spikes = c.read<std::uint64_t>("runtime.routed");
@@ -125,27 +126,192 @@ void decode_runtime(std::string_view payload, runtime::RunReport& r) {
     r.recoveries = c.read<std::uint64_t>("runtime.recoveries");
     r.recovery_ticks_lost = c.read<std::uint64_t>("runtime.recovery_lost");
   }
+  return r;
 }
 
-void encode_ledger(std::string& out, const Checkpoint& cp) {
-  append_pod(out, cp.virtual_time.synapse);
-  append_pod(out, cp.virtual_time.neuron);
-  append_pod(out, cp.virtual_time.network);
-  append_pod(out, cp.ledger_ticks);
+/// Everything a checkpoint holds besides the model, decoded.
+struct Accumulators {
+  runtime::RunReport report;  // with virtual_time set from the ledger
+  perf::PhaseBreakdown virtual_time;
+  std::uint64_t ledger_ticks = 0;
+};
+
+Accumulators decode_accumulators(std::string_view runtime,
+                                 std::string_view ledger) {
+  Accumulators a;
+  a.report = decode_runtime(runtime);
+  Cursor c(ledger);
+  a.virtual_time.synapse = c.read<double>("ledger.synapse");
+  a.virtual_time.neuron = c.read<double>("ledger.neuron");
+  a.virtual_time.network = c.read<double>("ledger.network");
+  a.ledger_ticks = c.read<std::uint64_t>("ledger.ticks");
+  a.report.virtual_time = a.virtual_time;
+  return a;
 }
 
-void decode_ledger(std::string_view payload, Checkpoint& cp) {
-  Cursor c(payload);
-  cp.virtual_time.synapse = c.read<double>("ledger.synapse");
-  cp.virtual_time.neuron = c.read<double>("ledger.neuron");
-  cp.virtual_time.network = c.read<double>("ledger.network");
-  cp.ledger_ticks = c.read<std::uint64_t>("ledger.ticks");
+/// The one writer, for both a decoded Checkpoint and the live simulator:
+/// overwrites `out` (keeping its capacity) with the header and the model,
+/// runtime and ledger sections.
+void write_checkpoint(arch::Tick tick, const arch::Model& model,
+                      const runtime::RunReport& report,
+                      const perf::PhaseBreakdown& virtual_time,
+                      std::uint64_t ledger_ticks, std::string& out) {
+  out.clear();
+  // Runtime and ledger sections are well under 1 KiB; sizing for them up
+  // front keeps the model bytes from being copied by a reallocation.
+  out.reserve(kHeaderBytes + 3 * kSectionHeaderBytes + model.encoded_size() +
+              1024);
+  append_pod(out, kMagic);
+  append_pod(out, kVersion);
+  append_pod(out, static_cast<std::uint64_t>(tick));
+  append_pod(out, std::uint32_t{3});  // section count
+  append_pod(out, util::crc32(out.data(), out.size()));
+
+  append_section(out, kSectionModel,
+                 [&](std::string& o) { model.encode(o); });
+  append_section(out, kSectionRuntime,
+                 [&](std::string& o) { encode_runtime(o, report); });
+  append_section(out, kSectionLedger, [&](std::string& o) {
+    append_pod(o, virtual_time.synapse);
+    append_pod(o, virtual_time.neuron);
+    append_pod(o, virtual_time.network);
+    append_pod(o, ledger_ticks);
+  });
+}
+
+struct Header {
+  arch::Tick tick = 0;
+  std::uint32_t section_count = 0;
+};
+
+/// Check the fixed header at the start of `bytes`: size, magic, version
+/// and CRC.
+Header check_header(std::string_view bytes) {
+  if (bytes.size() < kHeaderBytes) {
+    throw CheckpointError(CheckpointErrc::kTruncated,
+                          "checkpoint smaller than its header");
+  }
+  Cursor c(bytes);
+  if (c.read<std::uint32_t>("magic") != kMagic) {
+    throw CheckpointError(CheckpointErrc::kBadMagic,
+                          "not a Compass checkpoint (bad magic)");
+  }
+  const std::uint32_t version = c.read<std::uint32_t>("version");
+  if (version != kVersion) {
+    throw CheckpointError(
+        CheckpointErrc::kBadVersion,
+        "unsupported checkpoint version " + std::to_string(version) +
+            " (this build reads version " + std::to_string(kVersion) + ")");
+  }
+  Header h;
+  h.tick = c.read<std::uint64_t>("tick");
+  h.section_count = c.read<std::uint32_t>("section count");
+  const std::uint32_t header_crc = c.read<std::uint32_t>("header crc");
+  if (header_crc != util::crc32(bytes.data(), kHeaderBytes - 4)) {
+    throw CheckpointError(CheckpointErrc::kHeaderCorrupt,
+                          "checkpoint header CRC mismatch");
+  }
+  return h;
+}
+
+/// A checkpoint whose header and every section CRC checked out: the
+/// required sections' payloads, as views into the verified bytes.
+struct Verified {
+  arch::Tick tick = 0;
+  std::string_view model, runtime, ledger;
+};
+
+/// The one verifier, for both parse_checkpoint and restore_live. Decodes
+/// nothing: every CRC is checked before any payload is looked at.
+Verified verify(std::string_view bytes) {
+  const Header h = check_header(bytes);
+  Cursor c(bytes.substr(kHeaderBytes));
+  Verified v;
+  v.tick = h.tick;
+  bool have_model = false, have_runtime = false, have_ledger = false;
+  for (std::uint32_t s = 0; s < h.section_count; ++s) {
+    const std::uint32_t id = c.read<std::uint32_t>("section id");
+    (void)c.read<std::uint32_t>("section reserved");
+    const std::uint64_t size = c.read<std::uint64_t>("section size");
+    const std::uint32_t crc = c.read<std::uint32_t>("section crc");
+    // A corrupt size field cannot over-allocate: read_span bounds-checks
+    // against the actual buffer size before any view is taken.
+    const std::string_view payload =
+        c.read_span(static_cast<std::size_t>(size), "section payload");
+    if (crc != util::crc32(payload.data(), payload.size())) {
+      throw CheckpointError(CheckpointErrc::kSectionCorrupt,
+                            "checkpoint section " + std::to_string(id) +
+                                " CRC mismatch");
+    }
+    switch (id) {
+      case kSectionModel: v.model = payload; have_model = true; break;
+      case kSectionRuntime: v.runtime = payload; have_runtime = true; break;
+      case kSectionLedger: v.ledger = payload; have_ledger = true; break;
+      default: break;  // unknown section from a newer writer: skip
+    }
+  }
+  if (!have_model || !have_runtime || !have_ledger) {
+    throw CheckpointError(CheckpointErrc::kMissingSection,
+                          "checkpoint is missing a required section");
+  }
+  return v;
+}
+
+/// Run a model codec call on a CRC-valid section. A throw means a buggy
+/// writer produced it: still a typed rejection rather than a crash.
+template <typename Call>
+auto model_section(Call&& call) -> decltype(call()) {
+  try {
+    return call();
+  } catch (const std::exception& e) {
+    throw CheckpointError(
+        CheckpointErrc::kSectionCorrupt,
+        std::string("checkpoint model section undecodable: ") + e.what());
+  }
+}
+
+void check_shape(std::uint64_t cores, const runtime::Partition& partition) {
+  if (cores != partition.num_cores()) {
+    throw CheckpointError(
+        CheckpointErrc::kShapeMismatch,
+        "checkpoint has " + std::to_string(cores) +
+            " cores but the live partition covers " +
+            std::to_string(partition.num_cores()));
+  }
 }
 
 [[noreturn]] void throw_io(const std::string& op, const std::string& path) {
   throw CheckpointError(CheckpointErrc::kIo, "checkpoint " + op + " failed: " +
                                                  path + ": " +
                                                  std::strerror(errno));
+}
+
+/// Closes a file descriptor when the scope ends, on every throw path too.
+class FdCloser {
+ public:
+  explicit FdCloser(int fd) : fd_(fd) {}
+  FdCloser(const FdCloser&) = delete;
+  FdCloser& operator=(const FdCloser&) = delete;
+  ~FdCloser() { ::close(fd_); }
+
+ private:
+  int fd_;
+};
+
+/// pread(2) until `n` bytes at `offset` are read or the file ends; returns
+/// how many were read.
+std::size_t pread_full(int fd, char* out, std::size_t n, std::uint64_t offset,
+                       const std::string& path) {
+  std::size_t got = 0;
+  while (got < n) {
+    const ssize_t r = ::pread(fd, out + got, n - got,
+                              static_cast<off_t>(offset + got));
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0) throw_io("read", path);
+    if (r == 0) break;
+    got += static_cast<std::size_t>(r);
+  }
+  return got;
 }
 
 }  // namespace
@@ -166,104 +332,46 @@ const char* to_string(CheckpointErrc code) {
 
 std::string serialize_checkpoint(const Checkpoint& cp) {
   std::string out;
-  // Runtime and ledger sections are well under 1 KiB; sizing for them up
-  // front keeps the model bytes from being copied by a reallocation.
-  out.reserve(kHeaderBytes + 3 * kSectionHeaderBytes +
-              cp.model.encoded_size() + 1024);
-  append_pod(out, kMagic);
-  append_pod(out, kVersion);
-  append_pod(out, static_cast<std::uint64_t>(cp.tick));
-  append_pod(out, std::uint32_t{3});  // section count
-  append_pod(out, util::crc32(out.data(), out.size()));
-
-  append_section(out, kSectionModel,
-                 [&](std::string& o) { cp.model.encode(o); });
-  append_section(out, kSectionRuntime,
-                 [&](std::string& o) { encode_runtime(o, cp.report); });
-  append_section(out, kSectionLedger,
-                 [&](std::string& o) { encode_ledger(o, cp); });
+  write_checkpoint(cp.tick, cp.model, cp.report, cp.virtual_time,
+                   cp.ledger_ticks, out);
   return out;
 }
 
-Checkpoint parse_checkpoint(std::string_view bytes) {
-  Cursor c(bytes);
-  if (bytes.size() < kHeaderBytes) {
-    throw CheckpointError(CheckpointErrc::kTruncated,
-                          "checkpoint smaller than its header");
-  }
-  const std::uint32_t magic = c.read<std::uint32_t>("magic");
-  if (magic != kMagic) {
-    throw CheckpointError(CheckpointErrc::kBadMagic,
-                          "not a Compass checkpoint (bad magic)");
-  }
-  const std::uint32_t version = c.read<std::uint32_t>("version");
-  if (version != kVersion) {
-    throw CheckpointError(
-        CheckpointErrc::kBadVersion,
-        "unsupported checkpoint version " + std::to_string(version) +
-            " (this build reads version " + std::to_string(kVersion) + ")");
-  }
-  Checkpoint cp;
-  cp.tick = c.read<std::uint64_t>("tick");
-  const std::uint32_t section_count = c.read<std::uint32_t>("section count");
-  const std::uint32_t header_crc = c.read<std::uint32_t>("header crc");
-  if (header_crc != util::crc32(bytes.data(), kHeaderBytes - 4)) {
-    throw CheckpointError(CheckpointErrc::kHeaderCorrupt,
-                          "checkpoint header CRC mismatch");
-  }
+void serialize_live(const runtime::Compass& sim, const arch::Model& model,
+                    std::string& out) {
+  write_checkpoint(sim.now(), model, sim.report(), sim.ledger().totals(),
+                   sim.ledger().ticks(), out);
+}
 
-  bool have_model = false, have_runtime = false, have_ledger = false;
-  for (std::uint32_t s = 0; s < section_count; ++s) {
-    const std::uint32_t id = c.read<std::uint32_t>("section id");
-    (void)c.read<std::uint32_t>("section reserved");
-    const std::uint64_t size = c.read<std::uint64_t>("section size");
-    const std::uint32_t crc = c.read<std::uint32_t>("section crc");
-    // A corrupt size field cannot over-allocate: read_span bounds-checks
-    // against the actual file size before any copy happens.
-    const std::string_view payload =
-        c.read_span(static_cast<std::size_t>(size), "section payload");
-    if (crc != util::crc32(payload.data(), payload.size())) {
-      throw CheckpointError(CheckpointErrc::kSectionCorrupt,
-                            "checkpoint section " + std::to_string(id) +
-                                " CRC mismatch");
-    }
-    switch (id) {
-      case kSectionModel: {
-        try {
-          cp.model = arch::Model::decode(payload);
-        } catch (const std::exception& e) {
-          // CRC-valid but undecodable: produced by a buggy writer, still a
-          // typed rejection rather than a crash.
-          throw CheckpointError(CheckpointErrc::kSectionCorrupt,
-                                std::string("checkpoint model section "
-                                            "undecodable: ") +
-                                    e.what());
-        }
-        have_model = true;
-        break;
-      }
-      case kSectionRuntime:
-        decode_runtime(payload, cp.report);
-        have_runtime = true;
-        break;
-      case kSectionLedger:
-        decode_ledger(payload, cp);
-        have_ledger = true;
-        break;
-      default:
-        break;  // unknown section from a newer writer: skip
-    }
-  }
-  if (!have_model || !have_runtime || !have_ledger) {
-    throw CheckpointError(CheckpointErrc::kMissingSection,
-                          "checkpoint is missing a required section");
-  }
-  cp.report.virtual_time = cp.virtual_time;
+Checkpoint parse_checkpoint(std::string_view bytes) {
+  const Verified v = verify(bytes);
+  Checkpoint cp;
+  cp.tick = v.tick;
+  cp.model = model_section([&] { return arch::Model::decode(v.model); });
+  Accumulators a = decode_accumulators(v.runtime, v.ledger);
+  cp.report = std::move(a.report);
+  cp.virtual_time = a.virtual_time;
+  cp.ledger_ticks = a.ledger_ticks;
   return cp;
 }
 
-void save_checkpoint_file(const Checkpoint& cp, const std::string& path) {
-  const std::string bytes = serialize_checkpoint(cp);
+arch::Tick restore_live(std::string_view bytes, runtime::Compass& sim,
+                        arch::Model& model) {
+  const Verified v = verify(bytes);
+  const Accumulators a = decode_accumulators(v.runtime, v.ledger);
+  check_shape(
+      model_section([&] { return arch::Model::encoded_core_count(v.model); }),
+      sim.partition());
+  // decode_into checks every core record before it overwrites any, so a
+  // throw from here on leaves the live state as it was.
+  model_section([&] { model.decode_into(v.model); });
+  sim.set_start_tick(v.tick);
+  sim.restore_report(a.report);
+  sim.restore_virtual_time(a.virtual_time, a.ledger_ticks);
+  return v.tick;
+}
+
+void write_checkpoint_file(std::string_view bytes, const std::string& path) {
   const std::string tmp = path + ".tmp";
 
   // POSIX write path: std::ofstream cannot fsync, and without the fsync +
@@ -307,38 +415,67 @@ void save_checkpoint_file(const Checkpoint& cp, const std::string& path) {
   }
 }
 
-Checkpoint load_checkpoint_file(const std::string& path) {
+void save_checkpoint_file(const Checkpoint& cp, const std::string& path) {
+  write_checkpoint_file(serialize_checkpoint(cp), path);
+}
+
+std::string read_checkpoint_file(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     throw CheckpointError(CheckpointErrc::kIo,
                           "cannot open checkpoint " + path);
   }
-  // One buffer sized from the file's length, filled by read(2): the parse
-  // then works on a view of it with no further copy of the payload.
+  const FdCloser closer(fd);
   struct stat st{};
   if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-    ::close(fd);
     throw CheckpointError(CheckpointErrc::kIo,
                           "cannot read checkpoint " + path +
                               ": not a regular file");
   }
-  std::string bytes(static_cast<std::size_t>(st.st_size), '\0');
-  std::size_t got = 0;
-  while (got < bytes.size()) {
-    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0) {
-      const int saved = errno;
-      ::close(fd);
-      errno = saved;
-      throw_io("read", path);
+  const auto file_size = static_cast<std::uint64_t>(st.st_size);
+
+  // Size the buffer from what the header and section headers declare,
+  // checked against the file's size, never from the size alone: a huge or
+  // sparse file that is not a checkpoint is rejected before anything is
+  // allocated, and bytes past the last section are never read.
+  std::string head(kHeaderBytes, '\0');
+  head.resize(pread_full(fd, head.data(), kHeaderBytes, 0, path));
+  const Header h = check_header(head);
+  std::uint64_t end = kHeaderBytes;
+  for (std::uint32_t s = 0; s < h.section_count; ++s) {
+    char section[kSectionHeaderBytes];
+    if (file_size - end < kSectionHeaderBytes ||
+        pread_full(fd, section, kSectionHeaderBytes, end, path) <
+            kSectionHeaderBytes) {
+      throw CheckpointError(CheckpointErrc::kTruncated,
+                            "checkpoint truncated reading section header");
     }
-    if (n == 0) break;  // shrank since fstat: parse reports the truncation
-    got += static_cast<std::size_t>(n);
+    std::uint64_t size = 0;
+    std::memcpy(&size, section + 8, sizeof size);
+    end += kSectionHeaderBytes;
+    if (size > file_size - end) {
+      throw CheckpointError(CheckpointErrc::kTruncated,
+                            "checkpoint truncated reading section payload");
+    }
+    end += size;
   }
-  ::close(fd);
-  bytes.resize(got);
-  return parse_checkpoint(bytes);
+
+  std::string bytes;
+  try {
+    bytes.resize(static_cast<std::size_t>(end));
+  } catch (const std::exception&) {  // bad_alloc or length_error
+    throw CheckpointError(CheckpointErrc::kIo,
+                          "checkpoint " + path + " declares " +
+                              std::to_string(end) +
+                              " bytes, more than this process can hold");
+  }
+  // A file that shrank since fstat reads short: parsing reports it.
+  bytes.resize(pread_full(fd, bytes.data(), bytes.size(), 0, path));
+  return bytes;
+}
+
+Checkpoint load_checkpoint_file(const std::string& path) {
+  return parse_checkpoint(read_checkpoint_file(path));
 }
 
 Checkpoint capture(const runtime::Compass& sim, const arch::Model& model) {
@@ -354,13 +491,7 @@ Checkpoint capture(const runtime::Compass& sim, const arch::Model& model) {
 }
 
 void restore(const Checkpoint& cp, runtime::Compass& sim, arch::Model& model) {
-  if (cp.model.num_cores() != sim.partition().num_cores()) {
-    throw CheckpointError(
-        CheckpointErrc::kShapeMismatch,
-        "checkpoint has " + std::to_string(cp.model.num_cores()) +
-            " cores but the live partition covers " +
-            std::to_string(sim.partition().num_cores()));
-  }
+  check_shape(cp.model.num_cores(), sim.partition());
   model = cp.model;
   sim.set_start_tick(cp.tick);
   sim.restore_report(cp.report);

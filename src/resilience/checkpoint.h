@@ -88,9 +88,17 @@ Checkpoint parse_checkpoint(std::string_view bytes);
 
 /// Atomic, fsync'd write (temp file + rename). Throws CheckpointError(kIo).
 void save_checkpoint_file(const Checkpoint& cp, const std::string& path);
+/// The same write for bytes that are already encoded.
+void write_checkpoint_file(std::string_view bytes, const std::string& path);
 
 /// Read + parse_checkpoint. Throws CheckpointError.
 Checkpoint load_checkpoint_file(const std::string& path);
+/// The bytes of a checkpoint file, up to the end of its last section. The
+/// header and every section header are checked against the file's size
+/// before the buffer is allocated, so a file whose size no checkpoint
+/// declares is a typed rejection, not an allocation of that size. Throws
+/// CheckpointError.
+std::string read_checkpoint_file(const std::string& path);
 
 /// Snapshot a simulator at its current tick boundary. Call between steps
 /// (or from a Compass tick callback); `model` must be the model `sim` runs.
@@ -102,5 +110,26 @@ Checkpoint capture(const runtime::Compass& sim, const arch::Model& model);
 /// CheckpointError(kShapeMismatch) when the checkpoint's core count differs
 /// from the live partition's.
 void restore(const Checkpoint& cp, runtime::Compass& sim, arch::Model& model);
+
+// --- Live state ----------------------------------------------------------
+// The same bytes as serialize_checkpoint(capture(...)) and the same effect
+// as restore(parse_checkpoint(...)), without the whole-model copy into and
+// out of a Checkpoint. For callers that snapshot a running simulator
+// repeatedly: the served snapshot RPC, --checkpoint-every and --restore.
+
+/// Encode the state of `sim` at its current tick boundary and of `model`
+/// (the model `sim` runs) into `out`, replacing its contents. `out` keeps
+/// its capacity, so a caller that reuses one buffer allocates once.
+void serialize_live(const runtime::Compass& sim, const arch::Model& model,
+                    std::string& out);
+
+/// Restore checkpoint bytes into a live simulator and its model, all or
+/// nothing: the header, every CRC, the core count against the live
+/// partition and every core record are checked before anything is
+/// overwritten, so a CheckpointError leaves the model, tick, report and
+/// ledger as they were. Cores whose crossbar rows are unchanged keep their
+/// column mirror. Returns the restored tick.
+arch::Tick restore_live(std::string_view bytes, runtime::Compass& sim,
+                        arch::Model& model);
 
 }  // namespace compass::resilience

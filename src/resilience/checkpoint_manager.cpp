@@ -99,13 +99,10 @@ std::string CheckpointManager::write_unguarded(const runtime::Compass& sim,
       (fs::path(options_.dir) / file_name(sim.now())).string();
 
   util::Stopwatch sw;
-  const Checkpoint cp = capture(sim, model);
-  save_checkpoint_file(cp, path);
+  serialize_live(sim, model, buffer_);
+  write_checkpoint_file(buffer_, path);
   const double elapsed = sw.elapsed_s();
-
-  // Size of what we just wrote, for the bytes metric (stat over re-serialize).
-  const auto size = fs::file_size(path, ec);
-  const std::uint64_t bytes = ec ? 0 : static_cast<std::uint64_t>(size);
+  const std::uint64_t bytes = buffer_.size();
 
   ++stats_.snapshots;
   stats_.bytes += bytes;

@@ -85,6 +85,7 @@ class CheckpointManager {
 
   CheckpointOptions options_;
   std::deque<std::string> written_;  // oldest-first, bounded by options_.keep
+  std::string buffer_;  // the encoded snapshot, reused across writes
   Stats stats_;
 
   obs::MetricsRegistry* metrics_ = nullptr;

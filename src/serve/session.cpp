@@ -178,8 +178,7 @@ std::uint64_t Session::step(std::uint64_t budget, const EmitFn& emit) {
 }
 
 std::uint64_t Session::snapshot_save() {
-  const resilience::Checkpoint cp = resilience::capture(*sim_, model_);
-  snapshot_bytes_ = resilience::serialize_checkpoint(cp);
+  resilience::serialize_live(*sim_, model_, snapshot_bytes_);
   snapshot_stimuli_ = stimuli_;
   return snapshot_bytes_.size();
 }
@@ -189,9 +188,7 @@ void Session::snapshot_restore() {
     throw ProtocolError(Errc::kSnapshotMissing,
                         "restore requested before any snapshot save");
   }
-  const resilience::Checkpoint cp =
-      resilience::parse_checkpoint(snapshot_bytes_);
-  resilience::restore(cp, *sim_, model_);
+  resilience::restore_live(snapshot_bytes_, *sim_, model_);
   stimuli_ = snapshot_stimuli_;
   pending_ = 0;
 }

@@ -144,7 +144,9 @@ class Session {
   std::uint64_t total_spikes_ = 0;
   std::vector<SpikeEvent> scratch_;  // spike-hook capture for the current tick
 
-  std::string snapshot_bytes_;  // serialized checkpoint, "" = none
+  // Serialized checkpoint, "" = none. Saves overwrite it in place, so it
+  // keeps its capacity across snapshots.
+  std::string snapshot_bytes_;
   std::multimap<std::uint64_t, std::pair<std::uint32_t, std::uint16_t>>
       snapshot_stimuli_;  // script as of the save
 

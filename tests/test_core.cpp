@@ -264,7 +264,7 @@ TEST(Core, SaveLoadRoundTripsExactly) {
   std::vector<char> record(NeurosynapticCore::kRecordBytes);
   core.encode(record.data());
   NeurosynapticCore loaded;
-  loaded.decode(record.data(), /*num_cores=*/kNeuronsPerCore);
+  loaded.decode(record.data());
   EXPECT_TRUE(core == loaded);
 
   // Loaded copy must continue the simulation identically.

@@ -450,7 +450,8 @@ TEST(KernelDifferential, UniformCoreAfterDecode) {
     std::string bytes(NeurosynapticCore::kRecordBytes, '\0');
     NeurosynapticCore decoded;
     fresh.encode(bytes.data());
-    decoded.decode(bytes.data(), kCores);
+    NeurosynapticCore::check_record(bytes.data(), kCores);
+    decoded.decode(bytes.data());
     ASSERT_TRUE(decoded == fresh) << "seed=" << s;
 
     NeurosynapticCore ticked = fresh;
@@ -461,7 +462,8 @@ TEST(KernelDifferential, UniformCoreAfterDecode) {
     ASSERT_FALSE(HasFatalFailure());
     ticked.encode(bytes.data());
     NeurosynapticCore restored;
-    restored.decode(bytes.data(), kCores);
+    NeurosynapticCore::check_record(bytes.data(), kCores);
+    restored.decode(bytes.data());
     ASSERT_TRUE(restored == ticked) << "seed=" << s;
     for (; t < 10; ++t) paired_tick(restored, oracle, t, stim, 128, s);
     ASSERT_FALSE(HasFatalFailure());
@@ -472,7 +474,8 @@ TEST(KernelDifferential, UniformCoreAfterDecode) {
     mixed.flags = FlagMode::kAllStochastic;
     const NeurosynapticCore other = random_core(s, mixed);
     other.encode(bytes.data());
-    restored.decode(bytes.data(), kCores);
+    NeurosynapticCore::check_record(bytes.data(), kCores);
+    restored.decode(bytes.data());
     ASSERT_TRUE(restored == other) << "seed=" << s;
     run_differential_trial(restored, s, /*activity_p8=*/128);
     if (HasFatalFailure()) return;

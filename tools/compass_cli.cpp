@@ -372,11 +372,10 @@ int cmd_run(const Args& args) {
         return 2;
       }
     }
-    const resilience::Checkpoint cp =
-        resilience::load_checkpoint_file(ckpt_path);
-    resilience::restore(cp, sim, pcc.model);
-    if (faulty) faulty->set_start_tick(cp.tick);
-    std::cout << "restored " << ckpt_path << " at tick " << cp.tick << "\n";
+    const arch::Tick tick = resilience::restore_live(
+        resilience::read_checkpoint_file(ckpt_path), sim, pcc.model);
+    if (faulty) faulty->set_start_tick(tick);
+    std::cout << "restored " << ckpt_path << " at tick " << tick << "\n";
   }
   io::Raster raster;
   if (!args.raster_file.empty() || args.stats) {
