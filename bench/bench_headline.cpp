@@ -9,32 +9,23 @@
 // and reports the same line: cores / neurons / synapses / mean rate /
 // slowdown vs real time (virtual, i.e. what the modelled parallel machine
 // achieves) plus the host emulation cost.
-// Extra flags (rows added to the shared obs flag table):
-//   --engine kernels|reference — hot-loop engine selection (arch/kernels.h);
-//     `reference` forces the original scalar walks, for before/after runs.
-//   --json <path> — append a one-line JSON summary (engine, cores, ticks,
-//     host wall seconds, virtual seconds, fired spikes) for bench_record.
+// Extra flag (a row added to the shared obs flag table):
+//   --json <path> — append a one-line JSON summary (cores, ticks, host wall
+//     seconds, virtual seconds, fired spikes) for bench_record.
 #include <fstream>
 #include <iostream>
 #include <string>
 
-#include "arch/kernels.h"
 #include "common.h"
 
 int main(int argc, char** argv) {
   using namespace compass;
   using namespace compass::bench;
 
-  std::string engine = "kernels";
   std::string json_out;
   init_obs(argc, argv,
-           {util::Flag::choice("--engine", engine, {"kernels", "reference"},
-                               "hot-loop engine (arch/kernels.h)"),
-            util::Flag::text("--json", json_out, "F",
+           {util::Flag::text("--json", json_out, "F",
                              "append a one-line JSON summary")});
-  arch::kernels::set_engine(engine == "reference"
-                                ? arch::kernels::Engine::kReference
-                                : arch::kernels::Engine::kBitParallel);
 
   const std::uint64_t cores = scaled(8192, 77);
   const arch::Tick ticks = static_cast<arch::Tick>(scaled(100, 10));
@@ -110,8 +101,8 @@ int main(int argc, char** argv) {
                 << "'\n";
       return 1;
     }
-    js << "{\"name\":\"headline\",\"engine\":\"" << engine
-       << "\",\"cores\":" << cores << ",\"ticks\":" << rep.ticks
+    js << "{\"name\":\"headline\",\"cores\":" << cores
+       << ",\"ticks\":" << rep.ticks
        << ",\"host_wall_s\":" << rep.host_wall_s
        << ",\"virtual_s\":" << rep.virtual_total_s()
        << ",\"fired_spikes\":" << rep.fired_spikes << "}\n";

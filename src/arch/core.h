@@ -17,11 +17,12 @@
 //                       delay buffer.
 //
 // Both phases have a scalar reference walk (the original per-bit loops, kept
-// as *_reference test hooks) and production paths that are bit-identical to
-// it (DESIGN.md §12): the bit-parallel / SoA kernels of arch/kernels.h for
-// cores that draw nothing in a phase, the scalar synapse walk for
-// stochastic-synapse cores, and a PRNG-exact SoA sweep for stochastic
-// leak/threshold cores that makes the reference loop's draws in its order.
+// as the *_reference test oracle; no production path calls them) and
+// production paths that are bit-identical to it (DESIGN.md §12): the
+// bit-parallel / SoA kernels of arch/kernels.h for cores that draw nothing
+// in a phase, the scalar synapse walk for stochastic-synapse cores, and a
+// PRNG-exact SoA sweep for stochastic leak/threshold cores that makes the
+// reference loop's draws in its order.
 #pragma once
 
 #include <array>
@@ -85,8 +86,7 @@ class NeurosynapticCore {
     const util::Bits256 active = buffer_.drain(t);
     SynapseActivity activity;
     if (!active.any()) return activity;
-    if (stoch_syn_mask_.any() ||
-        kernels::engine() == kernels::Engine::kReference) {
+    if (stoch_syn_mask_.any()) {
       kernels::note_dispatch(kernels::DispatchPath::kSynapseScalar);
       return synapse_scalar(active);
     }
@@ -118,10 +118,10 @@ class NeurosynapticCore {
     return activity;
   }
 
-  /// Test hook: the original scalar synapse phase, unconditionally. The
-  /// differential suite (tests/test_kernels.cpp) drives this and
-  /// synapse_phase() on clones and asserts identical accumulators and
-  /// counters.
+  /// Test oracle: the original scalar synapse phase, unconditionally. The
+  /// differential suites (tests/test_kernels.cpp per core, and the
+  /// whole-model serial stepper in tests/test_determinism.cpp) drive this
+  /// and synapse_phase() side by side and assert identical state.
   SynapseActivity synapse_phase_reference(Tick t) {
     const util::Bits256 active = buffer_.drain(t);
     if (!active.any()) return {};
@@ -142,10 +142,6 @@ class NeurosynapticCore {
   /// lanes per neuron. Both count as DispatchPath::kNeuronStochSoa.
   template <typename Sink>
   int neuron_phase(Tick t, Sink&& emit) {
-    if (kernels::engine() == kernels::Engine::kReference) {
-      kernels::note_dispatch(kernels::DispatchPath::kNeuronScalar);
-      return neuron_phase_reference(t, std::forward<Sink>(emit));
-    }
     if (stoch_nrn_mask_.any()) {
       (void)t;
       kernels::note_dispatch(kernels::DispatchPath::kNeuronStochSoa);
@@ -163,7 +159,8 @@ class NeurosynapticCore {
     return count;
   }
 
-  /// Test hook: the original scalar neuron phase, unconditionally.
+  /// Test oracle: the original scalar neuron phase, unconditionally (same
+  /// suites as synapse_phase_reference).
   template <typename Sink>
   int neuron_phase_reference(Tick t, Sink&& emit) {
     int fired = 0;

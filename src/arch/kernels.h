@@ -32,27 +32,6 @@
 
 namespace compass::arch::kernels {
 
-// --- Engine selection (test/bench hook) ------------------------------------
-
-/// Which implementation the core's tick phases use. kBitParallel is the
-/// production default; kReference forces the original scalar walk
-/// everywhere. The toggle exists for differential tests and for recording
-/// before/after numbers from one binary (tools/bench_record) — it changes
-/// nothing observable: every production path is bit-identical to the
-/// reference walk, stochastic cores included.
-enum class Engine : std::uint8_t { kBitParallel = 0, kReference = 1 };
-
-namespace detail {
-inline std::atomic<Engine> g_engine{Engine::kBitParallel};
-}  // namespace detail
-
-inline Engine engine() noexcept {
-  return detail::g_engine.load(std::memory_order_relaxed);
-}
-inline void set_engine(Engine e) noexcept {
-  detail::g_engine.store(e, std::memory_order_relaxed);
-}
-
 // --- Dispatch counters (observability hook) ---------------------------------
 
 /// Which hot-loop path a phase execution took. The wall-clock profiler
@@ -65,6 +44,9 @@ enum class DispatchPath : std::uint8_t {
   kSynapseScalar,
   kNeuronFast,
   kNeuronStochSoa,
+  /// The scalar neuron walk. No production path takes it (the walk runs
+  /// only as the test oracle neuron_phase_reference), so this count always
+  /// reads 0; kept because perfbench reports it.
   kNeuronScalar,
 };
 
@@ -75,7 +57,7 @@ struct DispatchCounters {
   std::uint64_t synapse_scalar = 0;
   std::uint64_t neuron_fast = 0;
   std::uint64_t neuron_stoch_soa = 0;
-  std::uint64_t neuron_scalar = 0;
+  std::uint64_t neuron_scalar = 0;  // always 0 (see kNeuronScalar)
 };
 
 namespace detail {

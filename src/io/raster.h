@@ -10,7 +10,9 @@
 //     see RasterEvent pack/unpack), ~5x smaller and order-preserving, with
 //     a magic/version header.
 //
-// A RasterRecorder plugs directly into Compass::set_spike_hook.
+// A Raster records from Compass::set_spike_hook. The hook is replayed on
+// the calling thread in the serial fire order, so a recording is the same
+// at any OpenMP width.
 #pragma once
 
 #include <cstdint>

@@ -32,8 +32,9 @@
 //
 // Threading contract: on_fire() is called from the (possibly OpenMP-
 // parallel) per-rank Neuron loops and stages into per-rank buffers;
-// begin_tick() / end_tick() run serially at the tick boundaries. Unlike a
-// SpikeHook, an attached engine does NOT force serial execution.
+// begin_tick() / end_tick() run serially at the tick boundaries. It stages
+// region counts rather than spikes, so it keeps its own staging next to
+// the runtime's spike-hook staging.
 #pragma once
 
 #include <cstdint>

@@ -56,8 +56,8 @@ struct Config {
   /// (the paper's hybrid threading, realised across the emulated ranks).
   /// On by default; OMP_NUM_THREADS sets the team width. Functional results
   /// are unchanged — per-rank state is disjoint and delivery is
-  /// order-independent — but a registered spike hook forces serial
-  /// execution (user callbacks are not synchronised).
+  /// order-independent — and every observer (spike hook included) sees the
+  /// serial order. Off runs every rank on the calling thread.
   bool parallel_execution = true;
   /// Calibration factor applied to *measured* compute times before they
   /// enter the virtual-time ledger: how much slower the simulated machine's
@@ -117,13 +117,6 @@ struct RunReport {
   }
 };
 
-/// Per-tick series, recorded when enabled (figure 4(b) plots these).
-struct TickSeries {
-  std::vector<std::uint64_t> spikes;
-  std::vector<std::uint64_t> messages;
-  std::vector<std::uint64_t> wire_bytes;
-};
-
 class Compass {
  public:
   /// The model's cores are mutated in place during simulation. `partition`
@@ -133,13 +126,13 @@ class Compass {
           comm::Transport& transport, Config config = {});
 
   /// Observe every fired spike: hook(tick, source core, neuron index).
-  /// Intended for rasters and tests; adds a call per spike when set.
+  /// Intended for rasters and tests. The compute loop stages each fired
+  /// (core, neuron) per rank, and step() replays the stages on the calling
+  /// thread once the loop joins, in the serial order (rank, thread, core,
+  /// neuron ascending) — so the hook never runs inside the OpenMP team and
+  /// does not keep the ranks from running on it.
   using SpikeHook = std::function<void(arch::Tick, arch::CoreId, unsigned)>;
   void set_spike_hook(SpikeHook hook) { hook_ = std::move(hook); }
-
-  /// Record per-tick spike/message series during run().
-  void enable_tick_series(bool on) { record_series_ = on; }
-  const TickSeries& tick_series() const { return series_; }
 
   /// Attach a trace sink: every tick then emits one obs::SpanRecord per
   /// (rank, phase) plus one composed obs::TickRecord. Sinks must outlive the
@@ -158,8 +151,7 @@ class Compass {
   /// spikes emit span chains (fire → send → wire → recv → ring → integrate)
   /// through the tracer's sinks. The tracer must match the partition's rank
   /// count (throws std::invalid_argument otherwise) and outlive the
-  /// simulator. Unlike a spike hook, a tracer does NOT force serial
-  /// execution: its on_fire stages into per-source-rank buffers and is safe
+  /// simulator. Its on_fire stages into per-source-rank buffers and is safe
   /// under the parallel compute loop. Pass nullptr to detach.
   void set_spike_tracer(obs::SpikeTracer* tracer);
 
@@ -167,10 +159,10 @@ class Compass {
   /// *fired* neuron (the raster stream, before target routing) is then
   /// staged into the engine's per-source-rank buffers, and each tick
   /// boundary drives the engine's serial merge + window machinery; run()
-  /// flushes a trailing partial window. Like the spike tracer — and unlike
-  /// a SpikeHook — an attached engine does NOT force serial execution. Must
-  /// match the partition's rank count (throws std::invalid_argument) and
-  /// outlive the simulator. Pass nullptr to detach.
+  /// flushes a trailing partial window. It stages region counts per rank,
+  /// so it is safe under the parallel compute loop. Must match the
+  /// partition's rank count (throws std::invalid_argument) and outlive the
+  /// simulator. Pass nullptr to detach.
   void set_analytics(obs::AnalyticsEngine* analytics);
 
   /// Attach a flight recorder (src/obs/flightrec.h): the machine track then
@@ -280,8 +272,6 @@ class Compass {
   perf::RunLedger ledger_;
   SpikeHook hook_;
   std::vector<TickCallback> tick_callbacks_;
-  bool record_series_ = false;
-  TickSeries series_;
 
   // Reused per-tick buffers.
   // local_[rank][thread]: spikes for cores on the same rank.
@@ -290,6 +280,13 @@ class Compass {
   std::vector<std::vector<std::vector<std::vector<arch::WireSpike>>>> remote_;
   // agg_[dst]: master-thread aggregation buffer (two-sided path).
   std::vector<std::vector<arch::WireSpike>> agg_;
+  // hook_staged_[rank]: this tick's fired (core, neuron) pairs, in fire
+  // order, filled only while a spike hook is set.
+  struct FiredNeuron {
+    arch::CoreId core;
+    unsigned neuron;
+  };
+  std::vector<std::vector<FiredNeuron>> hook_staged_;
 
   // Per-rank counters, reduced after the (possibly parallel) phase loops.
   struct RankCounters {

@@ -16,6 +16,7 @@
 #include "arch/model.h"
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
+#include "obs/trace.h"
 #include "primitives/primitives.h"
 
 namespace compass::runtime {
@@ -150,16 +151,16 @@ TEST(Compass, TickSeriesMatchesAggregates) {
   Model m = ring_model(8);
   const Partition part = Partition::uniform(8, 2, 1);
   auto transport = make_transport("mpi", 2);
+  obs::TraceBuffer trace;
   Compass sim(m, part, *transport);
-  sim.enable_tick_series(true);
+  sim.add_trace_sink(&trace);
   const RunReport r = sim.run(15);
-  const TickSeries& s = sim.tick_series();
-  ASSERT_EQ(s.spikes.size(), 15u);
+  ASSERT_EQ(trace.ticks().size(), 15u);
   std::uint64_t spikes = 0, messages = 0, bytes = 0;
-  for (std::size_t i = 0; i < 15; ++i) {
-    spikes += s.spikes[i];
-    messages += s.messages[i];
-    bytes += s.wire_bytes[i];
+  for (const obs::TickRecord& t : trace.ticks()) {
+    spikes += t.fired;
+    messages += t.messages;
+    bytes += t.bytes;
   }
   EXPECT_EQ(spikes, r.fired_spikes);
   EXPECT_EQ(messages, r.messages);

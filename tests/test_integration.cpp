@@ -12,6 +12,7 @@
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
+#include "obs/trace.h"
 #include "runtime/compass.h"
 
 namespace compass {
@@ -174,14 +175,16 @@ TEST(MacaquePipeline, InventoryScalesWithCores) {
 TEST(MacaquePipeline, TickSeriesShowsSustainedActivity) {
   compiler::PccResult r = compile_macaque(96, 2);
   comm::MpiTransport transport(2, comm::CommCostModel{});
+  obs::TraceBuffer trace;
   runtime::Compass sim(r.model, r.partition, transport);
-  sim.enable_tick_series(true);
+  sim.add_trace_sink(&trace);
   sim.run(200);
-  const runtime::TickSeries& s = sim.tick_series();
+  const std::vector<obs::TickRecord>& s = trace.ticks();
+  ASSERT_EQ(s.size(), 200u);
   // Activity must not die out or explode: the last 100 ticks keep firing
   // and stay below saturation.
   std::uint64_t tail = 0;
-  for (std::size_t i = 100; i < 200; ++i) tail += s.spikes[i];
+  for (std::size_t i = 100; i < 200; ++i) tail += s[i].fired;
   const double per_tick = static_cast<double>(tail) / 100.0;
   const double neurons = 96.0 * 256.0;
   EXPECT_GT(per_tick, neurons * 0.001);  // > 1 Hz

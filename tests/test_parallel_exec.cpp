@@ -1,7 +1,7 @@
 // Tests for the OpenMP parallel-execution mode (the default): functional
 // results must be identical to serial execution (per-rank state is disjoint
-// and spike delivery is order-independent) at any team width, and hooks
-// must force serial execution.
+// and spike delivery is order-independent) at any team width, and a spike
+// hook must see the serial stream without running inside the team.
 #include <gtest/gtest.h>
 
 #ifdef COMPASS_HAVE_OPENMP
@@ -9,6 +9,8 @@
 #endif
 
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "cocomac/macaque.h"
@@ -58,25 +60,55 @@ TEST(ParallelExecution, FunctionalResultsMatchSerial) {
   EXPECT_TRUE(serial_model == parallel_model);
 }
 
-TEST(ParallelExecution, HookForcesSerialAndStaysCorrect) {
-  const compiler::PccResult pcc = build(80, 3);
-  arch::Model model = pcc.model;
-  comm::MpiTransport transport(3, comm::CommCostModel{});
-  Config cfg;
-  cfg.parallel_execution = true;  // hook below overrides this
-  Compass sim(model, pcc.partition, transport, cfg);
-  std::uint64_t hooked = 0;
+using FireEvent = std::tuple<arch::Tick, arch::CoreId, unsigned>;
+
+struct HookedRun {
+  RunReport report;
+  std::vector<FireEvent> fired;
   bool hook_in_parallel = false;
-  sim.set_spike_hook([&](arch::Tick, arch::CoreId, unsigned) {
-    ++hooked;
+};
+
+HookedRun run_hooked(const compiler::PccResult& pcc, bool parallel) {
+  arch::Model model = pcc.model;
+  comm::MpiTransport transport(pcc.partition.ranks(), comm::CommCostModel{});
+  Config cfg;
+  cfg.parallel_execution = parallel;
+  Compass sim(model, pcc.partition, transport, cfg);
+  HookedRun run;
+  sim.set_spike_hook([&run](arch::Tick t, arch::CoreId c, unsigned j) {
+    run.fired.emplace_back(t, c, j);
 #ifdef COMPASS_HAVE_OPENMP
-    hook_in_parallel = hook_in_parallel || omp_in_parallel() != 0;
+    run.hook_in_parallel = run.hook_in_parallel || omp_in_parallel() != 0;
 #endif
   });
-  const RunReport rep = sim.run(40);
-  EXPECT_EQ(hooked, rep.fired_spikes);
-  EXPECT_GT(hooked, 0u);
-  EXPECT_FALSE(hook_in_parallel) << "a spike hook ran inside an OpenMP team";
+  run.report = sim.run(40);
+  return run;
+}
+
+TEST(ParallelExecution, StagedHookMatchesSerialAtEveryWidth) {
+  // A spike hook keeps the team: the compute loop stages fires per rank
+  // and step() replays them on the driver thread, so the stream is the
+  // serial one element for element at any team width.
+  const compiler::PccResult pcc = build(80, 3);
+  const HookedRun serial = run_hooked(pcc, false);
+  ASSERT_GT(serial.fired.size(), 0u);
+#ifdef COMPASS_HAVE_OPENMP
+  const int saved = omp_get_max_threads();
+#endif
+  for (const int width : {1, 2, 4}) {
+    SCOPED_TRACE("OMP threads = " + std::to_string(width));
+#ifdef COMPASS_HAVE_OPENMP
+    omp_set_num_threads(width);
+#endif
+    const HookedRun team = run_hooked(pcc, true);
+    EXPECT_TRUE(team.fired == serial.fired);
+    EXPECT_EQ(team.fired.size(), team.report.fired_spikes);
+    EXPECT_FALSE(team.hook_in_parallel)
+        << "a spike hook ran inside an OpenMP team";
+  }
+#ifdef COMPASS_HAVE_OPENMP
+  omp_set_num_threads(saved);
+#endif
 }
 
 // The default Config runs the ranks on an OpenMP team; its results must not

@@ -2,27 +2,25 @@
 // (BENCH_kernels.json, BENCH_recovery.json, BENCH_wall.json; schemas
 // documented in EXPERIMENTS.md).
 //
-// Runs bench_micro_kernels once (its `...Reference` twins measure the scalar
-// engine in the same process) and bench_headline twice (--engine kernels,
-// --engine reference), then pairs each benchmark with its Reference twin and
-// writes one JSON file with per-benchmark times and speedups. The recorded
-// numbers are a provenance snapshot of the machine the file was generated
-// on, not a CI gate — regenerate with:
+// Runs bench_micro_kernels once (its `...Reference` twins time the scalar
+// test oracle in the same process), then pairs each benchmark with its
+// Reference twin and writes one JSON file with per-benchmark times and
+// speedups. The recorded numbers are a provenance snapshot of the machine
+// the file was generated on, not a CI gate — regenerate with:
 //
 //   ./build/tools/bench_record --bench-dir build/bench --out BENCH_kernels.json
 //
 // Every output carries a "provenance" object (git SHA, hostname, CPU count,
 // OMP_NUM_THREADS as set, the host-thread count the benches actually run
-// with, engine) so bench_trend can line snapshots up across PRs and
-// machines. Key ordering is stable (std::map / fixed emit order), so
-// regenerating on the same machine diffs cleanly.
+// with) so bench_trend can line snapshots up across PRs and machines. Key
+// ordering is stable (std::map / fixed emit order), so regenerating on the
+// same machine diffs cleanly.
 //
 // Flags:
 //   --bench-dir <dir>   directory holding the bench binaries (default
 //                       build/bench)
 //   --out <path>        output path (default depends on the mode)
 //   --min-time <t>      forwarded as --benchmark_min_time (e.g. 0.5s)
-//   --skip-headline     record the microbenchmarks only
 //   --recovery          record the rank-failure recovery drill instead:
 //                       runs bench_recovery and writes BENCH_recovery.json
 //                       (migrate / restart-rank / restart-from-checkpoint
@@ -31,8 +29,6 @@
 //                       bench_headline once with --wallprof-out attached and
 //                       writes BENCH_wall.json (ticks/s, per-phase host
 //                       seconds, RSS, measured instrumentation overhead)
-//   --engine <e>        with --wall: engine for the profiled run
-//                       (kernels | reference; default kernels)
 //   --analytics         record the streaming-analytics overhead instead:
 //                       runs bench_headline twice — once bare, once with
 //                       --analytics-out attached — and writes
@@ -182,7 +178,7 @@ std::string shell_capture(const char* cmd) {
 
 /// Machine/source provenance stamped into every snapshot so bench_trend can
 /// tell "regression" from "different machine" when lining files up.
-std::string provenance_json(const std::string& engine) {
+std::string provenance_json() {
   std::string sha = shell_capture("git rev-parse HEAD 2>/dev/null");
   if (sha.empty()) sha = "unknown";
   char host[256] = {};
@@ -200,9 +196,7 @@ std::string provenance_json(const std::string& engine) {
   os << "{\"git_sha\": \"" << sha << "\", \"host\": \"" << host
      << "\", \"cpus\": " << std::thread::hardware_concurrency()
      << ", \"omp_num_threads\": \"" << (omp_env != nullptr ? omp_env : "")
-     << "\", \"host_threads\": " << host_threads;
-  if (!engine.empty()) os << ", \"engine\": \"" << engine << "\"";
-  os << "}";
+     << "\", \"host_threads\": " << host_threads << "}";
   return os.str();
 }
 
@@ -210,15 +204,13 @@ std::string provenance_json(const std::string& engine) {
 /// run appends to --wallprof-out is the measurement; BENCH_wall.json keeps
 /// the host-facing subset (throughput, per-phase wall seconds, RSS, and the
 /// instrumentation's own measured cost).
-int record_wall(const std::string& bench_dir, const std::string& out,
-                const std::string& engine) {
+int record_wall(const std::string& bench_dir, const std::string& out) {
   const std::string head_tmp = out + ".headline.tmp";
   const std::string wall_tmp = out + ".wallprof.tmp";
   std::remove(head_tmp.c_str());
   std::remove(wall_tmp.c_str());
-  if (run_command(bench_dir + "/bench_headline --engine " + engine +
-                  " --json " + head_tmp + " --wallprof-out " + wall_tmp +
-                  " > /dev/null") != 0) {
+  if (run_command(bench_dir + "/bench_headline --json " + head_tmp +
+                  " --wallprof-out " + wall_tmp + " > /dev/null") != 0) {
     return 1;
   }
   const std::string head = read_file(head_tmp);
@@ -255,7 +247,7 @@ int record_wall(const std::string& bench_dir, const std::string& out,
   }
   js << "{\n  \"schema\": \"compass.bench_wall.v1\",\n"
      << "  \"generator\": \"tools/bench_record\",\n"
-     << "  \"provenance\": " << provenance_json(engine) << ",\n"
+     << "  \"provenance\": " << provenance_json() << ",\n"
      << "  \"headline\": {\"cores\": "
      << json_number(number_field(head, "cores").value_or(0.0))
      << ", \"ticks\": " << json_number(number_field(head, "ticks").value_or(0.0))
@@ -300,8 +292,7 @@ int record_wall(const std::string& bench_dir, const std::string& out,
 /// self-measured on the same binary and model, with analytics attachment
 /// the only variable. The acceptance bar (mirrored as a bench_trend hard
 /// ceiling) is < 2% on the headline workload.
-int record_analytics(const std::string& bench_dir, const std::string& out,
-                     const std::string& engine) {
+int record_analytics(const std::string& bench_dir, const std::string& out) {
   const std::string off_tmp = out + ".off.tmp";
   const std::string on_tmp = out + ".on.tmp";
   const std::string an_tmp = out + ".analytics.tmp";
@@ -309,13 +300,13 @@ int record_analytics(const std::string& bench_dir, const std::string& out,
   std::remove(on_tmp.c_str());
   std::remove(an_tmp.c_str());
   constexpr std::uint64_t kWindowTicks = 64;
-  if (run_command(bench_dir + "/bench_headline --engine " + engine +
-                  " --json " + off_tmp + " > /dev/null") != 0) {
+  if (run_command(bench_dir + "/bench_headline --json " + off_tmp +
+                  " > /dev/null") != 0) {
     return 1;
   }
-  if (run_command(bench_dir + "/bench_headline --engine " + engine +
-                  " --json " + on_tmp + " --analytics-out " + an_tmp +
-                  " --analytics-window " + std::to_string(kWindowTicks) +
+  if (run_command(bench_dir + "/bench_headline --json " + on_tmp +
+                  " --analytics-out " + an_tmp + " --analytics-window " +
+                  std::to_string(kWindowTicks) +
                   " > /dev/null") != 0) {
     return 1;
   }
@@ -360,7 +351,7 @@ int record_analytics(const std::string& bench_dir, const std::string& out,
   }
   js << "{\n  \"schema\": \"compass.bench_analytics.v1\",\n"
      << "  \"generator\": \"tools/bench_record\",\n"
-     << "  \"provenance\": " << provenance_json(engine) << ",\n"
+     << "  \"provenance\": " << provenance_json() << ",\n"
      << "  \"analytics\": {\"window_ticks\": " << kWindowTicks
      << ", \"windows\": " << windows
      << ", \"spikes\": " << json_number(spikes)
@@ -416,7 +407,7 @@ int record_recovery(const std::string& bench_dir, const std::string& out) {
   }
   js << "{\n  \"schema\": \"compass.bench_recovery.v2\",\n"
      << "  \"generator\": \"tools/bench_record\",\n"
-     << "  \"provenance\": " << provenance_json("") << ",\n"
+     << "  \"provenance\": " << provenance_json() << ",\n"
      << "  \"strategies\": [\n";
   std::size_t i = 0;
   for (const auto& [name, s] : by_name) {
@@ -480,7 +471,7 @@ int record_serve(const std::string& tools_dir, const std::string& out) {
   };
   js << "{\n  \"schema\": \"compass.bench_serve.v1\",\n"
      << "  \"generator\": \"tools/bench_record\",\n"
-     << "  \"provenance\": " << provenance_json("") << ",\n"
+     << "  \"provenance\": " << provenance_json() << ",\n"
      << "  \"serve\": {\n"
      << "    \"clients\": " << num("clients") << ",\n"
      << "    \"sessions\": " << num("sessions") << ",\n"
@@ -512,12 +503,10 @@ int main(int argc, char** argv) {
   std::string tools_dir = "build/tools";
   std::string out;
   std::string min_time;
-  std::string engine = "kernels";
   bool recovery = false;
   bool wall = false;
   bool serve = false;
   bool analytics = false;
-  bool skip_headline = false;
   using compass::util::Flag;
   compass::util::Flags(
       "bench_record", "usage: bench_record [options]\n",
@@ -531,10 +520,6 @@ int main(int argc, char** argv) {
                      "output path (default depends on the mode)"),
           Flag::text("--min-time", min_time, "T",
                      "forwarded as --benchmark_min_time (e.g. 0.5s)"),
-          Flag::choice("--engine", engine, {"kernels", "reference"},
-                       "with --wall / --analytics: engine for the run"),
-          Flag::toggle("--skip-headline", skip_headline,
-                       "record the microbenchmarks only"),
           Flag::toggle("--recovery", recovery,
                        "record the recovery drill (BENCH_recovery.json)"),
           Flag::toggle("--wall", wall,
@@ -547,7 +532,6 @@ int main(int argc, char** argv) {
                        "(BENCH_analytics.json)"),
       })
       .parse_or_exit(argc, argv);
-  const bool headline = !skip_headline;
   if (static_cast<int>(recovery) + static_cast<int>(wall) +
           static_cast<int>(serve) + static_cast<int>(analytics) >
       1) {
@@ -563,11 +547,11 @@ int main(int argc, char** argv) {
                                                  : "BENCH_kernels.json")));
   }
   if (recovery) return record_recovery(bench_dir, out);
-  if (wall) return record_wall(bench_dir, out, engine);
+  if (wall) return record_wall(bench_dir, out);
   if (serve) return record_serve(tools_dir, out);
-  if (analytics) return record_analytics(bench_dir, out, engine);
+  if (analytics) return record_analytics(bench_dir, out);
 
-  // --- Microbenchmarks: one process measures both engines -------------------
+  // --- Microbenchmarks: one process measures kernels and oracle -------------
   const std::string micro_tmp = out + ".micro.tmp";
   {
     std::string cmd = bench_dir + "/bench_micro_kernels --json " + micro_tmp +
@@ -613,36 +597,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --- Headline: one full-model run per engine ------------------------------
-  double headline_kernels = 0.0, headline_reference = 0.0;
-  std::uint64_t headline_cores = 0;
-  if (headline) {
-    const std::string headline_tmp = out + ".headline.tmp";
-    std::remove(headline_tmp.c_str());
-    for (const char* engine : {"kernels", "reference"}) {
-      const std::string cmd = bench_dir + "/bench_headline --engine " +
-                              engine + " --json " + headline_tmp +
-                              " > /dev/null";
-      if (run_command(cmd) != 0) return 1;
-    }
-    std::istringstream lines(read_file(headline_tmp));
-    std::string line;
-    while (std::getline(lines, line)) {
-      const auto engine = raw_field(line, "engine");
-      const auto wall = number_field(line, "host_wall_s");
-      const auto cores = number_field(line, "cores");
-      if (!engine || !wall) continue;
-      if (*engine == "kernels") headline_kernels = *wall;
-      if (*engine == "reference") headline_reference = *wall;
-      if (cores) headline_cores = static_cast<std::uint64_t>(*cores);
-    }
-    std::remove(headline_tmp.c_str());
-    if (headline_kernels <= 0.0 || headline_reference <= 0.0) {
-      std::cerr << "bench_record: missing headline measurements\n";
-      return 1;
-    }
-  }
-
   // --- Emit -----------------------------------------------------------------
   std::ofstream js(out);
   if (!js) {
@@ -651,7 +605,7 @@ int main(int argc, char** argv) {
   }
   js << "{\n  \"schema\": \"compass.bench_kernels.v2\",\n"
      << "  \"generator\": \"tools/bench_record\",\n"
-     << "  \"provenance\": " << provenance_json("") << ",\n"
+     << "  \"provenance\": " << provenance_json() << ",\n"
      << "  \"micro\": [\n";
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     const Pair& p = pairs[i];
@@ -661,16 +615,8 @@ int main(int argc, char** argv) {
        << ", \"speedup\": " << json_number(p.reference / p.bitparallel) << "}"
        << (i + 1 < pairs.size() ? ",\n" : "\n");
   }
-  js << "  ]";
-  if (headline) {
-    js << ",\n  \"headline\": {\"cores\": " << headline_cores
-       << ", \"bitparallel_host_wall_s\": " << json_number(headline_kernels)
-       << ", \"reference_host_wall_s\": " << json_number(headline_reference)
-       << ", \"speedup\": "
-       << json_number(headline_reference / headline_kernels) << "}";
-  }
-  js << "\n}\n";
+  js << "  ]\n}\n";
   std::cout << "[bench_record] wrote " << out << " (" << pairs.size()
-            << " micro pairs" << (headline ? " + headline" : "") << ")\n";
+            << " micro pairs)\n";
   return 0;
 }

@@ -24,11 +24,11 @@
 //   --tolerance PCT   allowed relative slip for --check (default 10)
 //   --history F       history file (default BENCH_history.jsonl)
 //
-// Directional metrics: kernels.headline_speedup and
-// kernels.micro_geomean_speedup (higher is better — engine-relative, so
-// machine speed cancels out), wall.ticks_per_second (higher is better),
-// wall.overhead_pct (lower is better — instrumentation cost relative to the
-// run it measures), analytics.overhead_pct (lower is better). Absolute wall
+// Directional metrics: kernels.micro_geomean_speedup (higher is better —
+// kernel over scalar oracle on one machine, so machine speed cancels out),
+// wall.ticks_per_second (higher is better), wall.overhead_pct (lower is
+// better — instrumentation cost relative to the run it measures),
+// analytics.overhead_pct (lower is better). Absolute wall
 // seconds and RSS are recorded but never gated: they move with the
 // recording machine, not with the code.
 //
@@ -64,7 +64,6 @@ using compass::obs::jsonv::JsonValue;
 
 /// -1: lower is better, +1: higher is better, 0: recorded but never gated.
 int metric_direction(const std::string& name) {
-  if (name == "kernels.headline_speedup") return 1;
   if (name == "kernels.micro_geomean_speedup") return 1;
   if (name == "wall.ticks_per_second") return 1;
   if (name == "wall.overhead_pct") return -1;
@@ -142,13 +141,6 @@ void ingest_file(const std::string& path, Snapshot& snap) {
   take_provenance(root, snap);
   const std::string& s = schema->string;
   if (s.rfind("compass.bench_kernels.", 0) == 0) {
-    const JsonValue* headline = root.find("headline");
-    if (headline != nullptr && headline->kind == JsonValue::Kind::kObject) {
-      snap.metrics["kernels.headline_speedup"] =
-          num_or(*headline, "speedup", 0.0);
-      snap.metrics["kernels.bitparallel_host_wall_s"] =
-          num_or(*headline, "bitparallel_host_wall_s", 0.0);
-    }
     const JsonValue* micro = root.find("micro");
     if (micro != nullptr && micro->kind == JsonValue::Kind::kArray &&
         !micro->array.empty()) {

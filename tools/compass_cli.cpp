@@ -28,6 +28,7 @@
 #include "io/spike_stats.h"
 #include "obs/flightrec.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "perf/energy.h"
 #include "place/placement.h"
 #include "resilience/checkpoint.h"
@@ -353,6 +354,8 @@ int cmd_run(const Args& args) {
 
   runtime::Config cfg;
   cfg.measure = !args.no_measure;
+  // --series prints the per-tick counters every trace tick record carries.
+  obs::TraceBuffer series;
   runtime::Compass sim(pcc.model, pcc.partition, *transport, cfg);
   // Attaches the transport too (the fault decorator forwards to its inner
   // transport, so both layers' events land in the same window).
@@ -383,7 +386,7 @@ int cmd_run(const Args& args) {
       raster.record(t, c, j);
     });
   }
-  sim.enable_tick_series(args.series);
+  if (args.series) sim.add_trace_sink(&series);
 
   std::optional<resilience::CheckpointManager> ckpt_mgr;
   if (args.checkpoint_every > 0) {
@@ -538,11 +541,12 @@ int cmd_run(const Args& args) {
   table.print(std::cout, "\nrun summary (" + args.transport + ")");
 
   if (args.series) {
-    const runtime::TickSeries& s = sim.tick_series();
+    // Indexed from 0 for this invocation, also after --restore.
     std::cout << "\ntick,spikes,messages,bytes\n";
-    for (std::size_t i = 0; i < s.spikes.size(); ++i) {
-      std::cout << i << ',' << s.spikes[i] << ',' << s.messages[i] << ','
-                << s.wire_bytes[i] << '\n';
+    std::size_t i = 0;
+    for (const obs::TickRecord& r : series.ticks()) {
+      std::cout << i++ << ',' << r.fired << ',' << r.messages << ','
+                << r.bytes << '\n';
     }
   }
 
