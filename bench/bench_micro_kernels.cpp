@@ -13,12 +13,14 @@
 // --benchmark_* flags still work.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "arch/core.h"
+#include "arch/kernels.h"
 #include "cocomac/macaque.h"
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
@@ -38,6 +40,7 @@ enum class Stoch {
   kNeuron,       // stochastic leak + threshold: the PRNG-exact SoA sweep,
                  // parameter-uniform (one NeuronParams, as PCC configures)
   kNeuronMixed,  // kNeuron with per-neuron thresholds: the general SoA sweep
+  kNeuronLeak,   // kNeuron without the threshold jitter: one draw per neuron
   kFull,         // + stochastic synapse: scalar synapse walk forced
 };
 
@@ -61,6 +64,9 @@ arch::NeurosynapticCore make_busy_core(double density, Stoch stoch) {
   if (stoch != Stoch::kNone) {
     p.flags = arch::kStochasticLeak | arch::kStochasticThreshold;
     p.leak = -2;  // stochastic leak magnitude is a probability (|l|/256)
+  }
+  if (stoch == Stoch::kNeuronLeak) {
+    p.flags = arch::kStochasticLeak;
   }
   if (stoch == Stoch::kFull) {
     p.flags |= arch::kStochasticSynapse;
@@ -138,6 +144,7 @@ const char* stoch_label(Stoch s) {
     case Stoch::kNone: return "deterministic";
     case Stoch::kNeuron: return "stochastic-neuron";
     case Stoch::kNeuronMixed: return "stochastic-neuron-mixed";
+    case Stoch::kNeuronLeak: return "stochastic-leak";
     case Stoch::kFull: return "stochastic-full";
   }
   return "?";
@@ -164,24 +171,62 @@ void run_neuron_phase(benchmark::State& state, Stoch stoch) {
 }
 
 // Arg 0 = flags 0 (vectorized sweep); 1 = stochastic leak+threshold on a
-// parameter-uniform core (the SoA sweep's uniform specialisation — the
-// path every PCC-compiled CoCoMac core takes); 2 = the same with
-// per-neuron thresholds (the general SoA sweep).
+// parameter-uniform core (the uniform sweep with 512 draws per tick — the
+// path every balanced CoCoMac core takes); 2 = the same with per-neuron
+// thresholds (the serial SoA sweep); 3 = stochastic leak only on a uniform
+// core (256 draws per tick, as CoCoMac's source regions make).
 Stoch neuron_phase_arg(const benchmark::State& state) {
   constexpr Stoch kByArg[] = {Stoch::kNone, Stoch::kNeuron,
-                              Stoch::kNeuronMixed};
+                              Stoch::kNeuronMixed, Stoch::kNeuronLeak};
   return kByArg[state.range(0)];
 }
 
 void BM_NeuronPhase(benchmark::State& state) {
   run_neuron_phase<false>(state, neuron_phase_arg(state));
 }
-BENCHMARK(BM_NeuronPhase)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_NeuronPhase)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_NeuronPhaseReference(benchmark::State& state) {
   run_neuron_phase<true>(state, neuron_phase_arg(state));
 }
-BENCHMARK(BM_NeuronPhaseReference)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_NeuronPhaseReference)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+
+/// One body of the parameter-uniform stochastic sweep, called directly on a
+/// CoCoMac balanced-region neuron (stochastic leak -146, 4-bit threshold
+/// jitter: 512 draws per tick). BM_NeuronPhase/1 runs the body this CPU
+/// dispatches to, so a silent fallback shows as it running at
+/// BM_UniformSweep/portable's rate.
+void BM_UniformSweep(benchmark::State& state,
+                     arch::kernels::detail::UniformSweepBody body) {
+  arch::NeuronParams p;
+  p.leak = -146;
+  p.threshold = 64;
+  p.floor = -256;
+  p.flags = arch::kStochasticLeak | arch::kStochasticThreshold;
+  p.threshold_mask_bits = 4;
+  std::array<std::int32_t, arch::kNeuronsPerCore> potential{}, accum{};
+  util::CorePrng prng(9);
+  std::uint64_t spikes = 0;
+  for (auto _ : state) {
+    spikes += static_cast<std::uint64_t>(
+        body(potential, accum, p, prng).popcount());
+  }
+  benchmark::DoNotOptimize(spikes);
+  state.SetItemsProcessed(state.iterations() * arch::kNeuronsPerCore);
+}
+BENCHMARK_CAPTURE(BM_UniformSweep, portable,
+                  &arch::kernels::detail::uniform_sweep_portable);
+#if defined(__x86_64__)
+void BM_UniformSweepWide(benchmark::State& state) {
+  if (arch::kernels::detail::uniform_sweep_body() !=
+      &arch::kernels::detail::uniform_sweep_avx512) {
+    state.SkipWithError("this CPU lacks avx512f/avx512dq");
+    return;
+  }
+  BM_UniformSweep(state, &arch::kernels::detail::uniform_sweep_avx512);
+}
+BENCHMARK(BM_UniformSweepWide)->Name("BM_UniformSweep/wide");
+#endif
 
 template <bool kReference>
 void run_full_core_tick(benchmark::State& state) {

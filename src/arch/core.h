@@ -20,9 +20,14 @@
 // as the *_reference test oracle; no production path calls them) and
 // production paths that are bit-identical to it (DESIGN.md §12): the
 // bit-parallel / SoA kernels of arch/kernels.h for cores that draw nothing
-// in a phase, the scalar synapse walk for stochastic-synapse cores, and a
-// PRNG-exact SoA sweep for stochastic leak/threshold cores that makes the
-// reference loop's draws in its order.
+// in a phase, the scalar synapse walk for stochastic-synapse cores, and for
+// stochastic leak/threshold cores one of two PRNG-exact sweeps. A
+// parameter-uniform core (every PCC-compiled one) takes
+// kernels::neuron_phase_uniform, which on an AVX-512 CPU generates the
+// tick's 256 or 512 draws as 8 jump-ahead lanes and sweeps 16 neurons per
+// vector; a mixed-parameter core takes a serial SoA sweep here. Both consume
+// the reference loop's draws in its order and leave the PRNG in the same
+// state.
 #pragma once
 
 #include <array>
@@ -134,29 +139,33 @@ class NeurosynapticCore {
   /// checks target.connected() before routing). Returns the number fired.
   ///
   /// Cores whose neurons make no PRNG draws in this phase (no stochastic
-  /// leak/threshold anywhere) take the branch-light vectorizable kernel;
-  /// cores with stochastic neurons take a PRNG-exact SoA sweep that makes
-  /// the same draws in the same ascending-neuron order as the reference
-  /// loop. When the core is parameter-uniform (see UniformCensus) that
-  /// sweep reads its parameters once per tick; otherwise it reads the flat
-  /// lanes per neuron. Both count as DispatchPath::kNeuronStochSoa.
+  /// leak/threshold anywhere) take the branch-light vectorizable kernel.
+  /// Cores with stochastic neurons take a PRNG-exact sweep that makes the
+  /// reference loop's draws in its ascending-neuron order and leaves the
+  /// PRNG where it would: kernels::neuron_phase_uniform when the core is
+  /// parameter-uniform (see UniformCensus) — on an AVX-512 CPU, 8
+  /// jump-ahead draw lanes and a 16-neuron vector sweep — and otherwise a
+  /// serial sweep that reads the flat lanes per neuron. Both count as
+  /// DispatchPath::kNeuronStochSoa.
   template <typename Sink>
   int neuron_phase(Tick t, Sink&& emit) {
+    (void)t;
     if (stoch_nrn_mask_.any()) {
-      (void)t;
       kernels::note_dispatch(kernels::DispatchPath::kNeuronStochSoa);
-      return neuron_phase_stoch(std::forward<Sink>(emit));
+      if (census_.state == UniformCensus::State::kStale) take_census();
+      if (census_.state == UniformCensus::State::kMixed) {
+        return neuron_phase_stoch_soa(std::forward<Sink>(emit));
+      }
+      return emit_fired(
+          kernels::neuron_phase_uniform(potential_, accum_, params_of(0),
+                                        prng_),
+          emit);
     }
     kernels::note_dispatch(kernels::DispatchPath::kNeuronFast);
-    const util::Bits256 fired = kernels::neuron_phase_fast(
-        potential_, accum_, leak_, threshold_, reset_, floor_, reset_mode_);
-    int count = 0;
-    util::for_each_set_bit(fired, [&](unsigned j) {
-      ++count;
-      emit(j, target_[j]);
-    });
-    (void)t;
-    return count;
+    return emit_fired(
+        kernels::neuron_phase_fast(potential_, accum_, leak_, threshold_,
+                                   reset_, floor_, reset_mode_),
+        emit);
   }
 
   /// Test oracle: the original scalar neuron phase, unconditionally (same
@@ -229,57 +238,29 @@ class NeurosynapticCore {
                          const NeurosynapticCore&) = default;
 
  private:
-  /// Stochastic-sweep dispatch: retake a stale census (O(256), on the
-  /// thread that owns this core), then run the general sweep or the uniform
-  /// instantiation for this core's two draw decisions.
+  /// Emit the fired set in ascending neuron order; returns its size.
   template <typename Sink>
-  int neuron_phase_stoch(Sink&& emit) {
-    if (census_.state == UniformCensus::State::kStale) take_census();
-    if (census_.state == UniformCensus::State::kMixed) {
-      return neuron_phase_stoch_soa<false, false, false>(emit);
-    }
-    const bool leak_draw = (flags_[0] & kStochasticLeak) && leak_[0] != 0;
-    const bool th_draw = (flags_[0] & kStochasticThreshold) != 0;
-    if (leak_draw) {
-      return th_draw ? neuron_phase_stoch_soa<true, true, true>(emit)
-                     : neuron_phase_stoch_soa<true, true, false>(emit);
-    }
-    return th_draw ? neuron_phase_stoch_soa<true, false, true>(emit)
-                   : neuron_phase_stoch_soa<true, false, false>(emit);
+  int emit_fired(const util::Bits256& fired, Sink& emit) {
+    util::for_each_set_bit(fired, [&](unsigned j) { emit(j, target_[j]); });
+    return fired.popcount();
   }
 
-  /// PRNG-exact SoA sweep for cores with stochastic leak/threshold neurons:
-  /// semantically identical to neuron_phase_reference (same arithmetic, same
-  /// draws, same draw order, same emit order — the differential suite in
-  /// tests/test_kernels.cpp asserts this across random mixed-flag and
-  /// parameter-uniform cores), but indexes the SoA lanes directly instead
-  /// of assembling a NeuronParams struct per neuron.
-  ///
-  /// kUniform: every neuron shares neuron 0's parameters, so they are read
-  /// once before the loop (emit() may write memory, which would otherwise
-  /// force a reload per neuron), and kLeakDraw / kThDraw say whether each
-  /// neuron draws a stochastic leak (kStochasticLeak with leak != 0) and a
-  /// threshold jitter. The draw bits are ignored when !kUniform: each
-  /// neuron's own flags decide.
-  template <bool kUniform, bool kLeakDraw, bool kThDraw, typename Sink>
+  /// PRNG-exact SoA sweep for mixed-parameter cores with stochastic
+  /// leak/threshold neurons: semantically identical to
+  /// neuron_phase_reference (same arithmetic, same draws, same draw order,
+  /// same emit order — the differential suite in tests/test_kernels.cpp
+  /// asserts this across random mixed-flag cores), but indexes the SoA
+  /// lanes directly instead of assembling a NeuronParams struct per neuron.
+  template <typename Sink>
   int neuron_phase_stoch_soa(Sink&& emit) {
-    const std::uint8_t flags0 = flags_[0];
-    const std::int16_t leak0 = leak_[0];
-    const std::int32_t threshold0 = threshold_[0];
-    const std::int32_t reset0 = reset_[0];
-    const std::int32_t floor0 = floor_[0];
-    const std::uint8_t reset_mode0 = reset_mode_[0];
-    const std::uint8_t tmask_bits0 = tmask_bits_[0];
     int fired = 0;
     for (unsigned j = 0; j < kNeuronsPerCore; ++j) {
-      const std::uint8_t fl = kUniform ? flags0 : flags_[j];
-      const std::int16_t leak = kUniform ? leak0 : leak_[j];
-      const std::int32_t threshold = kUniform ? threshold0 : threshold_[j];
+      const std::uint8_t fl = flags_[j];
+      const std::int16_t leak = leak_[j];
+      const std::int32_t threshold = threshold_[j];
       std::int32_t v = potential_[j] + accum_[j];
       accum_[j] = 0;
-      const bool leak_draw =
-          kUniform ? kLeakDraw : (fl & kStochasticLeak) && leak != 0;
-      if (leak_draw) {
+      if ((fl & kStochasticLeak) && leak != 0) {
         const std::uint8_t mag = static_cast<std::uint8_t>(
             leak > 0 ? (leak > 255 ? 255 : leak)
                      : (leak < -255 ? 255 : -leak));
@@ -290,23 +271,20 @@ class NeurosynapticCore {
         v -= leak;
       }
       std::int32_t th = threshold;
-      if (kUniform ? kThDraw : (fl & kStochasticThreshold) != 0) {
-        const std::uint32_t mask =
-            (1u << (kUniform ? tmask_bits0 : tmask_bits_[j])) - 1u;
+      if (fl & kStochasticThreshold) {
+        const std::uint32_t mask = (1u << tmask_bits_[j]) - 1u;
         th += static_cast<std::int32_t>(prng_.uniform_masked(mask));
       }
       bool f = false;
       if (v >= th) {
         f = true;
-        switch (static_cast<ResetMode>(kUniform ? reset_mode0
-                                                : reset_mode_[j])) {
-          case ResetMode::kAbsolute: v = kUniform ? reset0 : reset_[j]; break;
+        switch (static_cast<ResetMode>(reset_mode_[j])) {
+          case ResetMode::kAbsolute: v = reset_[j]; break;
           case ResetMode::kLinear: v -= threshold; break;
           case ResetMode::kNone: break;
         }
       }
-      const std::int32_t floor = kUniform ? floor0 : floor_[j];
-      if (v < floor) v = floor;
+      if (v < floor_[j]) v = floor_[j];
       if (v > kPotentialMax) v = kPotentialMax;
       if (f) {
         ++fired;
@@ -357,10 +335,11 @@ class NeurosynapticCore {
   /// leak, threshold, reset, floor, reset mode, flags and threshold mask
   /// bits (PCC configures every neuron of a core from one NeuronParams).
   /// configure_neuron() and rebuild_derived() only mark it stale; the
-  /// stochastic sweep retakes it on its next call. It is not serialized,
-  /// and its operator== is always true: it caches lanes the core's
-  /// operator== already compares, so a decoded core (stale) must still
-  /// equal the ticked core it was encoded from (uniform).
+  /// stochastic neuron phase retakes it on its next call, on the thread
+  /// that owns this core. It is not serialized, and its operator== is
+  /// always true: it caches lanes the core's operator== already compares,
+  /// so a decoded core (stale) must still equal the ticked core it was
+  /// encoded from (uniform).
   struct UniformCensus {
     enum class State : std::uint8_t { kStale, kUniform, kMixed };
     State state = State::kStale;

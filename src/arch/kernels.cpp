@@ -1,5 +1,18 @@
 #include "arch/kernels.h"
 
+#include <algorithm>
+#include <cstdlib>
+
+#if defined(__x86_64__)
+// GCC 12 flags the AVX-512 intrinsics' deliberately undefined pass-through
+// operand as uninitialised; the header is not at fault.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#include <immintrin.h>
+#pragma GCC diagnostic pop
+#endif
+
 namespace compass::arch::kernels {
 
 SynapseStats synapse_phase_bitparallel(
@@ -102,5 +115,185 @@ util::Bits256 neuron_phase_fast(
   }
   return fired;
 }
+
+namespace {
+
+/// The per-tick constants of a uniform core's sweep, shared by both bodies.
+/// A draw the neurons do not make has a zero probability or mask.
+struct UniformConstants {
+  bool leak_draw;          // a leak coin per neuron
+  bool th_draw;            // a threshold jitter per neuron
+  std::int32_t leak;       // the deterministic leak (0 if stochastic)
+  std::uint8_t coin_p8;    // the leak coin's probability, |leak| / 256
+  std::int32_t coin_step;  // what a landed coin subtracts: sign(leak)
+  std::uint32_t th_mask;   // the jitter mask, 2^k - 1
+
+  explicit UniformConstants(const NeuronParams& p)
+      : leak_draw((p.flags & kStochasticLeak) && p.leak != 0),
+        th_draw((p.flags & kStochasticThreshold) != 0),
+        leak((p.flags & kStochasticLeak) ? 0 : p.leak),
+        coin_p8(leak_draw ? static_cast<std::uint8_t>(
+                                std::min(std::abs(int{p.leak}), 255))
+                          : 0),
+        coin_step(p.leak > 0 ? 1 : -1),
+        th_mask(th_draw ? (1u << p.threshold_mask_bits) - 1u : 0u) {}
+};
+
+/// neuron_step() for every neuron, with the two draw decisions hoisted.
+template <bool kLeakDraw, bool kThDraw>
+util::Bits256 uniform_sweep_serial(
+    std::array<std::int32_t, kNeuronsPerCore>& potential,
+    std::array<std::int32_t, kNeuronsPerCore>& accum, const NeuronParams& p,
+    const UniformConstants& k, util::CorePrng& prng) noexcept {
+  // Locals, so that stores to the lanes need not reload them.
+  const std::int32_t threshold = p.threshold;
+  const std::int32_t reset = p.reset_value;
+  const std::int32_t floor = p.floor;
+  const ResetMode mode = p.reset_mode;
+  util::CorePrng gen = prng;
+  util::Bits256 fired;
+  for (unsigned j = 0; j < kNeuronsPerCore; ++j) {
+    std::int32_t v = potential[j] + accum[j];
+    accum[j] = 0;
+    if constexpr (kLeakDraw) {
+      // Branch-free: the draw is a coin flip no predictor can learn.
+      v -= k.coin_step * static_cast<std::int32_t>(gen.bernoulli_8(k.coin_p8));
+    } else {
+      v -= k.leak;
+    }
+    std::int32_t th = threshold;
+    if constexpr (kThDraw) {
+      th += static_cast<std::int32_t>(gen.uniform_masked(k.th_mask));
+    }
+    if (v >= th) {
+      fired.set(j);
+      switch (mode) {
+        case ResetMode::kAbsolute: v = reset; break;
+        case ResetMode::kLinear: v -= threshold; break;
+        case ResetMode::kNone: break;
+      }
+    }
+    if (v < floor) v = floor;
+    if (v > kPotentialMax) v = kPotentialMax;
+    potential[j] = v;
+  }
+  prng = gen;
+  return fired;
+}
+
+}  // namespace
+
+util::Bits256 neuron_phase_uniform(
+    std::array<std::int32_t, kNeuronsPerCore>& potential,
+    std::array<std::int32_t, kNeuronsPerCore>& accum, const NeuronParams& p,
+    util::CorePrng& prng) noexcept {
+  return detail::uniform_sweep_body()(potential, accum, p, prng);
+}
+
+namespace detail {
+
+util::Bits256 uniform_sweep_portable(
+    std::array<std::int32_t, kNeuronsPerCore>& potential,
+    std::array<std::int32_t, kNeuronsPerCore>& accum, const NeuronParams& p,
+    util::CorePrng& prng) noexcept {
+  const UniformConstants k(p);
+  if (k.leak_draw) {
+    return k.th_draw
+               ? uniform_sweep_serial<true, true>(potential, accum, p, k, prng)
+               : uniform_sweep_serial<true, false>(potential, accum, p, k, prng);
+  }
+  return k.th_draw
+             ? uniform_sweep_serial<false, true>(potential, accum, p, k, prng)
+             : uniform_sweep_serial<false, false>(potential, accum, p, k, prng);
+}
+
+#if defined(__x86_64__)
+
+__attribute__((target("avx512f,avx512dq"))) util::Bits256
+uniform_sweep_avx512(std::array<std::int32_t, kNeuronsPerCore>& potential,
+                     std::array<std::int32_t, kNeuronsPerCore>& accum,
+                     const NeuronParams& p, util::CorePrng& prng) noexcept {
+  const UniformConstants k(p);
+  // The tick's draws in stream order: neuron j's leak coin and jitter are
+  // draws[2j] and draws[2j + 1] when it makes both, draws[j] otherwise.
+  const unsigned n =
+      static_cast<unsigned>(k.leak_draw + k.th_draw) * kNeuronsPerCore;
+  alignas(64) std::uint32_t draws[2 * kNeuronsPerCore];
+  if (n != 0) {
+    std::uint64_t state = prng.state();
+    util::detail::lane_draws_avx512(state, draws, n);
+    prng.set_state(state);
+  }
+
+  // A coin lands when the draw's top byte is below coin_p8. A zero
+  // probability never lands and a zero mask adds no jitter, so a draw the
+  // neurons do not make has no effect, whatever the register holds.
+  const __m512i coin_p8 = _mm512_set1_epi32(k.coin_p8);
+  const __m512i coin_step = _mm512_set1_epi32(k.coin_step);
+  const __m512i leak = _mm512_set1_epi32(k.leak);
+  const __m512i th_mask = _mm512_set1_epi32(static_cast<int>(k.th_mask));
+  const __m512i threshold = _mm512_set1_epi32(p.threshold);
+  const __m512i reset = _mm512_set1_epi32(p.reset_value);
+  // kLinear subtracts the unjittered threshold on a fire; kNone subtracts 0.
+  const __m512i fire_sub = _mm512_set1_epi32(
+      p.reset_mode == ResetMode::kLinear ? p.threshold : 0);
+  const bool absolute = p.reset_mode == ResetMode::kAbsolute;
+  const __m512i floor = _mm512_set1_epi32(p.floor);
+  const __m512i ceiling = _mm512_set1_epi32(kPotentialMax);
+  const __m512i even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18,
+                                         20, 22, 24, 26, 28, 30);
+  const __m512i odd = _mm512_add_epi32(even, _mm512_set1_epi32(1));
+  const __m512i zero = _mm512_setzero_si512();
+
+  util::Bits256 fired;
+  for (unsigned b = 0; b < kNeuronsPerCore / 16; ++b) {
+    __m512i leak_draw = zero;
+    __m512i th_draw = zero;
+    if (n == 2 * kNeuronsPerCore) {
+      const __m512i lo = _mm512_load_si512(draws + 32 * b);
+      const __m512i hi = _mm512_load_si512(draws + 32 * b + 16);
+      leak_draw = _mm512_permutex2var_epi32(lo, even, hi);
+      th_draw = _mm512_permutex2var_epi32(lo, odd, hi);
+    } else if (n != 0) {
+      leak_draw = th_draw = _mm512_load_si512(draws + 16 * b);
+    }
+    std::int32_t* pot = potential.data() + 16 * b;
+    std::int32_t* acc = accum.data() + 16 * b;
+    __m512i v = _mm512_add_epi32(_mm512_loadu_si512(pot),
+                                 _mm512_loadu_si512(acc));
+    _mm512_storeu_si512(acc, zero);
+    v = _mm512_sub_epi32(v, leak);
+    const __mmask16 coin =
+        _mm512_cmplt_epu32_mask(_mm512_srli_epi32(leak_draw, 24), coin_p8);
+    v = _mm512_mask_sub_epi32(v, coin, v, coin_step);
+    const __m512i th =
+        _mm512_add_epi32(threshold, _mm512_and_si512(th_draw, th_mask));
+    const __mmask16 fire = _mm512_cmpge_epi32_mask(v, th);
+    v = absolute ? _mm512_mask_mov_epi32(v, fire, reset)
+                 : _mm512_mask_sub_epi32(v, fire, v, fire_sub);
+    v = _mm512_min_epi32(_mm512_max_epi32(v, floor), ceiling);
+    _mm512_storeu_si512(pot, v);
+    fired.w[b / 4] |= std::uint64_t{fire} << (16 * (b % 4));
+  }
+  return fired;
+}
+
+#endif  // __x86_64__
+
+UniformSweepBody uniform_sweep_body() noexcept {
+  static const UniformSweepBody body = [] {
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512dq")) {
+      return &uniform_sweep_avx512;
+    }
+#endif
+    return &uniform_sweep_portable;
+  }();
+  return body;
+}
+
+}  // namespace detail
 
 }  // namespace compass::arch::kernels

@@ -10,15 +10,17 @@
 // branch-light pass over flat SoA lanes that the compiler can vectorize
 // (the CoreNEURON playbook: AoS→SoA plus vector-friendly kernels).
 //
-// Determinism contract: both kernels are *bit-identical* to the scalar
-// reference walk whenever no neuron on the core draws from the PRNG in the
-// corresponding phase — synaptic accumulation is a commutative integer sum
-// and the fast neuron step reproduces neuron_step()'s arithmetic exactly.
-// Cores that draw in a phase take a PRNG-exact path instead: the scalar
-// synapse walk for stochastic synapses, and NeurosynapticCore's SoA
-// stochastic sweep for stochastic leak/threshold, which makes neuron_step()'s
-// draws in ascending-neuron order (NeurosynapticCore dispatches; see
-// DESIGN.md §12).
+// Determinism contract: every kernel here is *bit-identical* to the scalar
+// reference walk. The bit-parallel synapse kernel and the fast neuron sweep
+// serve cores that make no PRNG draw in the phase (synaptic accumulation is
+// a commutative integer sum, and the fast step reproduces neuron_step()'s
+// arithmetic exactly). The uniform stochastic sweep serves
+// parameter-uniform cores with stochastic leak/threshold: it consumes the
+// core's PRNG stream in the serial order, neuron by neuron, leak draw before
+// threshold draw, and leaves the generator where the serial walk would.
+// Stochastic-synapse cores take the scalar synapse walk and mixed-parameter
+// stochastic cores NeurosynapticCore's serial SoA sweep (NeurosynapticCore
+// dispatches; see DESIGN.md §12).
 #pragma once
 
 #include <array>
@@ -29,6 +31,7 @@
 #include "arch/neuron.h"
 #include "arch/types.h"
 #include "util/bitops.h"
+#include "util/prng.h"
 
 namespace compass::arch::kernels {
 
@@ -43,6 +46,9 @@ enum class DispatchPath : std::uint8_t {
   kSynapseBitParallel = 0,
   kSynapseScalar,
   kNeuronFast,
+  /// A stochastic leak/threshold sweep: the serial SoA sweep on a
+  /// mixed-parameter core, or the uniform sweep (neuron_phase_uniform, in
+  /// whichever body this CPU runs) on a parameter-uniform one.
   kNeuronStochSoa,
   /// The scalar neuron walk. No production path takes it (the walk runs
   /// only as the test oracle neuron_phase_reference), so this count always
@@ -148,5 +154,50 @@ util::Bits256 neuron_phase_fast(
     const std::array<std::int32_t, kNeuronsPerCore>& reset,
     const std::array<std::int32_t, kNeuronsPerCore>& floor,
     const std::array<std::uint8_t, kNeuronsPerCore>& reset_mode);
+
+/// Integrate-leak-fire sweep for a parameter-uniform core whose neurons all
+/// take `p` (its weights are ignored) and may draw from `prng`: a stochastic
+/// leak coin when p.flags has kStochasticLeak and p.leak != 0, then a
+/// threshold jitter when it has kStochasticThreshold. Makes exactly
+/// neuron_step()'s draws in ascending-neuron order, consumes and zeroes
+/// `accum`, updates `potential`, and returns the fired set. Runs the fastest
+/// body the CPU supports, chosen once.
+util::Bits256 neuron_phase_uniform(
+    std::array<std::int32_t, kNeuronsPerCore>& potential,
+    std::array<std::int32_t, kNeuronsPerCore>& accum, const NeuronParams& p,
+    util::CorePrng& prng) noexcept;
+
+namespace detail {
+
+/// The two bodies behind neuron_phase_uniform(), exposed so tests and
+/// microbenchmarks can run each one directly. Both compute exactly its
+/// results.
+using UniformSweepBody = util::Bits256 (*)(
+    std::array<std::int32_t, kNeuronsPerCore>& potential,
+    std::array<std::int32_t, kNeuronsPerCore>& accum, const NeuronParams& p,
+    util::CorePrng& prng) noexcept;
+
+/// One neuron at a time, each draw straight from the generator: portable,
+/// and the fallback on every CPU.
+util::Bits256 uniform_sweep_portable(
+    std::array<std::int32_t, kNeuronsPerCore>& potential,
+    std::array<std::int32_t, kNeuronsPerCore>& accum, const NeuronParams& p,
+    util::CorePrng& prng) noexcept;
+
+#if defined(__x86_64__)
+/// The tick's draws first, from 8 jump-ahead lanes
+/// (util::detail::lane_draws_avx512), then 16 neurons per AVX-512 register
+/// with the draws as masks. Call it only when the CPU reports avx512f and
+/// avx512dq.
+util::Bits256 uniform_sweep_avx512(
+    std::array<std::int32_t, kNeuronsPerCore>& potential,
+    std::array<std::int32_t, kNeuronsPerCore>& accum, const NeuronParams& p,
+    util::CorePrng& prng) noexcept;
+#endif
+
+/// The body neuron_phase_uniform() dispatches to on this CPU.
+UniformSweepBody uniform_sweep_body() noexcept;
+
+}  // namespace detail
 
 }  // namespace compass::arch::kernels

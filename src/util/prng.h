@@ -13,6 +13,12 @@
 //   * CorePrng   — the per-core generator (xorshift64*, cheap and high
 //     quality). All stochastic neuron behaviour draws from this in a fixed
 //     order, which makes simulation results independent of partitioning.
+//
+// xorshift64's state transition is linear over GF(2), so the state n steps
+// ahead is a fixed 64x64 bit matrix times the state. detail::jump_ahead
+// applies that matrix from tables built at compile time, and the block-lane
+// draw generators below use it to produce a core-tick's draws as 8
+// independent chains that together reproduce the serial stream exactly.
 #pragma once
 
 #include <cstdint>
@@ -59,13 +65,20 @@ class CorePrng {
     if (state_ == 0) state_ = 0x9E3779B97F4A7C15ULL;
   }
 
-  std::uint64_t next_u64() noexcept {
-    std::uint64_t x = state_;
+  /// The output scrambler: each output is the new state times this.
+  static constexpr std::uint64_t kMultiplier = 0x2545F4914F6CDD1DULL;
+
+  /// One state transition (xorshift64), a linear map over GF(2)^64.
+  static constexpr std::uint64_t advance(std::uint64_t x) noexcept {
     x ^= x >> 12;
     x ^= x << 25;
     x ^= x >> 27;
-    state_ = x;
-    return x * 0x2545F4914F6CDD1DULL;
+    return x;
+  }
+
+  std::uint64_t next_u64() noexcept {
+    state_ = advance(state_);
+    return state_ * kMultiplier;
   }
 
   std::uint32_t next_u32() noexcept {
@@ -114,5 +127,36 @@ class CorePrng {
  private:
   std::uint64_t state_;
 };
+
+namespace detail {
+
+/// The state `steps` next_u64() calls after `state`, for `steps` 32, 64,
+/// 128 or 256: sixteen lookups in a 2 KiB table of that power of the
+/// transition matrix, one per nibble of the state (the jump-ahead of
+/// Haramoto et al., 2008).
+std::uint64_t jump_ahead(std::uint64_t state, unsigned steps) noexcept;
+
+/// Block-lane draw generation, for the parameter-uniform neuron sweep
+/// (arch/kernels.h). Writes to out[i] what the (i+1)-th next_u32() from
+/// `state` returns, for i in [0, n), and leaves `state` where n next_u64()
+/// calls would; `n` is 256 or 512. Lane k of 8 starts k x n/8 steps ahead
+/// and fills out[k n/8, (k+1) n/8); lane 7's last state is the end state.
+///
+/// The lanes one after another in scalar code: the scheme on every CPU, and
+/// the oracle the wide body is tested against (the portable neuron sweep
+/// draws serially instead; this order is no faster without wide vectors).
+void lane_draws_portable(std::uint64_t& state, std::uint32_t* out,
+                         unsigned n) noexcept;
+
+#if defined(__x86_64__)
+/// All eight lanes in one AVX-512 register: the lane starts by three
+/// masked vector jumps (by n/8, n/4 and n/2 steps), the draws by an 8x8
+/// transpose into `out`. Call it only when the CPU reports avx512f and
+/// avx512dq.
+void lane_draws_avx512(std::uint64_t& state, std::uint32_t* out,
+                       unsigned n) noexcept;
+#endif
+
+}  // namespace detail
 
 }  // namespace compass::util

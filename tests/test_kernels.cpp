@@ -13,6 +13,10 @@
 // saturating-floor, empty-crossbar, and dense-crossbar cores, plus the
 // parameter-uniform cores PCC builds (every stochastic draw combination,
 // one neuron off in each lane, reconfigured after ticking, and decoded).
+// Both bodies of the uniform stochastic sweep (portable and AVX-512) are
+// also driven directly over an edge-case grid of leaks, jitter masks, reset
+// modes and saturating inputs, and the body neuron_phase() picks is
+// checked against the CPU's features.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -20,6 +24,7 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "arch/core.h"
@@ -438,6 +443,179 @@ TEST(KernelDifferential, UniformCoreAfterDecode) {
     ASSERT_TRUE(restored == other) << "seed=" << s;
     run_differential_trial(restored, s, /*activity_p8=*/128);
     if (HasFatalFailure()) return;
+  }
+}
+
+// --- Uniform stochastic sweep: each body against the neuron_step oracle ----
+
+bool cpu_has_avx512() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
+#else
+  return false;
+#endif
+}
+
+TEST(UniformSweep, DispatchPicksWideBodyExactlyWhenTheCpuHasIt) {
+#if defined(__x86_64__)
+  EXPECT_EQ(kernels::detail::uniform_sweep_body() ==
+                &kernels::detail::uniform_sweep_avx512,
+            cpu_has_avx512());
+#endif
+  EXPECT_EQ(kernels::detail::uniform_sweep_body() ==
+                &kernels::detail::uniform_sweep_portable,
+            !cpu_has_avx512());
+}
+
+/// Where a trial's inputs drive the potentials.
+enum class Inputs {
+  kNormal,   // around the threshold: some fire, some do not
+  kFloor,    // far below the floor every tick: the floor clamp
+  kCeiling,  // far above kPotentialMax: the ceiling clamp, at the threshold
+};
+
+/// The edge-case grid: every leak edge, each draw combination (stochastic
+/// leak with leak 0 makes no leak draw), jitter masks 0 and 16, every reset
+/// mode, and each input regime.
+std::vector<std::pair<NeuronParams, Inputs>> uniform_edge_grid() {
+  std::vector<std::pair<NeuronParams, Inputs>> grid;
+  const std::int16_t leaks[] = {-256, -255, -146, -1, 0, 1, 7, 255};
+  const std::uint8_t flag_sets[] = {
+      kStochasticLeak, kStochasticThreshold,
+      kStochasticLeak | kStochasticThreshold,
+      kStochasticLeak | kStochasticThreshold | kStochasticSynapse};
+  const std::uint8_t mask_bits[] = {0, 4, kMaxThresholdMaskBits};
+  std::uint64_t i = 0;
+  for (const std::int16_t leak : leaks) {
+    for (const std::uint8_t flags : flag_sets) {
+      for (const std::uint8_t bits : mask_bits) {
+        for (unsigned mode = 0; mode < 3; ++mode) {
+          for (const Inputs in :
+               {Inputs::kNormal, Inputs::kFloor, Inputs::kCeiling}) {
+            NeuronParams p;
+            p.leak = leak;
+            p.flags = flags;
+            p.threshold_mask_bits = bits;
+            p.reset_mode = static_cast<ResetMode>(mode);
+            p.threshold = in == Inputs::kCeiling
+                              ? kPotentialMax - static_cast<std::int32_t>(i % 7)
+                              : 1 + static_cast<std::int32_t>((i * 37) % 96);
+            p.reset_value = in == Inputs::kCeiling
+                                ? kPotentialMax - 100
+                                : -static_cast<std::int32_t>(i % 32);
+            p.floor = in == Inputs::kFloor
+                          ? (i % 2 == 0 ? kPotentialMin : -300)
+                          : -64 - static_cast<std::int32_t>((i * 11) % 256);
+            grid.emplace_back(p, in);
+            ++i;
+          }
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+/// This tick's synaptic input for neuron j under regime `in`.
+std::int32_t trial_input(Inputs in, util::CorePrng& gen) {
+  switch (in) {
+    case Inputs::kNormal:
+      return static_cast<std::int32_t>(gen.uniform_below(256)) - 112;
+    case Inputs::kFloor:
+      return -(1 << 19) - static_cast<std::int32_t>(gen.uniform_below(1 << 19));
+    case Inputs::kCeiling:
+      return (1 << 19) + static_cast<std::int32_t>(gen.uniform_below(1 << 19));
+  }
+  return 0;
+}
+
+/// Tick `body` and the per-neuron neuron_step loop (what
+/// neuron_phase_reference runs) side by side from the same lanes and
+/// generator; fired sequence, potentials, consumed inputs and PRNG position
+/// must agree after every tick.
+void expect_body_matches_neuron_step(kernels::detail::UniformSweepBody body) {
+  std::uint64_t trial = 0;
+  for (const auto& [p, in] : uniform_edge_grid()) {
+    ASSERT_TRUE(p.valid()) << "trial=" << trial;
+    util::CorePrng gen(util::derive_seed(trial, 0x5EE9));
+    std::array<std::int32_t, kNeuronsPerCore> potential{}, accum{};
+    for (auto& v : potential) {
+      v = p.floor + static_cast<std::int32_t>(gen.uniform_below(
+                        static_cast<std::uint32_t>(p.threshold - p.floor)));
+    }
+    std::array<std::int32_t, kNeuronsPerCore> ref_potential = potential;
+    util::CorePrng prng(util::derive_seed(trial, 0x9E4));
+    util::CorePrng ref_prng = prng;
+    for (int tick = 0; tick < 4; ++tick) {
+      std::vector<unsigned> fired, ref_fired;
+      for (unsigned j = 0; j < kNeuronsPerCore; ++j) {
+        accum[j] = trial_input(in, gen);
+        if (neuron_step(p, ref_potential[j], accum[j], ref_prng)) {
+          ref_fired.push_back(j);
+        }
+      }
+      util::for_each_set_bit(body(potential, accum, p, prng),
+                             [&](unsigned j) { fired.push_back(j); });
+      ASSERT_EQ(fired, ref_fired) << "trial=" << trial << " tick=" << tick;
+      ASSERT_EQ(potential, ref_potential) << "trial=" << trial
+                                          << " tick=" << tick;
+      ASSERT_EQ(accum, (std::array<std::int32_t, kNeuronsPerCore>{}))
+          << "inputs not consumed: trial=" << trial;
+      ASSERT_EQ(prng.state(), ref_prng.state())
+          << "PRNG position diverged: trial=" << trial << " tick=" << tick;
+    }
+    ++trial;
+  }
+}
+
+TEST(UniformSweep, PortableBodyMatchesNeuronStepOnEdgeGrid) {
+  expect_body_matches_neuron_step(&kernels::detail::uniform_sweep_portable);
+}
+
+TEST(UniformSweep, WideBodyMatchesNeuronStepOnEdgeGrid) {
+#if defined(__x86_64__)
+  if (!cpu_has_avx512()) {
+    GTEST_SKIP() << "this CPU lacks avx512f/avx512dq; the wide body cannot run";
+  }
+  expect_body_matches_neuron_step(&kernels::detail::uniform_sweep_avx512);
+#else
+  GTEST_SKIP() << "the wide body is compiled for x86-64 only";
+#endif
+}
+
+TEST(UniformSweep, EdgeGridCoresMatchReferenceThroughReconfigureAndDecode) {
+  // One core pair walks the whole edge grid through the production
+  // dispatch (the wide body on an AVX-512 CPU): every grid entry
+  // reconfigures the ticked cores, and every fourth entry also decodes the
+  // production core from its own record before ticking on.
+  const auto grid = uniform_edge_grid();
+  NeurosynapticCore a = uniform_core(31, grid[0].first);
+  NeurosynapticCore b = a;
+  util::CorePrng stim(util::derive_seed(31, 0xAC7));
+  std::string bytes(NeurosynapticCore::kRecordBytes, '\0');
+  Tick t = 0;
+  for (std::size_t e = 0; e < grid.size(); ++e) {
+    NeuronParams p = grid[e].first;
+    for (unsigned j = 0; j < kNeuronsPerCore; ++j) {
+      p.weights = a.params_of(j).weights;
+      a.configure_neuron(j, p, a.target(j));
+      b.configure_neuron(j, p, b.target(j));
+      if (grid[e].second == Inputs::kCeiling) {
+        a.set_potential(j, kPotentialMax - static_cast<std::int32_t>(j));
+        b.set_potential(j, kPotentialMax - static_cast<std::int32_t>(j));
+      }
+    }
+    if (e % 4 == 3) {
+      a.encode(bytes.data());
+      NeurosynapticCore::check_record(bytes.data(), /*num_cores=*/8);
+      a.decode(bytes.data());
+      ASSERT_TRUE(a == b) << "entry=" << e;
+    }
+    for (const Tick end = t + 2; t < end; ++t) {
+      paired_tick(a, b, t, stim, /*activity_p8=*/160, e);
+      if (HasFatalFailure()) return;
+    }
   }
 }
 

@@ -1,12 +1,14 @@
 // Unit tests for the deterministic PRNGs (util/prng.h). These generators
 // stand in for TrueNorth's hardware PRNGs, so bit-exact reproducibility is a
-// correctness property, not just a convenience.
+// correctness property, not just a convenience. The jump-ahead and both
+// block-lane draw bodies are checked against the serial stream here.
 #include "util/prng.h"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -151,6 +153,87 @@ TEST(CorePrng, ByteDistributionIsFlat) {
   const int n = 256 * 2000;
   for (int i = 0; i < n; ++i) ++counts[prng.next_u8()];
   for (int c : counts) EXPECT_NEAR(c, 2000, 350);
+}
+
+// --- Jump-ahead and block-lane draws ------------------------------------
+
+/// Generator states the lane bodies must handle: 60 derived seeds, the
+/// state a zero seed is remapped to, the default state, single-bit and
+/// all-ones states, and each nibble value repeated in all 16 nibbles (so
+/// every jump-table entry is read).
+std::vector<std::uint64_t> lane_test_states() {
+  std::vector<std::uint64_t> states;
+  for (std::uint64_t i = 0; i < 60; ++i) states.push_back(derive_seed(77, i));
+  for (std::uint64_t v = 1; v < 16; ++v) {
+    states.push_back(v * 0x1111111111111111ULL);
+  }
+  CorePrng remapped;
+  remapped.set_state(0);
+  states.push_back(remapped.state());
+  states.push_back(CorePrng(0).state());
+  states.push_back(CorePrng().state());
+  states.push_back(1);
+  states.push_back(std::uint64_t{1} << 63);
+  states.push_back(~std::uint64_t{0});
+  return states;
+}
+
+TEST(JumpAhead, EqualsSerialSteps) {
+  for (const unsigned steps : {32u, 64u, 128u, 256u}) {
+    for (const std::uint64_t s : lane_test_states()) {
+      CorePrng serial;
+      serial.set_state(s);
+      for (unsigned i = 0; i < steps; ++i) serial.next_u64();
+      EXPECT_EQ(detail::jump_ahead(s, steps), serial.state())
+          << "steps=" << steps << " state=" << s;
+    }
+  }
+}
+
+using LaneDrawBody = void (*)(std::uint64_t&, std::uint32_t*, unsigned) noexcept;
+
+/// `body` must write the serial next_u32() stream and end where the serial
+/// generator does, for both draw counts a neuron phase makes.
+void expect_lanes_match_serial(LaneDrawBody body) {
+  for (const unsigned n : {256u, 512u}) {
+    for (const std::uint64_t s : lane_test_states()) {
+      CorePrng serial;
+      serial.set_state(s);
+      std::vector<std::uint32_t> expect(n);
+      for (auto& e : expect) e = serial.next_u32();
+      std::vector<std::uint32_t> out(n + 1, 0xDEADBEEFu);
+      std::uint64_t state = s;
+      body(state, out.data(), n);
+      EXPECT_EQ(out.back(), 0xDEADBEEFu) << "wrote past out[n) n=" << n;
+      out.pop_back();
+      ASSERT_EQ(out, expect) << "n=" << n << " state=" << s;
+      ASSERT_EQ(state, serial.state()) << "n=" << n << " state=" << s;
+    }
+  }
+}
+
+TEST(LaneDraws, PortableBodyMatchesSerialStream) {
+  expect_lanes_match_serial(&detail::lane_draws_portable);
+}
+
+bool cpu_has_avx512() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
+#else
+  return false;
+#endif
+}
+
+TEST(LaneDraws, Avx512BodyMatchesSerialStream) {
+#if defined(__x86_64__)
+  if (!cpu_has_avx512()) {
+    GTEST_SKIP() << "this CPU lacks avx512f/avx512dq; the wide body cannot run";
+  }
+  expect_lanes_match_serial(&detail::lane_draws_avx512);
+#else
+  GTEST_SKIP() << "the wide body is compiled for x86-64 only";
+#endif
 }
 
 }  // namespace
