@@ -20,15 +20,18 @@ inline double thread_cpu_seconds() noexcept {
   return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-/// Stopwatch over thread CPU time (see thread_cpu_seconds()).
+/// Stopwatch over thread CPU time (see thread_cpu_seconds()). It reads the
+/// clock only in start() and elapsed_s(), not when constructed: on Linux
+/// that clock has no vDSO fast path, so each read is a system call, and the
+/// simulator's phases time themselves only when measuring.
 class CpuStopwatch {
  public:
-  CpuStopwatch() noexcept : start_(thread_cpu_seconds()) {}
-  void restart() noexcept { start_ = thread_cpu_seconds(); }
+  void start() noexcept { start_ = thread_cpu_seconds(); }
+  /// Seconds of thread CPU time since the last start().
   double elapsed_s() const noexcept { return thread_cpu_seconds() - start_; }
 
  private:
-  double start_;
+  double start_ = 0.0;
 };
 
 /// Monotonic wall-clock reading in seconds (steady_clock epoch). The host
