@@ -402,13 +402,15 @@ void BM_Crc32Clmul(benchmark::State& state) {
 BENCHMARK(BM_Crc32Clmul)->Name("BM_Crc32/clmul_4MiB");
 #endif
 
-/// One checkpoint round trip as the served snapshot RPC and
-/// --checkpoint-every pay it: capture, serialize, parse, restore, on a
-/// ticked CoCoMac model of state.range(0) cores (the resilience.*_ms
-/// stages of perfbench, in isolation).
-void BM_CheckpointRoundTrip(benchmark::State& state) {
+enum class Stage { kCapture, kSerialize, kParse, kRestore, kRoundTrip };
+
+/// The four-stage checkpoint path on a ticked 256-core CoCoMac model: one
+/// stage alone, replacing its previous result as perfbench's
+/// resilience.<stage>_ms do, or the round trip its snapshot_ms times. The
+/// served RPC and --checkpoint-every take the live path (SessionSnapshot).
+void BM_CheckpointStage(benchmark::State& state, Stage stage) {
   cocomac::MacaqueSpecOptions mopt;
-  mopt.total_cores = static_cast<std::size_t>(state.range(0));
+  mopt.total_cores = 256;
   mopt.seed = 3;
   compiler::PccOptions popt;
   popt.ranks = 16;
@@ -417,17 +419,38 @@ void BM_CheckpointRoundTrip(benchmark::State& state) {
   comm::MpiTransport transport(pcc.partition.ranks(), comm::CommCostModel{});
   runtime::Compass sim(pcc.model, pcc.partition, transport);
   sim.run(20);
-  std::size_t bytes = 0;
+  resilience::Checkpoint cp = resilience::capture(sim, pcc.model);
+  std::string wire = resilience::serialize_checkpoint(cp);
   for (auto _ : state) {
-    const std::string wire =
-        resilience::serialize_checkpoint(resilience::capture(sim, pcc.model));
-    resilience::restore(resilience::parse_checkpoint(wire), sim, pcc.model);
-    bytes = wire.size();
+    switch (stage) {
+      case Stage::kCapture: cp = resilience::capture(sim, pcc.model); break;
+      case Stage::kSerialize: wire = resilience::serialize_checkpoint(cp); break;
+      case Stage::kParse: cp = resilience::parse_checkpoint(wire); break;
+      case Stage::kRestore: resilience::restore(cp, sim, pcc.model); break;
+      case Stage::kRoundTrip:
+        wire = resilience::serialize_checkpoint(
+            resilience::capture(sim, pcc.model));
+        resilience::restore(resilience::parse_checkpoint(wire), sim,
+                            pcc.model);
+        break;
+    }
+    benchmark::DoNotOptimize(cp);
+    benchmark::DoNotOptimize(wire);
   }
   state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(bytes));
+                          static_cast<std::int64_t>(wire.size()));
 }
-BENCHMARK(BM_CheckpointRoundTrip)->Arg(256)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CheckpointStage, round_trip, Stage::kRoundTrip)
+    ->Name("BM_CheckpointRoundTrip/256")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CheckpointStage, capture, Stage::kCapture)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CheckpointStage, serialize, Stage::kSerialize)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CheckpointStage, parse, Stage::kParse)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CheckpointStage, restore, Stage::kRestore)
+    ->Unit(benchmark::kMillisecond);
 
 /// The served snapshot RPC pair on a session of state.range(0) cores: a
 /// live write into the session's buffer, then an in-place restore.

@@ -169,17 +169,16 @@ int main(int argc, char** argv) {
     s.name = "restart-from-checkpoint";
     if (!snapshot.empty()) {
       util::Stopwatch sw;
-      const resilience::Checkpoint cp =
-          resilience::load_checkpoint_file(snapshot);
       // Fresh fault-free job from the snapshot (the dead node is replaced
       // before the restart); every core re-executes the lost window.
       arch::Model restored = pcc.model;
       comm::MpiTransport inner2(ranks, comm::CommCostModel{});
       runtime::Compass resumed(restored, pcc.partition, inner2, cfg);
-      resilience::restore(cp, resumed, restored);
-      resumed.run(static_cast<std::uint64_t>(death) - cp.tick);
+      const arch::Tick at = resilience::restore_live(
+          resilience::read_checkpoint_file(snapshot), resumed, restored);
+      resumed.run(static_cast<std::uint64_t>(death) - at);
       s.recovery_wall_s = sw.elapsed_s();
-      s.ticks_lost = static_cast<std::uint64_t>(death) - cp.tick;
+      s.ticks_lost = static_cast<std::uint64_t>(death) - at;
       s.cores_rolled = pcc.model.num_cores();
       s.core_ticks_lost = s.ticks_lost * s.cores_rolled;
       s.completed = true;

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,6 +83,15 @@ class Model {
   /// The core count encoded model bytes declare, after checking the header
   /// and that the buffer holds exactly that many cores. Throws as decode().
   static std::uint64_t encoded_core_count(std::string_view bytes);
+  /// Every check decode() makes, without building a Model: the header, the
+  /// size and every core record. Returns the core count. Throws as
+  /// decode().
+  static std::uint64_t check_encoded(std::string_view bytes);
+  /// Overwrite only the cores `ids` from encoded model bytes, all or
+  /// nothing: the bytes must hold exactly num_cores() cores, and each named
+  /// record is checked before any is decoded. Regions, the seed and every
+  /// other core are left as they are. Throws as decode().
+  void decode_cores(std::string_view bytes, std::span<const CoreId> ids);
 
   /// Stream wrappers over the codec. save() writes one core record at a
   /// time; load() reads the rest of the stream (which need not seek).

@@ -60,14 +60,8 @@ class Cursor {
 
   template <typename T>
   T read(const char* what) {
-    if (remaining() < sizeof(T)) {
-      throw CheckpointError(CheckpointErrc::kTruncated,
-                            std::string("checkpoint truncated reading ") +
-                                what);
-    }
     T v;
-    std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
+    std::memcpy(&v, read_span(sizeof(T), what).data(), sizeof(T));
     return v;
   }
 
@@ -87,37 +81,31 @@ class Cursor {
   std::size_t pos_ = 0;
 };
 
-void encode_runtime(std::string& out, const runtime::RunReport& r) {
-  append_pod(out, r.ticks);
-  append_pod(out, r.fired_spikes);
-  append_pod(out, r.routed_spikes);
-  append_pod(out, r.local_spikes);
-  append_pod(out, r.remote_spikes);
-  append_pod(out, r.synaptic_events);
-  append_pod(out, r.messages);
-  append_pod(out, r.wire_bytes);
-  append_pod(out, r.faults_injected);
-  append_pod(out, r.messages_retried);
-  append_pod(out, r.spikes_lost);
+using runtime::RunReport;
+
+/// The runtime section: these counters in order, then host_wall_s, then
+/// the recovery totals.
+constexpr std::uint64_t RunReport::*kCounters[] = {
+    &RunReport::ticks,           &RunReport::fired_spikes,
+    &RunReport::routed_spikes,   &RunReport::local_spikes,
+    &RunReport::remote_spikes,   &RunReport::synaptic_events,
+    &RunReport::messages,        &RunReport::wire_bytes,
+    &RunReport::faults_injected, &RunReport::messages_retried,
+    &RunReport::spikes_lost};
+
+void encode_runtime(std::string& out, const RunReport& r) {
+  for (const auto counter : kCounters) append_pod(out, r.*counter);
   append_pod(out, r.host_wall_s);
   append_pod(out, r.recoveries);
   append_pod(out, r.recovery_ticks_lost);
 }
 
-runtime::RunReport decode_runtime(std::string_view payload) {
+RunReport decode_runtime(std::string_view payload) {
   Cursor c(payload);
-  runtime::RunReport r;
-  r.ticks = c.read<std::uint64_t>("runtime.ticks");
-  r.fired_spikes = c.read<std::uint64_t>("runtime.fired");
-  r.routed_spikes = c.read<std::uint64_t>("runtime.routed");
-  r.local_spikes = c.read<std::uint64_t>("runtime.local");
-  r.remote_spikes = c.read<std::uint64_t>("runtime.remote");
-  r.synaptic_events = c.read<std::uint64_t>("runtime.synaptic");
-  r.messages = c.read<std::uint64_t>("runtime.messages");
-  r.wire_bytes = c.read<std::uint64_t>("runtime.wire_bytes");
-  r.faults_injected = c.read<std::uint64_t>("runtime.faults");
-  r.messages_retried = c.read<std::uint64_t>("runtime.retries");
-  r.spikes_lost = c.read<std::uint64_t>("runtime.lost");
+  RunReport r;
+  for (const auto counter : kCounters) {
+    r.*counter = c.read<std::uint64_t>("runtime counters");
+  }
   r.host_wall_s = c.read<double>("runtime.host_wall_s");
   // Recovery totals were appended after the format shipped; files written
   // before them simply end here (same version — a strict tail extension, so
@@ -129,46 +117,25 @@ runtime::RunReport decode_runtime(std::string_view payload) {
   return r;
 }
 
-/// Everything a checkpoint holds besides the model, decoded.
-struct Accumulators {
-  runtime::RunReport report;  // with virtual_time set from the ledger
-  perf::PhaseBreakdown virtual_time;
-  std::uint64_t ledger_ticks = 0;
-};
-
-Accumulators decode_accumulators(std::string_view runtime,
-                                 std::string_view ledger) {
-  Accumulators a;
-  a.report = decode_runtime(runtime);
-  Cursor c(ledger);
-  a.virtual_time.synapse = c.read<double>("ledger.synapse");
-  a.virtual_time.neuron = c.read<double>("ledger.neuron");
-  a.virtual_time.network = c.read<double>("ledger.network");
-  a.ledger_ticks = c.read<std::uint64_t>("ledger.ticks");
-  a.report.virtual_time = a.virtual_time;
-  return a;
-}
-
-/// The one writer, for both a decoded Checkpoint and the live simulator:
-/// overwrites `out` (keeping its capacity) with the header and the model,
+/// The one writer: overwrites `out` (keeping its capacity) with the
+/// header, the model section that `append_model(out)` appends, and the
 /// runtime and ledger sections.
-void write_checkpoint(arch::Tick tick, const arch::Model& model,
-                      const runtime::RunReport& report,
+template <typename AppendModel>
+void write_checkpoint(arch::Tick tick, const RunReport& report,
                       const perf::PhaseBreakdown& virtual_time,
-                      std::uint64_t ledger_ticks, std::string& out) {
+                      std::uint64_t ledger_ticks, std::size_t model_size,
+                      AppendModel&& append_model, std::string& out) {
   out.clear();
   // Runtime and ledger sections are well under 1 KiB; sizing for them up
   // front keeps the model bytes from being copied by a reallocation.
-  out.reserve(kHeaderBytes + 3 * kSectionHeaderBytes + model.encoded_size() +
-              1024);
+  out.reserve(kHeaderBytes + 3 * kSectionHeaderBytes + model_size + 1024);
   append_pod(out, kMagic);
   append_pod(out, kVersion);
   append_pod(out, static_cast<std::uint64_t>(tick));
   append_pod(out, std::uint32_t{3});  // section count
   append_pod(out, util::crc32(out.data(), out.size()));
 
-  append_section(out, kSectionModel,
-                 [&](std::string& o) { model.encode(o); });
+  append_model(out);
   append_section(out, kSectionRuntime,
                  [&](std::string& o) { encode_runtime(o, report); });
   append_section(out, kSectionLedger, [&](std::string& o) {
@@ -214,20 +181,16 @@ Header check_header(std::string_view bytes) {
   return h;
 }
 
-/// A checkpoint whose header and every section CRC checked out: the
-/// required sections' payloads, as views into the verified bytes.
-struct Verified {
-  arch::Tick tick = 0;
-  std::string_view model, runtime, ledger;
-};
-
-/// The one verifier, for both parse_checkpoint and restore_live. Decodes
-/// nothing: every CRC is checked before any payload is looked at.
-Verified verify(std::string_view bytes) {
+/// The one verifier, for parse_checkpoint, restore_live and capture:
+/// checks the header and every section CRC before any payload is looked
+/// at (capture, which has just written the bytes, skips the CRCs), then
+/// decodes the tick, runtime and ledger sections into `cp`'s fields.
+/// Returns the model section's payload.
+std::string_view verify(std::string_view bytes, Checkpoint& cp,
+                        bool check_crcs = true) {
   const Header h = check_header(bytes);
   Cursor c(bytes.substr(kHeaderBytes));
-  Verified v;
-  v.tick = h.tick;
+  std::string_view model, runtime, ledger;
   bool have_model = false, have_runtime = false, have_ledger = false;
   for (std::uint32_t s = 0; s < h.section_count; ++s) {
     const std::uint32_t id = c.read<std::uint32_t>("section id");
@@ -238,15 +201,15 @@ Verified verify(std::string_view bytes) {
     // against the actual buffer size before any view is taken.
     const std::string_view payload =
         c.read_span(static_cast<std::size_t>(size), "section payload");
-    if (crc != util::crc32(payload.data(), payload.size())) {
+    if (check_crcs && crc != util::crc32(payload.data(), payload.size())) {
       throw CheckpointError(CheckpointErrc::kSectionCorrupt,
                             "checkpoint section " + std::to_string(id) +
                                 " CRC mismatch");
     }
     switch (id) {
-      case kSectionModel: v.model = payload; have_model = true; break;
-      case kSectionRuntime: v.runtime = payload; have_runtime = true; break;
-      case kSectionLedger: v.ledger = payload; have_ledger = true; break;
+      case kSectionModel: model = payload; have_model = true; break;
+      case kSectionRuntime: runtime = payload; have_runtime = true; break;
+      case kSectionLedger: ledger = payload; have_ledger = true; break;
       default: break;  // unknown section from a newer writer: skip
     }
   }
@@ -254,7 +217,15 @@ Verified verify(std::string_view bytes) {
     throw CheckpointError(CheckpointErrc::kMissingSection,
                           "checkpoint is missing a required section");
   }
-  return v;
+  cp.tick = h.tick;
+  cp.report = decode_runtime(runtime);
+  Cursor l(ledger);
+  cp.virtual_time.synapse = l.read<double>("ledger.synapse");
+  cp.virtual_time.neuron = l.read<double>("ledger.neuron");
+  cp.virtual_time.network = l.read<double>("ledger.network");
+  cp.ledger_ticks = l.read<std::uint64_t>("ledger.ticks");
+  cp.report.virtual_time = cp.virtual_time;
+  return model;
 }
 
 /// Run a model codec call on a CRC-valid section. A throw means a buggy
@@ -270,14 +241,28 @@ auto model_section(Call&& call) -> decltype(call()) {
   }
 }
 
-void check_shape(std::uint64_t cores, const runtime::Partition& partition) {
-  if (cores != partition.num_cores()) {
-    throw CheckpointError(
-        CheckpointErrc::kShapeMismatch,
-        "checkpoint has " + std::to_string(cores) +
-            " cores but the live partition covers " +
-            std::to_string(partition.num_cores()));
+/// The core count of a checkpoint's model section against the live one.
+void check_shape(std::string_view model_bytes, std::size_t live) {
+  const std::uint64_t cores = model_section(
+      [&] { return arch::Model::encoded_core_count(model_bytes); });
+  if (cores != live) {
+    throw CheckpointError(CheckpointErrc::kShapeMismatch,
+                          "checkpoint has " + std::to_string(cores) +
+                              " cores but the live model has " +
+                              std::to_string(live));
   }
+}
+
+/// The one restore tail, for restore and restore_live: the core count
+/// against the partition, then the all-or-nothing model decode (which
+/// keeps unchanged column mirrors), then tick, report and ledger.
+void restore_state(const Checkpoint& fields, std::string_view model_bytes,
+                   runtime::Compass& sim, arch::Model& model) {
+  check_shape(model_bytes, sim.partition().num_cores());
+  model_section([&] { model.decode_into(model_bytes); });
+  sim.set_start_tick(fields.tick);
+  sim.restore_report(fields.report);
+  sim.restore_virtual_time(fields.virtual_time, fields.ledger_ticks);
 }
 
 [[noreturn]] void throw_io(const std::string& op, const std::string& path) {
@@ -331,44 +316,51 @@ const char* to_string(CheckpointErrc code) {
 }
 
 std::string serialize_checkpoint(const Checkpoint& cp) {
+  if (cp.bytes_.empty()) {
+    throw CheckpointError(CheckpointErrc::kMissingSection,
+                          "checkpoint holds no snapshot");
+  }
   std::string out;
-  write_checkpoint(cp.tick, cp.model, cp.report, cp.virtual_time,
-                   cp.ledger_ticks, out);
+  write_checkpoint(
+      cp.tick, cp.report, cp.virtual_time, cp.ledger_ticks, cp.model_size_,
+      [&](std::string& o) {
+        // The section as it was written or read, CRC included.
+        o.append(cp.bytes_, cp.model_at_ - kSectionHeaderBytes,
+                 kSectionHeaderBytes + cp.model_size_);
+      },
+      out);
   return out;
 }
 
 void serialize_live(const runtime::Compass& sim, const arch::Model& model,
                     std::string& out) {
-  write_checkpoint(sim.now(), model, sim.report(), sim.ledger().totals(),
-                   sim.ledger().ticks(), out);
+  write_checkpoint(
+      sim.now(), sim.report(), sim.ledger().totals(), sim.ledger().ticks(),
+      model.encoded_size(),
+      [&](std::string& o) {
+        append_section(o, kSectionModel,
+                       [&](std::string& p) { model.encode(p); });
+      },
+      out);
 }
 
 Checkpoint parse_checkpoint(std::string_view bytes) {
-  const Verified v = verify(bytes);
   Checkpoint cp;
-  cp.tick = v.tick;
-  cp.model = model_section([&] { return arch::Model::decode(v.model); });
-  Accumulators a = decode_accumulators(v.runtime, v.ledger);
-  cp.report = std::move(a.report);
-  cp.virtual_time = a.virtual_time;
-  cp.ledger_ticks = a.ledger_ticks;
+  const std::string_view model = verify(bytes, cp);
+  // Every record is checked, without building a Model, before the bytes
+  // are kept.
+  model_section([&] { return arch::Model::check_encoded(model); });
+  cp.bytes_.assign(bytes);
+  cp.model_at_ = static_cast<std::size_t>(model.data() - bytes.data());
+  cp.model_size_ = model.size();
   return cp;
 }
 
 arch::Tick restore_live(std::string_view bytes, runtime::Compass& sim,
                         arch::Model& model) {
-  const Verified v = verify(bytes);
-  const Accumulators a = decode_accumulators(v.runtime, v.ledger);
-  check_shape(
-      model_section([&] { return arch::Model::encoded_core_count(v.model); }),
-      sim.partition());
-  // decode_into checks every core record before it overwrites any, so a
-  // throw from here on leaves the live state as it was.
-  model_section([&] { model.decode_into(v.model); });
-  sim.set_start_tick(v.tick);
-  sim.restore_report(a.report);
-  sim.restore_virtual_time(a.virtual_time, a.ledger_ticks);
-  return v.tick;
+  Checkpoint fields;
+  restore_state(fields, verify(bytes, fields), sim, model);
+  return fields.tick;
 }
 
 void write_checkpoint_file(std::string_view bytes, const std::string& path) {
@@ -379,26 +371,21 @@ void write_checkpoint_file(std::string_view bytes, const std::string& path) {
   // later restore would have to reject, losing the job's progress.
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) throw_io("open", tmp);
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int saved = errno;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      errno = saved;
-      throw_io("write", tmp);
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
+  const auto fail = [&](const char* op) {
     const int saved = errno;
     ::close(fd);
     ::unlink(tmp.c_str());
     errno = saved;
-    throw_io("fsync", tmp);
+    throw_io(op, tmp);
+  };
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) fail("write");
+    off += static_cast<std::size_t>(n);
   }
+  if (::fsync(fd) != 0) fail("fsync");
   if (::close(fd) != 0) throw_io("close", tmp);
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     ::unlink(tmp.c_str());
@@ -413,10 +400,6 @@ void write_checkpoint_file(std::string_view bytes, const std::string& path) {
     (void)::fsync(dfd);
     ::close(dfd);
   }
-}
-
-void save_checkpoint_file(const Checkpoint& cp, const std::string& path) {
-  write_checkpoint_file(serialize_checkpoint(cp), path);
 }
 
 std::string read_checkpoint_file(const std::string& path) {
@@ -475,27 +458,33 @@ std::string read_checkpoint_file(const std::string& path) {
 }
 
 Checkpoint load_checkpoint_file(const std::string& path) {
-  return parse_checkpoint(read_checkpoint_file(path));
+  std::string bytes = read_checkpoint_file(path);
+  Checkpoint cp;
+  const std::string_view model = verify(bytes, cp);
+  model_section([&] { return arch::Model::check_encoded(model); });
+  cp.model_at_ = static_cast<std::size_t>(model.data() - bytes.data());
+  cp.model_size_ = model.size();
+  cp.bytes_ = std::move(bytes);
+  return cp;
 }
 
 Checkpoint capture(const runtime::Compass& sim, const arch::Model& model) {
   Checkpoint cp;
-  cp.tick = sim.now();
-  cp.model = model;
-  cp.report = sim.report();
-  cp.report.metrics.clear();  // not serialized; re-snapshotted after resume
-  cp.virtual_time = sim.ledger().totals();
-  cp.ledger_ticks = sim.ledger().ticks();
-  cp.report.virtual_time = cp.virtual_time;
+  serialize_live(sim, model, cp.bytes_);
+  const std::string_view m = verify(cp.bytes_, cp, /*check_crcs=*/false);
+  cp.model_at_ = static_cast<std::size_t>(m.data() - cp.bytes_.data());
+  cp.model_size_ = m.size();
   return cp;
 }
 
 void restore(const Checkpoint& cp, runtime::Compass& sim, arch::Model& model) {
-  check_shape(cp.model.num_cores(), sim.partition());
-  model = cp.model;
-  sim.set_start_tick(cp.tick);
-  sim.restore_report(cp.report);
-  sim.restore_virtual_time(cp.virtual_time, cp.ledger_ticks);
+  restore_state(cp, cp.model_bytes(), sim, model);
+}
+
+void restore_cores(const Checkpoint& cp, std::span<const arch::CoreId> ids,
+                   arch::Model& model) {
+  check_shape(cp.model_bytes(), model.num_cores());
+  model_section([&] { model.decode_cores(cp.model_bytes(), ids); });
 }
 
 }  // namespace compass::resilience

@@ -143,7 +143,7 @@ void CheckpointManager::prune() {
   // Persist the unlinks: without a directory fsync, a crash right after the
   // retention pass can replay deleted entries (or lose the ordering a
   // restore scan depends on) on journal recovery. Unlike the best-effort
-  // rename fsync in save_checkpoint_file — where the data is already safe —
+  // rename fsync in write_checkpoint_file — where the data is already safe —
   // failing to sync a deletion is a real durability defect, so genuine I/O
   // errors are typed and thrown; only filesystems that cannot fsync a
   // directory at all (EINVAL/ENOTSUP) are excused.

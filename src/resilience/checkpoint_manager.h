@@ -80,7 +80,7 @@ class CheckpointManager {
   /// the retention pass is durable (a crash after unlink must not resurrect
   /// a half-deleted ordering on replay). Throws CheckpointError(kIo) when
   /// the directory cannot be synced; filesystems that refuse directory
-  /// fsync (EINVAL/ENOTSUP) are tolerated, matching save_checkpoint_file.
+  /// fsync (EINVAL/ENOTSUP) are tolerated, matching write_checkpoint_file.
   void prune();
 
   CheckpointOptions options_;

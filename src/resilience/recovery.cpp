@@ -70,12 +70,6 @@ void RecoverySupervisor::recover(int dead, arch::Tick tick) {
         std::to_string(kill_tick) + ") in " + checkpoints_.options().dir);
   }
   const Checkpoint cp = load_checkpoint_file(path);  // CheckpointError on rot
-  if (cp.model.num_cores() != model_.num_cores()) {
-    throw RecoveryError("recovery: checkpoint " + path + " covers " +
-                        std::to_string(cp.model.num_cores()) +
-                        " cores but the live model has " +
-                        std::to_string(model_.num_cores()));
-  }
 
   // Reconstruct: overwrite only the dead rank's cores from the snapshot.
   // Surviving cores keep their live (newer) state — this is a repair, not a
@@ -83,9 +77,7 @@ void RecoverySupervisor::recover(int dead, arch::Tick tick) {
   // discarded wholesale, which is what keeps migrate deterministic.
   const std::span<const arch::CoreId> orphans =
       sim_.partition().cores_of(dead);
-  for (const arch::CoreId id : orphans) {
-    model_.core(id) = cp.model.core(id);
-  }
+  restore_cores(cp, orphans, model_);
 
   std::size_t migrated = 0;
   if (options_.policy == RecoveryPolicy::kMigrate) {

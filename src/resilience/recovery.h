@@ -74,8 +74,9 @@ const char* to_string(RecoveryPolicy policy);
 /// Parse "abort" | "restart-rank" | "migrate"; throws RecoveryError.
 RecoveryPolicy parse_recovery_policy(std::string_view name);
 
-/// A recovery that cannot proceed (no usable checkpoint, malformed policy,
-/// shape mismatch between snapshot and live model).
+/// A recovery that cannot proceed (no usable checkpoint, malformed policy).
+/// A snapshot that does not fit the live model is a
+/// CheckpointError(kShapeMismatch), as for any restore.
 class RecoveryError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

@@ -204,8 +204,9 @@ TEST(LatestAtOrBefore, PicksNewestSnapshotNotAfterTheFailure) {
   for (Tick t : {Tick{5}, Tick{10}, Tick{15}}) {
     resilience::Checkpoint cp = resilience::capture(*run.sim, run.model);
     cp.tick = t;
-    resilience::save_checkpoint_file(cp, dir + "/" +
-                                             CheckpointManager::file_name(t));
+    resilience::write_checkpoint_file(
+        resilience::serialize_checkpoint(cp),
+        dir + "/" + CheckpointManager::file_name(t));
   }
   EXPECT_EQ(CheckpointManager::latest_at_or_before(dir, 12),
             dir + "/" + CheckpointManager::file_name(10));

@@ -143,8 +143,10 @@ TEST(CheckpointResume, SplitRunIsByteIdenticalToStraightRun) {
   const std::string path = dir + "/checkpoint-50.ckpt";
   Harness first(pcc.model, pcc.partition);
   first.sim->run(50);
-  resilience::save_checkpoint_file(
-      resilience::capture(*first.sim, first.model), path);
+  resilience::write_checkpoint_file(
+      resilience::serialize_checkpoint(
+          resilience::capture(*first.sim, first.model)),
+      path);
 
   Harness second(pcc.model, pcc.partition);
   const Checkpoint cp = resilience::load_checkpoint_file(path);
@@ -265,16 +267,19 @@ TEST(CheckpointFormat, RoundTripsThroughBytesAndFiles) {
   const std::string bytes = resilience::serialize_checkpoint(cp);
   const Checkpoint back = resilience::parse_checkpoint(bytes);
   EXPECT_EQ(back.tick, cp.tick);
-  EXPECT_TRUE(back.model == cp.model);
+  EXPECT_TRUE(back.model_bytes() == cp.model_bytes());
   EXPECT_EQ(back.report.ticks, cp.report.ticks);
   EXPECT_EQ(back.report.fired_spikes, cp.report.fired_spikes);
   EXPECT_EQ(back.ledger_ticks, cp.ledger_ticks);
+  EXPECT_TRUE(resilience::serialize_checkpoint(back) == bytes);
 
   const std::string dir = unique_dir("roundtrip");
   const std::string path = dir + "/cp.ckpt";
-  resilience::save_checkpoint_file(cp, path);
+  resilience::write_checkpoint_file(resilience::serialize_checkpoint(cp),
+                                    path);
   const Checkpoint from_file = resilience::load_checkpoint_file(path);
-  EXPECT_TRUE(from_file.model == cp.model);
+  EXPECT_TRUE(from_file.model_bytes() == cp.model_bytes());
+  EXPECT_TRUE(resilience::serialize_checkpoint(from_file) == bytes);
   // The atomic-rename protocol must leave no temp file behind.
   EXPECT_FALSE(fs::exists(path + ".tmp"));
   fs::remove_all(dir);
@@ -345,7 +350,9 @@ TEST(CheckpointFormat, ByteFormatIsLocked) {
   const std::string bytes = resilience::serialize_checkpoint(cp);
   EXPECT_EQ(bytes.size(), 57114u);
   EXPECT_EQ(fnv1a64(bytes), 0x6c798e1122ef3aebULL);
-  EXPECT_TRUE(resilience::parse_checkpoint(bytes).model == model);
+  std::string encoded;
+  model.encode(encoded);
+  EXPECT_TRUE(resilience::parse_checkpoint(bytes).model_bytes() == encoded);
 }
 
 TEST(CheckpointFormat, EverySingleFlippedByteIsRejectedTyped) {
@@ -478,7 +485,8 @@ TEST(CheckpointFormat, OversizedSparseFileIsBoundedByItsSections) {
   const std::string padded = dir + "/padded.ckpt";
   ASSERT_TRUE(sparse(padded, good));
   EXPECT_TRUE(resilience::read_checkpoint_file(padded) == good);
-  EXPECT_TRUE(resilience::load_checkpoint_file(padded).model == cp.model);
+  EXPECT_TRUE(resilience::load_checkpoint_file(padded).model_bytes() ==
+              cp.model_bytes());
 
   // A section that claims more bytes than the file holds is a truncation,
   // found before the payload is read.
@@ -539,9 +547,8 @@ struct LiveState {
 
 TEST(CheckpointLive, InPlaceRestoreContinuesLikeFourStagePath) {
   // Save at tick 30, run on to 50, restore in place, run 40 more: the
-  // served snapshot pattern. The in-place restore keeps every core's
-  // column mirror (its rows did not change); the four-stage restore copies
-  // a freshly decoded model. Both must continue identically.
+  // served snapshot pattern, through the live entry points and through
+  // the four stages. Both must continue identically.
   const compiler::PccResult pcc = build_fixed_model();
 #ifdef _OPENMP
   const int saved_threads = omp_get_max_threads();
@@ -642,6 +649,107 @@ TEST(CheckpointLive, RejectedRestoreLeavesLiveStateUntouched) {
     }
     before.expect_unchanged(h);
   }
+}
+
+// --- One codec under every entry point --------------------------------------
+
+TEST(CheckpointCodec, EveryRestorePathLeavesTheSameState) {
+  // restore(capture), restore(parse(serialize(capture))) and
+  // restore_live(serialize_live), each into a simulator that ran on from
+  // a different state, must leave the same model, tick, report and ledger.
+  const compiler::PccResult pcc = build_fixed_model();
+  Harness source(pcc.model, pcc.partition);
+  source.sim->run(30);
+  const Checkpoint cp = resilience::capture(*source.sim, source.model);
+  const std::string wire = resilience::serialize_checkpoint(cp);
+  std::string live_bytes;
+  resilience::serialize_live(*source.sim, source.model, live_bytes);
+  const LiveState want(source);
+
+  Harness captured(pcc.model, pcc.partition);
+  Harness parsed(pcc.model, pcc.partition);
+  Harness live(pcc.model, pcc.partition);
+  for (Harness* h : {&captured, &parsed, &live}) h->sim->run(11);
+  resilience::restore(cp, *captured.sim, captured.model);
+  resilience::restore(resilience::parse_checkpoint(wire), *parsed.sim,
+                      parsed.model);
+  EXPECT_EQ(resilience::restore_live(live_bytes, *live.sim, live.model),
+            Tick{30});
+  for (const Harness* h : {&captured, &parsed, &live}) {
+    want.expect_unchanged(*h);
+  }
+}
+
+TEST(CheckpointCodec, OneBadRecordBehindAValidCrcIsSectionCorrupt) {
+  // parse_checkpoint checks every core record, as a restore would, so a
+  // checkpoint whose section CRC is valid but whose last core has one
+  // threshold lane at 0 never becomes a Checkpoint.
+  const compiler::PccResult pcc = build_fixed_model();
+  Harness h(pcc.model, pcc.partition);
+  h.sim->run(10);
+  std::string bytes;
+  resilience::serialize_live(*h.sim, h.model, bytes);
+  std::string model_bytes;
+  h.model.encode(model_bytes);
+  const std::size_t payload = bytes.find(model_bytes);
+  ASSERT_NE(payload, std::string::npos);
+
+  // Locate the lane by encoding a model that differs in it alone.
+  const CoreId last = static_cast<CoreId>(h.model.num_cores() - 1);
+  arch::Model changed = h.model;
+  arch::NeuronParams p = changed.core(last).params_of(0);
+  ++p.threshold;
+  changed.core(last).configure_neuron(0, p, changed.core(last).target(0));
+  std::string changed_bytes;
+  changed.encode(changed_bytes);
+  const std::size_t lane =
+      std::mismatch(model_bytes.begin(), model_bytes.end(),
+                    changed_bytes.begin())
+          .first -
+      model_bytes.begin();
+  ASSERT_LT(lane, model_bytes.size());
+
+  const std::int32_t zero = 0;
+  std::memcpy(bytes.data() + payload + lane, &zero, sizeof zero);
+  const std::uint32_t crc =
+      util::crc32(bytes.data() + payload, model_bytes.size());
+  std::memcpy(bytes.data() + payload - sizeof crc, &crc, sizeof crc);
+  try {
+    resilience::parse_checkpoint(bytes);
+    ADD_FAILURE() << "a checkpoint with a bad record parsed";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.code(), CheckpointErrc::kSectionCorrupt) << e.what();
+  }
+}
+
+TEST(CheckpointCodec, RestoreCoresOverwritesOnlyTheNamedCores) {
+  const compiler::PccResult pcc = build_fixed_model();
+  Harness h(pcc.model, pcc.partition);
+  h.sim->run(20);
+  const Checkpoint cp = resilience::capture(*h.sim, h.model);
+  const arch::Model at20 = h.model;
+  h.sim->run(15);
+  const arch::Model at35 = h.model;
+  ASSERT_FALSE(at20 == at35);
+
+  const std::vector<CoreId> ids = {0, 5, 76};
+  resilience::restore_cores(cp, ids, h.model);
+  for (CoreId c = 0; c < h.model.num_cores(); ++c) {
+    const bool named = std::find(ids.begin(), ids.end(), c) != ids.end();
+    EXPECT_TRUE(h.model.core(c) == (named ? at20 : at35).core(c))
+        << "core " << c;
+  }
+  EXPECT_EQ(h.sim->now(), Tick{35});  // the simulator is not repositioned
+
+  arch::Model other(3, 3);
+  const arch::Model untouched = other;
+  try {
+    resilience::restore_cores(cp, std::vector<CoreId>{0}, other);
+    ADD_FAILURE() << "a 77-core checkpoint restored into 3 cores";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.code(), CheckpointErrc::kShapeMismatch) << e.what();
+  }
+  EXPECT_TRUE(other == untouched);
 }
 
 TEST(CheckpointLive, ReconfiguredRowRebuildsTheColumnMirror) {
