@@ -1,8 +1,9 @@
 // Microbenchmarks for the simulator hot loops: synapse-phase propagation,
 // the neuron-phase integrate-leak-fire sweep, delay-buffer operations, and
 // transport exchange — the kernels whose per-core cost sets the paper's
-// "388x slower than real time" figure — plus the snapshot layer (CRC-32
-// per body, a whole checkpoint round trip, and a served snapshot pair).
+// "388x slower than real time" figure — whole runtime ticks, plus the
+// snapshot layer (CRC-32 per body, a whole checkpoint round trip, and a
+// served snapshot pair).
 //
 // Every hot-loop benchmark has a `...Reference` twin that calls the scalar
 // test oracle (NeurosynapticCore::*_phase_reference) on the same core, so
@@ -363,6 +364,32 @@ void BM_TransportExchange(benchmark::State& state) {
 }
 BENCHMARK(BM_TransportExchange<comm::MpiTransport>)->Arg(4)->Arg(16)->Arg(64);
 BENCHMARK(BM_TransportExchange<comm::PgasTransport>)->Arg(4)->Arg(16)->Arg(64);
+
+/// Whole runtime::Compass ticks on a 256-core CoCoMac model compiled onto
+/// 16 ranks of state.range(0) threads each, with the default Config (MPI,
+/// aggregated sends, rank loops on the OpenMP team): the per-tick cost of
+/// the runtime's layers around the kernels, including the scan of the
+/// ranks x threads x ranks per-thread send buffers.
+void BM_CompassStep(benchmark::State& state) {
+  cocomac::MacaqueSpecOptions mopt;
+  mopt.total_cores = 256;
+  mopt.seed = 3;
+  compiler::PccOptions popt;
+  popt.ranks = 16;
+  popt.threads_per_rank = static_cast<int>(state.range(0));
+  compiler::PccResult pcc =
+      compiler::compile(cocomac::build_macaque_spec(mopt), popt);
+  comm::MpiTransport transport(pcc.partition.ranks(), comm::CommCostModel{});
+  runtime::Compass sim(pcc.model, pcc.partition, transport);
+  sim.run(20);  // past the start-up transient
+  const runtime::RunReport before = sim.report();
+  for (auto _ : state) benchmark::DoNotOptimize(sim.step());
+  const runtime::RunReport& after = sim.report();
+  state.counters["messages/tick"] = benchmark::Counter(
+      static_cast<double>(after.messages - before.messages) /
+      static_cast<double>(after.ticks - before.ticks));
+}
+BENCHMARK(BM_CompassStep)->Arg(1)->Arg(32)->Unit(benchmark::kMicrosecond);
 
 void BM_CorePrngDraw(benchmark::State& state) {
   util::CorePrng prng(5);

@@ -2,22 +2,6 @@
 
 namespace compass::arch {
 
-bool NeuronParams::valid() const noexcept {
-  for (std::int16_t w : weights) {
-    if (w < kWeightMin || w > kWeightMax) return false;
-  }
-  if (leak < kWeightMin || leak > kWeightMax) return false;
-  if (threshold <= 0 || threshold > kPotentialMax) return false;
-  if (reset_value < kPotentialMin || reset_value > kPotentialMax) return false;
-  if (floor < kPotentialMin || floor > 0) return false;
-  if (threshold_mask_bits > kMaxThresholdMaskBits) return false;
-  if (reset_mode != ResetMode::kAbsolute && reset_mode != ResetMode::kLinear &&
-      reset_mode != ResetMode::kNone) {
-    return false;
-  }
-  return true;
-}
-
 bool neuron_step(const NeuronParams& p, std::int32_t& potential,
                  std::int32_t synaptic_input, util::CorePrng& prng) {
   std::int32_t v = potential + synaptic_input;

@@ -58,7 +58,19 @@ struct NeuronParams {
   std::uint8_t threshold_mask_bits = 0;  // k: jitter in [0, 2^k - 1]
 
   /// True when all fields are inside the hardware's representable ranges.
-  bool valid() const noexcept;
+  /// Inline: configure_neuron() checks every neuron a model build sets up.
+  bool valid() const noexcept {
+    for (const std::int16_t w : weights) {
+      if (w < kWeightMin || w > kWeightMax) return false;
+    }
+    if (leak < kWeightMin || leak > kWeightMax) return false;
+    if (threshold <= 0 || threshold > kPotentialMax) return false;
+    if (reset_value < kPotentialMin || reset_value > kPotentialMax) return false;
+    if (floor < kPotentialMin || floor > 0) return false;
+    if (threshold_mask_bits > kMaxThresholdMaskBits) return false;
+    return reset_mode == ResetMode::kAbsolute ||
+           reset_mode == ResetMode::kLinear || reset_mode == ResetMode::kNone;
+  }
 };
 
 /// Scalar reference implementation of one neuron tick, used by the core's

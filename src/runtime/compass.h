@@ -11,9 +11,12 @@
 //             local spikes in parallel with it, then receive and deliver
 //             remote spikes.
 //
-// Ranks are *virtual*: they execute sequentially on the host while their
-// compute is measured per (rank, thread) partition and composed with
-// modelled communication costs into the parallel makespan (src/perf/).
+// Ranks are *virtual*: with Config::parallel_execution they run on an
+// OpenMP team (synapse, neuron and aggregation in one rank loop, delivery
+// in another), and only message posting and the exchange stay serial on
+// the calling thread. Each rank's compute is measured with a thread-CPU
+// clock and composed with modelled communication costs into the parallel
+// makespan (src/perf/).
 // The functional results — membrane trajectories, spike trains, message and
 // byte counts — are exactly those of the distributed execution, because
 // spike delivery is order-independent and all randomness is per-core.
@@ -278,8 +281,11 @@ class Compass {
   std::vector<std::vector<std::vector<arch::WireSpike>>> local_;
   // remote_[rank][thread][dst]: spikes bound for rank `dst`.
   std::vector<std::vector<std::vector<std::vector<arch::WireSpike>>>> remote_;
-  // agg_[dst]: master-thread aggregation buffer (two-sided path).
-  std::vector<std::vector<arch::WireSpike>> agg_;
+  // agg_[rank][dst]: the rank's per-destination message (aggregated
+  // two-sided path), filled by compute_phases() on the rank's own thread;
+  // agg_dsts_[rank] lists the destinations holding one, ascending.
+  std::vector<std::vector<std::vector<arch::WireSpike>>> agg_;
+  std::vector<std::vector<int>> agg_dsts_;
   // hook_staged_[rank]: this tick's fired (core, neuron) pairs, in fire
   // order, filled only while a spike hook is set.
   struct FiredNeuron {

@@ -13,26 +13,14 @@ namespace compass::util {
 /// time this excludes scheduler preemption, which matters because the
 /// virtual parallel machine composes makespans from thousands of small
 /// per-rank phase measurements — a single stolen timeslice inside a max()
-/// would otherwise masquerade as compute.
+/// would otherwise masquerade as compute. On Linux this clock has no vDSO
+/// fast path, so each read is a system call: callers read it only when
+/// measuring, and let one read end a bracket and start the next.
 inline double thread_cpu_seconds() noexcept {
   timespec ts{};
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
   return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
-
-/// Stopwatch over thread CPU time (see thread_cpu_seconds()). It reads the
-/// clock only in start() and elapsed_s(), not when constructed: on Linux
-/// that clock has no vDSO fast path, so each read is a system call, and the
-/// simulator's phases time themselves only when measuring.
-class CpuStopwatch {
- public:
-  void start() noexcept { start_ = thread_cpu_seconds(); }
-  /// Seconds of thread CPU time since the last start().
-  double elapsed_s() const noexcept { return thread_cpu_seconds() - start_; }
-
- private:
-  double start_ = 0.0;
-};
 
 /// Monotonic wall-clock reading in seconds (steady_clock epoch). The host
 /// wall-clock profiler brackets phases with two of these; keeping it a free

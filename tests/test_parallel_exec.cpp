@@ -8,7 +8,9 @@
 #include <omp.h>
 #endif
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -22,12 +24,13 @@
 namespace compass::runtime {
 namespace {
 
-compiler::PccResult build(std::uint64_t cores = 96, int ranks = 4) {
+compiler::PccResult build(std::uint64_t cores = 96, int ranks = 4,
+                          int threads_per_rank = 2) {
   cocomac::MacaqueSpecOptions mopt;
   mopt.total_cores = cores;
   compiler::PccOptions popt;
   popt.ranks = ranks;
-  popt.threads_per_rank = 2;
+  popt.threads_per_rank = threads_per_rank;
   return compiler::compile(cocomac::build_macaque_spec(mopt), popt);
 }
 
@@ -169,6 +172,142 @@ TEST(ParallelExecution, CountersSurviveManySmallTicks) {
   EXPECT_EQ(stepped, sim.report().fired_spikes);
   EXPECT_EQ(sim.report().routed_spikes,
             sim.report().local_spikes + sim.report().remote_spikes);
+}
+
+/// One send(src, dst, spikes) as the transport saw it.
+struct SendRecord {
+  int src = -1;
+  int dst = -1;
+  std::vector<arch::WireSpike> spikes;
+  friend bool operator==(const SendRecord&, const SendRecord&) = default;
+};
+using SendLog = std::vector<std::vector<SendRecord>>;  // [tick][call]
+
+/// Decorator that forwards every call to a wrapped transport and logs each
+/// send, in call order, under the tick begin_tick() opened.
+class RecordingTransport final : public comm::Transport {
+ public:
+  explicit RecordingTransport(comm::Transport& inner)
+      : comm::Transport(inner.ranks(), inner.cost_model(),
+                        inner.spike_wire_bytes()),
+        inner_(inner) {}
+
+  const char* name() const override { return inner_.name(); }
+  bool one_sided() const override { return inner_.one_sided(); }
+  void begin_tick() override {
+    log.emplace_back();
+    inner_.begin_tick();
+  }
+  void send(int src, int dst,
+            std::span<const arch::WireSpike> spikes) override {
+    log.back().push_back({src, dst, {spikes.begin(), spikes.end()}});
+    inner_.send(src, dst, spikes);
+  }
+  void exchange() override { inner_.exchange(); }
+  std::span<const comm::InMessage> received(int rank) const override {
+    return inner_.received(rank);
+  }
+  const comm::TickCommStats& tick_stats() const override {
+    return inner_.tick_stats();
+  }
+  const comm::RankCommStats& rank_stats(int rank) const override {
+    return inner_.rank_stats(rank);
+  }
+  double send_time(int rank) const override { return inner_.send_time(rank); }
+  double sync_time(int rank) const override { return inner_.sync_time(rank); }
+  double recv_time(int rank) const override { return inner_.recv_time(rank); }
+
+  SendLog log;
+
+ private:
+  comm::Transport& inner_;
+};
+
+enum class SendPath { kMpiAggregated, kPgasOneSided, kMpiPerSpike };
+
+SendLog record_sends(const compiler::PccResult& pcc, SendPath path,
+                     bool parallel) {
+  arch::Model model = pcc.model;
+  std::unique_ptr<comm::Transport> inner;
+  if (path == SendPath::kPgasOneSided) {
+    inner = std::make_unique<comm::PgasTransport>(pcc.partition.ranks(),
+                                                  comm::CommCostModel{});
+  } else {
+    inner = std::make_unique<comm::MpiTransport>(pcc.partition.ranks(),
+                                                 comm::CommCostModel{});
+  }
+  RecordingTransport transport(*inner);
+  Config cfg;
+  cfg.parallel_execution = parallel;
+  cfg.aggregate_sends = path != SendPath::kMpiPerSpike;
+  Compass sim(model, pcc.partition, transport, cfg);
+  sim.run(30);
+  return std::move(transport.log);
+}
+
+/// Each tick's sends merged per (src, dst) in ascending order, payloads
+/// concatenated in call order: the messages the aggregated path must post.
+SendLog merged(SendLog log) {
+  for (std::vector<SendRecord>& tick : log) {
+    std::stable_sort(tick.begin(), tick.end(),
+                     [](const SendRecord& a, const SendRecord& b) {
+                       return std::tie(a.src, a.dst) < std::tie(b.src, b.dst);
+                     });
+    std::vector<SendRecord> out;
+    for (SendRecord& r : tick) {
+      if (!out.empty() && out.back().src == r.src && out.back().dst == r.dst) {
+        out.back().spikes.insert(out.back().spikes.end(), r.spikes.begin(),
+                                 r.spikes.end());
+      } else {
+        out.push_back(std::move(r));
+      }
+    }
+    tick = std::move(out);
+  }
+  return log;
+}
+
+std::size_t count_sends(const SendLog& log) {
+  std::size_t n = 0;
+  for (const std::vector<SendRecord>& tick : log) n += tick.size();
+  return n;
+}
+
+TEST(ParallelExecution, SendSequenceMatchesSerialOnEveryPath) {
+  // Several threads per rank, so one aggregated message concatenates
+  // several thread buffers. Every path's send sequence — call order and
+  // payloads — must not depend on whether, or how widely, the ranks run
+  // on a team.
+  const compiler::PccResult pcc = build(96, 4, 4);
+  std::vector<SendLog> serial;
+  for (const SendPath path : {SendPath::kMpiAggregated,
+                              SendPath::kPgasOneSided,
+                              SendPath::kMpiPerSpike}) {
+    SCOPED_TRACE("path " + std::to_string(static_cast<int>(path)));
+    serial.push_back(record_sends(pcc, path, false));
+    ASSERT_GT(count_sends(serial.back()), 0u);
+#ifdef COMPASS_HAVE_OPENMP
+    const int saved = omp_get_max_threads();
+    for (const int width : {1, 2, 4}) {
+      SCOPED_TRACE("OMP threads = " + std::to_string(width));
+      omp_set_num_threads(width);
+      EXPECT_TRUE(record_sends(pcc, path, true) == serial.back());
+    }
+    omp_set_num_threads(saved);
+#else
+    EXPECT_TRUE(record_sends(pcc, path, true) == serial.back());
+#endif
+  }
+  // The paths are one functional run, so they carry the same spikes: the
+  // aggregated path posts one message per (src, dst) pair, ascending, whose
+  // payload is the one-sided puts (one per thread buffer) or the per-spike
+  // sends of that pair in thread order.
+  const SendLog& aggregated = serial[0];
+  EXPECT_TRUE(merged(aggregated) == aggregated);
+  EXPECT_TRUE(merged(serial[1]) == aggregated);
+  EXPECT_TRUE(merged(serial[2]) == aggregated);
+  EXPECT_GT(count_sends(serial[1]), count_sends(aggregated))
+      << "no message concatenates two thread buffers";
 }
 
 }  // namespace
