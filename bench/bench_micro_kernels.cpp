@@ -37,10 +37,11 @@ namespace {
 using namespace compass;
 
 enum class Stoch {
-  kNone,         // flags = 0: both vectorized fast paths eligible
-  kNeuron,       // stochastic leak + threshold: the PRNG-exact SoA sweep,
-                 // parameter-uniform (one NeuronParams, as PCC configures)
-  kNeuronMixed,  // kNeuron with per-neuron thresholds: the general SoA sweep
+  kNone,         // flags = 0, parameter-uniform: the uniform sweep, no draws
+  kNoneMixed,    // kNone with per-neuron thresholds: the mixed sweep, no draws
+  kNeuron,       // stochastic leak + threshold: the PRNG-exact uniform sweep
+                 // (one NeuronParams, as PCC configures)
+  kNeuronMixed,  // kNeuron with per-neuron thresholds: the mixed sweep
   kNeuronLeak,   // kNeuron without the threshold jitter: one draw per neuron
   kFull,         // + stochastic synapse: scalar synapse walk forced
 };
@@ -62,7 +63,7 @@ arch::NeurosynapticCore make_busy_core(double density, Stoch stoch) {
   p.threshold = 64;
   p.floor = -256;
   p.flags = 0;
-  if (stoch != Stoch::kNone) {
+  if (stoch != Stoch::kNone && stoch != Stoch::kNoneMixed) {
     p.flags = arch::kStochasticLeak | arch::kStochasticThreshold;
     p.leak = -2;  // stochastic leak magnitude is a probability (|l|/256)
   }
@@ -74,7 +75,7 @@ arch::NeurosynapticCore make_busy_core(double density, Stoch stoch) {
   }
   p.threshold_mask_bits = 4;
   for (unsigned j = 0; j < 256; ++j) {
-    if (stoch == Stoch::kNeuronMixed) {
+    if (stoch == Stoch::kNeuronMixed || stoch == Stoch::kNoneMixed) {
       p.threshold = 60 + static_cast<std::int32_t>(j % 9);
     }
     core.configure_neuron(j, p,
@@ -205,6 +206,7 @@ BENCHMARK(BM_SynapseRowsWide)
 const char* stoch_label(Stoch s) {
   switch (s) {
     case Stoch::kNone: return "deterministic";
+    case Stoch::kNoneMixed: return "deterministic-mixed";
     case Stoch::kNeuron: return "stochastic-neuron";
     case Stoch::kNeuronMixed: return "stochastic-neuron-mixed";
     case Stoch::kNeuronLeak: return "stochastic-leak";
@@ -233,40 +235,51 @@ void run_neuron_phase(benchmark::State& state, Stoch stoch) {
   state.SetLabel(stoch_label(stoch));
 }
 
-// Arg 0 = flags 0 (vectorized sweep); 1 = stochastic leak+threshold on a
-// parameter-uniform core (the uniform sweep with 512 draws per tick — the
-// path every balanced CoCoMac core takes); 2 = the same with per-neuron
-// thresholds (the serial SoA sweep); 3 = stochastic leak only on a uniform
-// core (256 draws per tick, as CoCoMac's source regions make).
+// Arg 0 = flags 0 on a parameter-uniform core (the uniform sweep with no
+// draws — the path every dense_pgas core takes); 1 = stochastic
+// leak+threshold on a uniform core (512 draws per tick — the path every
+// balanced CoCoMac core takes); 2 = the same with per-neuron thresholds (the
+// serial mixed sweep); 3 = stochastic leak only on a uniform core (256 draws
+// per tick, as CoCoMac's source regions make); 4 = flags 0 with per-neuron
+// thresholds (the mixed sweep with no draws).
 Stoch neuron_phase_arg(const benchmark::State& state) {
   constexpr Stoch kByArg[] = {Stoch::kNone, Stoch::kNeuron,
-                              Stoch::kNeuronMixed, Stoch::kNeuronLeak};
+                              Stoch::kNeuronMixed, Stoch::kNeuronLeak,
+                              Stoch::kNoneMixed};
   return kByArg[state.range(0)];
 }
 
 void BM_NeuronPhase(benchmark::State& state) {
   run_neuron_phase<false>(state, neuron_phase_arg(state));
 }
-BENCHMARK(BM_NeuronPhase)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_NeuronPhase)->DenseRange(0, 4);
 
 void BM_NeuronPhaseReference(benchmark::State& state) {
   run_neuron_phase<true>(state, neuron_phase_arg(state));
 }
-BENCHMARK(BM_NeuronPhaseReference)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_NeuronPhaseReference)->DenseRange(0, 4);
 
-/// One body of the parameter-uniform stochastic sweep, called directly on a
-/// CoCoMac balanced-region neuron (stochastic leak -146, 4-bit threshold
-/// jitter: 512 draws per tick). BM_NeuronPhase/1 runs the body this CPU
-/// dispatches to, so a silent fallback shows as it running at
-/// BM_UniformSweep/portable's rate.
+/// One body of the parameter-uniform sweep, called directly; range(0) is
+/// the draws per tick. 512: a CoCoMac balanced-region neuron (stochastic
+/// leak -146, 4-bit threshold jitter). 0: a dense_pgas neuron (leak -1,
+/// threshold 8, floor -8, no stochastic flag). BM_NeuronPhase/1 and /0 run
+/// the body this CPU dispatches to, so a silent fallback shows as them
+/// running at BM_UniformSweep/portable's rate.
 void BM_UniformSweep(benchmark::State& state,
                      arch::kernels::detail::UniformSweepBody body) {
   arch::NeuronParams p;
-  p.leak = -146;
-  p.threshold = 64;
-  p.floor = -256;
-  p.flags = arch::kStochasticLeak | arch::kStochasticThreshold;
-  p.threshold_mask_bits = 4;
+  if (state.range(0) == 0) {
+    p.weights = {1, -1, 0, 0};
+    p.leak = -1;
+    p.threshold = 8;
+    p.floor = -8;
+  } else {
+    p.leak = -146;
+    p.threshold = 64;
+    p.floor = -256;
+    p.flags = arch::kStochasticLeak | arch::kStochasticThreshold;
+    p.threshold_mask_bits = 4;
+  }
   std::array<std::int32_t, arch::kNeuronsPerCore> potential{}, accum{};
   util::CorePrng prng(9);
   std::uint64_t spikes = 0;
@@ -278,7 +291,9 @@ void BM_UniformSweep(benchmark::State& state,
   state.SetItemsProcessed(state.iterations() * arch::kNeuronsPerCore);
 }
 BENCHMARK_CAPTURE(BM_UniformSweep, portable,
-                  &arch::kernels::detail::uniform_sweep_portable);
+                  &arch::kernels::detail::uniform_sweep_portable)
+    ->Arg(512)
+    ->Arg(0);
 #if defined(__x86_64__)
 void BM_UniformSweepWide(benchmark::State& state) {
   if (arch::kernels::detail::uniform_sweep_body() !=
@@ -288,7 +303,7 @@ void BM_UniformSweepWide(benchmark::State& state) {
   }
   BM_UniformSweep(state, &arch::kernels::detail::uniform_sweep_avx512);
 }
-BENCHMARK(BM_UniformSweepWide)->Name("BM_UniformSweep/wide");
+BENCHMARK(BM_UniformSweepWide)->Name("BM_UniformSweep/wide")->Arg(512)->Arg(0);
 #endif
 
 template <bool kReference>

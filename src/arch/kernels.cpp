@@ -193,43 +193,6 @@ SynapseRowsBody synapse_rows_body() noexcept {
 
 }  // namespace detail
 
-util::Bits256 neuron_phase_fast(
-    std::array<std::int32_t, kNeuronsPerCore>& potential,
-    std::array<std::int32_t, kNeuronsPerCore>& accum,
-    const std::array<std::int16_t, kNeuronsPerCore>& leak,
-    const std::array<std::int32_t, kNeuronsPerCore>& threshold,
-    const std::array<std::int32_t, kNeuronsPerCore>& reset,
-    const std::array<std::int32_t, kNeuronsPerCore>& floor,
-    const std::array<std::uint8_t, kNeuronsPerCore>& reset_mode) {
-  // Exactly neuron_step() with the stochastic terms compiled out: integrate,
-  // deterministic leak, compare against the unjittered threshold, apply the
-  // reset mode as a pair of selects, clamp. Everything is a conditional move
-  // on flat lanes, so the loop auto-vectorizes.
-  constexpr auto kAbs = static_cast<std::uint8_t>(ResetMode::kAbsolute);
-  constexpr auto kLin = static_cast<std::uint8_t>(ResetMode::kLinear);
-  util::Bits256 fired;
-  for (unsigned word = 0; word < 4; ++word) {
-    std::uint64_t bits = 0;
-    for (unsigned b = 0; b < 64; ++b) {
-      const unsigned j = word * 64 + b;
-      const std::int32_t th = threshold[j];
-      std::int32_t v = potential[j] + accum[j] - leak[j];
-      accum[j] = 0;
-      const bool f = v >= th;
-      const std::uint8_t mode = reset_mode[j];
-      const std::int32_t on_fire =
-          mode == kAbs ? reset[j] : (mode == kLin ? v - th : v);
-      v = f ? on_fire : v;
-      v = v < floor[j] ? floor[j] : v;
-      v = v > kPotentialMax ? kPotentialMax : v;
-      potential[j] = v;
-      bits |= static_cast<std::uint64_t>(f) << b;
-    }
-    fired.w[word] = bits;
-  }
-  return fired;
-}
-
 namespace {
 
 /// The per-tick constants of a uniform core's sweep, shared by both bodies.

@@ -12,21 +12,22 @@
 // crossbar, where the contribution of all active axons of one type to one
 // neuron is popcount(dendrite_column AND active_axons_of_type) — four 64-bit
 // ANDs plus four popcounts per (neuron, type) — multiplied by that (type,
-// neuron) weight lane. The integrate-leak-fire sweep is likewise a
-// branch-light pass over flat SoA lanes that the compiler can vectorize
-// (the CoreNEURON playbook: AoS→SoA plus vector-friendly kernels).
+// neuron) weight lane. The integrate-leak-fire sweep of a parameter-uniform
+// core reads its parameters once as constants and, on an AVX-512 CPU, sweeps
+// 16 neurons per vector (the CoreNEURON playbook: AoS→SoA plus
+// vector-friendly kernels).
 //
 // Determinism contract: every kernel here is *bit-identical* to the scalar
-// reference walk. The synapse kernels and the fast neuron sweep serve cores
-// that make no PRNG draw in the phase (synaptic accumulation is a
-// commutative integer sum, and the fast step reproduces neuron_step()'s
-// arithmetic exactly). The uniform stochastic sweep serves
-// parameter-uniform cores with stochastic leak/threshold: it consumes the
-// core's PRNG stream in the serial order, neuron by neuron, leak draw before
-// threshold draw, and leaves the generator where the serial walk would.
-// Stochastic-synapse cores take the core's scalar synapse walk and
-// mixed-parameter stochastic cores NeurosynapticCore's serial SoA sweep
-// (NeurosynapticCore dispatches; see DESIGN.md §12).
+// reference walk. The synapse kernels serve cores that make no PRNG draw in
+// the phase (synaptic accumulation is a commutative integer sum). The
+// uniform sweep serves every parameter-uniform core, whether it makes 0,
+// 256 or 512 draws per tick: it reproduces neuron_step()'s arithmetic,
+// consumes the core's PRNG stream in the serial order, neuron by neuron,
+// leak draw before threshold draw, and leaves the generator where the
+// serial walk would (untouched when it draws nothing). Stochastic-synapse
+// cores take the core's scalar synapse walk and mixed-parameter cores
+// NeurosynapticCore's serial SoA sweep (NeurosynapticCore dispatches; see
+// DESIGN.md §12).
 #pragma once
 
 #include <array>
@@ -57,10 +58,13 @@ enum class DispatchPath : std::uint8_t {
   /// The scalar row walk: a stochastic-synapse core, or a sparse tick in the
   /// portable body.
   kSynapseScalar,
+  /// A neuron phase with no draws: no neuron on the core has a stochastic
+  /// leak or threshold. It runs the same two sweeps as kNeuronStochSoa.
   kNeuronFast,
-  /// A stochastic leak/threshold sweep: the serial SoA sweep on a
-  /// mixed-parameter core, or the uniform sweep (neuron_phase_uniform, in
-  /// whichever body this CPU runs) on a parameter-uniform one.
+  /// A neuron phase that may draw (some neuron has a stochastic leak or
+  /// threshold): the serial SoA sweep on a mixed-parameter core, or the
+  /// uniform sweep (neuron_phase_uniform, in whichever body this CPU runs)
+  /// on a parameter-uniform one.
   kNeuronStochSoa,
   /// The scalar neuron walk. No production path takes it (the walk runs
   /// only as the test oracle neuron_phase_reference), so this count always
@@ -211,29 +215,14 @@ SynapseRowsBody synapse_rows_body() noexcept;
 
 // --- Neuron phase -----------------------------------------------------------
 
-/// Branch-light integrate-leak-fire sweep over the SoA lanes. Valid only
-/// when no neuron on the core has kStochasticLeak or kStochasticThreshold
-/// set (no PRNG draws in this phase; kStochasticSynapse is resolved during
-/// the synapse phase and does not affect this sweep). Consumes and zeroes
-/// `accum`, updates `potential` in place, and returns the fired set as a
-/// bitmask (callers emit in ascending neuron order, preserving the
-/// deterministic contract).
-util::Bits256 neuron_phase_fast(
-    std::array<std::int32_t, kNeuronsPerCore>& potential,
-    std::array<std::int32_t, kNeuronsPerCore>& accum,
-    const std::array<std::int16_t, kNeuronsPerCore>& leak,
-    const std::array<std::int32_t, kNeuronsPerCore>& threshold,
-    const std::array<std::int32_t, kNeuronsPerCore>& reset,
-    const std::array<std::int32_t, kNeuronsPerCore>& floor,
-    const std::array<std::uint8_t, kNeuronsPerCore>& reset_mode);
-
 /// Integrate-leak-fire sweep for a parameter-uniform core whose neurons all
 /// take `p` (its weights are ignored) and may draw from `prng`: a stochastic
 /// leak coin when p.flags has kStochasticLeak and p.leak != 0, then a
 /// threshold jitter when it has kStochasticThreshold. Makes exactly
-/// neuron_step()'s draws in ascending-neuron order, consumes and zeroes
-/// `accum`, updates `potential`, and returns the fired set. Runs the fastest
-/// body the CPU supports, chosen once.
+/// neuron_step()'s draws in ascending-neuron order (none, and `prng` stays
+/// where it is, when p makes neither), consumes and zeroes `accum`, updates
+/// `potential`, and returns the fired set (callers emit it in ascending
+/// neuron order). Runs the fastest body the CPU supports, chosen once.
 util::Bits256 neuron_phase_uniform(
     std::array<std::int32_t, kNeuronsPerCore>& potential,
     std::array<std::int32_t, kNeuronsPerCore>& accum, const NeuronParams& p,
