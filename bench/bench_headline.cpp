@@ -11,7 +11,8 @@
 // achieves) plus the host emulation cost.
 // Extra flag (a row added to the shared obs flag table):
 //   --json <path> — append a one-line JSON summary (cores, ticks, host wall
-//     seconds, virtual seconds, fired spikes) for bench_record.
+//     seconds, virtual seconds, fired spikes); EXPERIMENTS.md's headline and
+//     analytics-overhead recipes compare host_wall_s across such runs.
 #include <fstream>
 #include <iostream>
 #include <string>

@@ -7,16 +7,13 @@
 //
 // Every hot-loop benchmark has a `...Reference` twin that calls the scalar
 // test oracle (NeurosynapticCore::*_phase_reference) on the same core, so
-// one run of this binary yields the kernel-vs-walk comparison that
-// tools/bench_record distills into BENCH_kernels.json. Run with
-// `--json <path>` to get google-benchmark JSON output (shorthand for
-// --benchmark_out=<path> --benchmark_out_format=json); all native
-// --benchmark_* flags still work.
+// one run of this binary yields the kernel-vs-walk comparison
+// (EXPERIMENTS.md "Hot-loop kernels vs the scalar oracle"). The native
+// --benchmark_* flags select and report; --benchmark_out=<path>
+// --benchmark_out_format=json writes JSON.
 #include <benchmark/benchmark.h>
 
 #include <array>
-#include <cstring>
-#include <iostream>
 #include <string>
 #include <vector>
 
@@ -120,7 +117,8 @@ BENCHMARK(BM_SynapsePhaseReference)->Arg(1)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
 
 // The dense-crossbar case (50% density, 64..256 active axons): the regime
 // the bit-parallel kernel exists for, and the one the acceptance criterion
-// measures (≥2x vs the scalar walk; see BENCH_kernels.json).
+// measures (≥2x vs the scalar walk; EXPERIMENTS.md "Hot-loop kernels vs the
+// scalar oracle").
 void BM_SynapsePhaseDense(benchmark::State& state) {
   arch::NeurosynapticCore core = make_busy_core(0.5, Stoch::kNone);
   run_synapse_phase<false>(state, core);
@@ -514,32 +512,3 @@ void BM_SessionSnapshot(benchmark::State& state) {
 BENCHMARK(BM_SessionSnapshot)->Arg(77)->Unit(benchmark::kMillisecond);
 
 }  // namespace
-
-int main(int argc, char** argv) {
-  // Translate `--json <path>` into the native google-benchmark output flags
-  // before Initialize() sees the argv. Everything else passes through.
-  std::vector<std::string> args;
-  args.emplace_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "usage: bench_micro_kernels [--json <path>] "
-                     "[--benchmark_* flags]\n";
-        return 1;
-      }
-      args.push_back(std::string("--benchmark_out=") + argv[++i]);
-      args.emplace_back("--benchmark_out_format=json");
-    } else {
-      args.emplace_back(argv[i]);
-    }
-  }
-  std::vector<char*> argv2;
-  argv2.reserve(args.size());
-  for (std::string& a : args) argv2.push_back(a.data());
-  int argc2 = static_cast<int>(argv2.size());
-  benchmark::Initialize(&argc2, argv2.data());
-  if (benchmark::ReportUnrecognizedArguments(argc2, argv2.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}

@@ -22,14 +22,11 @@
 //                            ticks_lost × ALL cores of discarded work.
 //
 // Lost work is reported in core-ticks (rolled-back ticks × cores that roll
-// back) — the currency that makes the two strategies comparable.
-// Extra flag (a row added to the shared obs flag table):
-//   --json <path> — append one JSON line per strategy for bench_record,
-//     which snapshots the numbers into BENCH_recovery.json.
+// back) — the currency that makes the two strategies comparable. The table
+// and the CSV block carry every number (EXPERIMENTS.md "Recovery cost").
 #include <unistd.h>
 
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -60,10 +57,7 @@ int main(int argc, char** argv) {
   using namespace compass;
   using namespace compass::bench;
 
-  std::string json_out;
-  init_obs(argc, argv,
-           {util::Flag::text("--json", json_out, "F",
-                             "append one JSON line per strategy")});
+  init_obs(argc, argv);
 
   print_header("bench_recovery",
                "survivability drill (DESIGN.md §13, EXPERIMENTS.md)",
@@ -214,23 +208,5 @@ int main(int argc, char** argv) {
   }
   std::cout << "END CSV\n";
 
-  if (!json_out.empty()) {
-    std::ofstream js(json_out, std::ios::app);
-    if (!js) {
-      std::cerr << "bench_recovery: cannot open --json path '" << json_out
-                << "'\n";
-      return 1;
-    }
-    for (const Scenario& s : results) {
-      js << "{\"strategy\": \"" << s.name
-         << "\", \"completed\": " << (s.completed ? "true" : "false")
-         << ", \"ticks_lost\": " << s.ticks_lost
-         << ", \"cores_rolled\": " << s.cores_rolled
-         << ", \"core_ticks_lost\": " << s.core_ticks_lost
-         << ", \"recovery_wall_s\": " << s.recovery_wall_s
-         << ", \"cores\": " << pcc.model.num_cores()
-         << ", \"ticks\": " << total_ticks << "}\n";
-    }
-  }
   return 0;
 }

@@ -126,9 +126,10 @@ inline DispatchCounters dispatch_counters() noexcept {
 /// mean per-word-op yield of the scalar walk exceeds the kernel's. Purely a
 /// cost choice: both paths are bit-identical. Tuned on the synapse-phase
 /// microbenchmark (scalar ~2.3 ns/event vs kernel ~2.3 ns/column-word with
-/// hardware popcount, crossover ~256 events per firing type); see
-/// BENCH_kernels.json, whose numbers come from an older 1-CPU host and
-/// predate the row-masked kernel (ROADMAP item 7).
+/// hardware popcount, crossover ~256 events per firing type) on an older
+/// 1-CPU host, before the row-masked kernel; `BM_SynapseRows/portable/*`
+/// times this body today (EXPERIMENTS.md "Hot-loop kernels vs the scalar
+/// oracle").
 inline constexpr std::uint64_t kBitParallelMinEventsPerFiringType = 256;
 
 // --- Synapse phase ----------------------------------------------------------

@@ -246,7 +246,8 @@ void write_wallprof_summary_json(std::ostream& os,
      << ",\"neuron_fast\":" << s.kernels.neuron_fast
      << ",\"neuron_stoch_soa\":" << s.kernels.neuron_stoch_soa
      << ",\"neuron_scalar\":" << s.kernels.neuron_scalar << '}';
-  // Flat per-phase totals with distinctive keys — what bench_record scrapes.
+  // Flat per-phase totals with distinctive keys, which a reader can pick out
+  // of the line without walking the nested per-rank stats.
   os << ",\"phase_totals\":{";
   for (int p = 0; p < kWallPhaseCount; ++p) {
     const auto phase = static_cast<WallPhase>(p);

@@ -12,8 +12,8 @@
 // Reports sessions/sec (setup), stimuli/sec (aggregate), p50/p99/max
 // latency, and protocol errors; exits 1 when any worker failed or any
 // error frame was received, so drills assert "zero protocol errors" by
-// exit code alone. --json writes schema compass.bench_serve.v1 (wrapped
-// with provenance by `bench_record --serve`).
+// exit code alone. --json writes the same numbers as one JSON object
+// (schema compass.bench_serve.v1; EXPERIMENTS.md "Swarm load").
 //
 // `compass_swarm --help` lists the flags; --port is required.
 #include <algorithm>
