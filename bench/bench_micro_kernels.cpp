@@ -23,6 +23,7 @@
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
+#include "obs/analytics.h"
 #include "resilience/checkpoint.h"
 #include "runtime/compass.h"
 #include "serve/session.h"
@@ -382,8 +383,10 @@ BENCHMARK(BM_TransportExchange<comm::PgasTransport>)->Arg(4)->Arg(16)->Arg(64);
 /// 16 ranks of state.range(0) threads each, with the default Config (MPI,
 /// aggregated sends, rank loops on the OpenMP team): the per-tick cost of
 /// the runtime's layers around the kernels, including the scan of the
-/// ranks x threads x ranks per-thread send buffers.
-void BM_CompassStep(benchmark::State& state) {
+/// ranks x threads x ranks per-thread send buffers. `observed` attaches what
+/// a served session attaches — a spike hook and an analytics engine — so
+/// each tick also fills the fire stage and replays it to both.
+void compass_step(benchmark::State& state, bool observed) {
   cocomac::MacaqueSpecOptions mopt;
   mopt.total_cores = 256;
   mopt.seed = 3;
@@ -394,15 +397,33 @@ void BM_CompassStep(benchmark::State& state) {
       compiler::compile(cocomac::build_macaque_spec(mopt), popt);
   comm::MpiTransport transport(pcc.partition.ranks(), comm::CommCostModel{});
   runtime::Compass sim(pcc.model, pcc.partition, transport);
+  std::vector<std::uint32_t> fired;
+  obs::AnalyticsEngine analytics(
+      pcc.partition.ranks(), static_cast<std::uint32_t>(pcc.model.num_cores()),
+      compiler::core_region_map(pcc));
+  if (observed) {
+    sim.set_spike_hook([&fired](arch::Tick, arch::CoreId core, unsigned j) {
+      fired.push_back((static_cast<std::uint32_t>(core) << 8) | j);
+    });
+    sim.set_analytics(&analytics);
+  }
   sim.run(20);  // past the start-up transient
   const runtime::RunReport before = sim.report();
-  for (auto _ : state) benchmark::DoNotOptimize(sim.step());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim.step());
+    fired.clear();
+  }
   const runtime::RunReport& after = sim.report();
   state.counters["messages/tick"] = benchmark::Counter(
       static_cast<double>(after.messages - before.messages) /
       static_cast<double>(after.ticks - before.ticks));
 }
+void BM_CompassStep(benchmark::State& state) { compass_step(state, false); }
 BENCHMARK(BM_CompassStep)->Arg(1)->Arg(32)->Unit(benchmark::kMicrosecond);
+void BM_CompassStepObserved(benchmark::State& state) {
+  compass_step(state, true);
+}
+BENCHMARK(BM_CompassStepObserved)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_CorePrngDraw(benchmark::State& state) {
   util::CorePrng prng(5);

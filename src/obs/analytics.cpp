@@ -80,11 +80,10 @@ std::uint64_t AnalyticsEngine::sample_hash(std::uint64_t seed,
 AnalyticsEngine::AnalyticsEngine(int ranks, std::uint32_t num_cores,
                                  std::vector<std::uint32_t> core_region,
                                  AnalyticsOptions options)
-    : ranks_(ranks),
-      num_cores_(num_cores),
+    : num_cores_(num_cores),
       core_region_(std::move(core_region)),
       options_(options) {
-  if (ranks_ < 1) {
+  if (ranks < 1) {
     throw std::invalid_argument("AnalyticsEngine: ranks must be >= 1");
   }
   if (options_.window_ticks == 0) {
@@ -105,10 +104,6 @@ AnalyticsEngine::AnalyticsEngine(int ranks, std::uint32_t num_cores,
   } else {
     for (const std::uint32_t g : core_region_) ++region_cores_[g];
   }
-  staging_.resize(static_cast<std::size_t>(ranks_));
-  for (RankStage& s : staging_) {
-    s.region_counts.assign(num_regions_, 0);
-  }
   const std::size_t slots =
       static_cast<std::size_t>(num_cores_) * arch::kNeuronsPerCore;
   sampled_bits_.assign((slots + 63) / 64, 0);
@@ -121,6 +116,13 @@ AnalyticsEngine::AnalyticsEngine(int ranks, std::uint32_t num_cores,
       }
     }
   }
+  sampled_before_.resize(sampled_bits_.size());
+  std::uint32_t sampled_count = 0;
+  for (std::size_t w = 0; w < sampled_bits_.size(); ++w) {
+    sampled_before_[w] = sampled_count;
+    sampled_count += static_cast<std::uint32_t>(std::popcount(sampled_bits_[w]));
+  }
+  isi_.resize(sampled_count);
 }
 
 void AnalyticsEngine::add_sink(TraceSink* sink) {
@@ -161,44 +163,38 @@ void AnalyticsEngine::set_metrics(MetricsRegistry* metrics) {
 void AnalyticsEngine::begin_tick(arch::Tick tick) {
   tick_ = tick;
   if (window_ticks_buffered_ == 0) window_first_tick_ = tick;
-  for (RankStage& s : staging_) {
-    s.region_counts.assign(num_regions_, 0);
-    s.sampled.clear();
+  row_ = win_region_.size();
+  win_region_.resize(row_ + num_regions_, 0);
+}
+
+void AnalyticsEngine::on_sampled_fire(std::uint32_t key) {
+  // Integer adds into per-neuron and window accumulators only, and a neuron
+  // fires at most once per tick, so the result does not depend on the order
+  // fires arrive in — the doubles only appear at close_window().
+  const std::uint64_t below =
+      sampled_bits_[key >> 6] & ((std::uint64_t{1} << (key & 63u)) - 1);
+  NeuronIsiState& st = isi_[sampled_before_[key >> 6] +
+                            static_cast<unsigned>(std::popcount(below))];
+  if (st.fired_before) {
+    const std::uint64_t isi = tick_ - st.last_fire_tick;
+    ++isi_intervals_;
+    isi_sum_ += isi;
+    isi_sum_sq_ += isi * isi;
+    const unsigned bucket = static_cast<unsigned>(std::bit_width(isi));
+    if (isi_hist_.size() <= bucket) isi_hist_.resize(bucket + 1, 0);
+    ++isi_hist_[bucket];
+    if (st.contributed_window != window_index_ + 1) {
+      st.contributed_window = window_index_ + 1;
+      ++isi_neurons_;
+    }
   }
+  st.fired_before = true;
+  st.last_fire_tick = tick_;
 }
 
 void AnalyticsEngine::end_tick() {
-  // Merge the per-rank staging buffers in canonical (rank-ascending) order.
-  // Every update below is an integer add into per-neuron or per-region
-  // accumulators, so the result is independent of which thread filled which
-  // rank's buffer — the doubles only appear at close_window().
-  const std::size_t row = win_region_.size();
-  win_region_.resize(row + num_regions_, 0);
   std::uint64_t pop = 0;
-  for (const RankStage& s : staging_) {
-    for (std::uint32_t g = 0; g < num_regions_; ++g) {
-      win_region_[row + g] += s.region_counts[g];
-      pop += s.region_counts[g];
-    }
-    for (const std::uint32_t key : s.sampled) {
-      NeuronIsiState& st = isi_[key];
-      if (st.fired_before) {
-        const std::uint64_t isi = tick_ - st.last_fire_tick;
-        ++isi_intervals_;
-        isi_sum_ += isi;
-        isi_sum_sq_ += isi * isi;
-        const unsigned bucket = static_cast<unsigned>(std::bit_width(isi));
-        if (isi_hist_.size() <= bucket) isi_hist_.resize(bucket + 1, 0);
-        ++isi_hist_[bucket];
-        if (st.contributed_window != window_index_ + 1) {
-          st.contributed_window = window_index_ + 1;
-          ++isi_neurons_;
-        }
-      }
-      st.fired_before = true;
-      st.last_fire_tick = tick_;
-    }
-  }
+  for (std::uint32_t g = 0; g < num_regions_; ++g) pop += win_region_[row_ + g];
   win_pop_.push_back(pop);
   total_spikes_ += pop;
   ++window_ticks_buffered_;

@@ -11,16 +11,16 @@
 // and the slow-wave/asynchronous regime characterization in PAPERS.md).
 //
 // Determinism contract (the acceptance criterion): the hot path accumulates
-// *integers only* — per-source-rank staging buffers of region counts and
-// sampled (core, neuron) fire events, exactly the spiketrace discipline —
-// and every floating-point statistic is computed serially at window close
-// from those integers, in one fixed order (ticks ascending, regions
-// ascending, bands in enum order). Goertzel coefficients are hard-coded
-// 17-digit literals, so no libm transcendental enters the pipeline (sqrt
-// and arithmetic are IEEE-exact). Hence every emitted byte is bit-identical
-// across MPI/PGAS transports and any OpenMP width for a fixed (model, seed,
-// window), and an offline replay of the same fired-spike stream (a recorded
-// raster) re-derives every window bit-for-bit (compass_prof --analytics).
+// *integers only* — per-region fire counts of the current tick and the
+// sampled neurons' last fire ticks — and every floating-point statistic is
+// computed serially at window close from those integers, in one fixed order
+// (ticks ascending, regions ascending, bands in enum order). Goertzel
+// coefficients are hard-coded 17-digit literals, so no libm transcendental
+// enters the pipeline (sqrt and arithmetic are IEEE-exact). Hence every
+// emitted byte is bit-identical across MPI/PGAS transports and any OpenMP
+// width for a fixed (model, seed, window), and an offline replay of the same
+// fired-spike stream (a recorded raster) re-derives every window bit-for-bit
+// (compass_prof --analytics).
 //
 // Sampling for ISI statistics is a pure function of the neuron identity:
 //
@@ -30,16 +30,13 @@
 // so both transports, every thread count, and the offline replay track the
 // same neuron set.
 //
-// Threading contract: on_fire() is called from the (possibly OpenMP-
-// parallel) per-rank Neuron loops and stages into per-rank buffers;
-// begin_tick() / end_tick() run serially at the tick boundaries. It stages
-// region counts rather than spikes, so it keeps its own staging next to
-// the runtime's spike-hook staging.
+// Every hook runs on one thread: runtime::Compass stages the fired neurons
+// of each rank and replays them to on_fire() on its calling thread once the
+// (possibly OpenMP-parallel) compute loop has joined.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/types.h"
@@ -69,8 +66,8 @@ struct AnalyticsOptions {
   /// `window_ticks` completed ticks (plus one partial window at flush()).
   std::uint64_t window_ticks = 64;
   /// Deterministic 1-in-N neuron sampling for the ISI statistics
-  /// (1 = track every neuron; ISI state is one map entry per sampled
-  /// neuron that ever fired).
+  /// (1 = track every neuron; the engine allocates 24 bytes of ISI state
+  /// per sampled neuron at construction).
   std::uint64_t sample_every = 16;
   /// Sampler seed; runs with equal (seed, model) track identical neurons.
   std::uint64_t seed = 0xCA1C;
@@ -122,21 +119,20 @@ struct AnalyticsWindow {
 };
 
 /// The streaming engine the runtime drives. Attach TraceSinks (windows
-/// arrive as on_analytics records), then runtime::Compass::set_analytics();
-/// detached costs the runtime one pointer test per fired spike. The engine
-/// must outlive the simulator.
+/// arrive as on_analytics records), then runtime::Compass::set_analytics().
+/// The engine must outlive the simulator.
 class AnalyticsEngine {
  public:
   /// `core_region` maps every core id in [0, num_cores) to its region index
   /// (the CLI builds it from compiler::PccResult::regions). An empty map
   /// puts every core in region 0 (single-region mode — the bench harness,
   /// which has no region table). Throws std::invalid_argument when a
-  /// non-empty map's size differs from num_cores.
+  /// non-empty map's size differs from num_cores. The engine keeps no
+  /// per-rank state; `ranks` is only checked to be >= 1.
   AnalyticsEngine(int ranks, std::uint32_t num_cores,
                   std::vector<std::uint32_t> core_region,
                   AnalyticsOptions options = {});
 
-  int ranks() const { return ranks_; }
   std::uint32_t num_cores() const { return num_cores_; }
   std::uint32_t num_regions() const { return num_regions_; }
   const AnalyticsOptions& options() const { return options_; }
@@ -161,26 +157,24 @@ class AnalyticsEngine {
 
   // --- Runtime hooks (called by runtime::Compass) --------------------------
 
-  /// Serial, at the top of each step.
+  /// At the top of each step: opens the tick's row of region counts.
   void begin_tick(arch::Tick tick);
 
-  /// Per *fired* neuron (connected or not — the same stream a raster hook
-  /// records, which is what makes offline re-derivation exact), from the
-  /// per-rank Neuron loops. Parallel-safe: stages into src_rank's buffer.
-  /// Inline and hash-free — the sampling decision is a bit test against a
-  /// bitmap precomputed from sample_hash() at construction — so the cost
-  /// per fired spike is a couple of loads and an increment.
-  void on_fire(int src_rank, arch::CoreId core, unsigned neuron) {
-    RankStage& s = staging_[static_cast<std::size_t>(src_rank)];
-    ++s.region_counts[core_region_.empty() ? 0u : core_region_[core]];
+  /// Per *fired* neuron of the tick begin_tick() opened (connected or not —
+  /// the same stream a raster hook records, which is what makes offline
+  /// re-derivation exact). Inline and hash-free — the sampling decision is a
+  /// bit test against a bitmap precomputed from sample_hash() at
+  /// construction — so the cost per fired spike is an increment and a bit
+  /// test; only sampled neurons leave the header.
+  void on_fire(arch::CoreId core, unsigned neuron) {
+    ++win_region_[row_ + (core_region_.empty() ? 0u : core_region_[core])];
     const std::uint32_t key = (static_cast<std::uint32_t>(core) << 8) |
                               (neuron & (arch::kNeuronsPerCore - 1));
-    if ((sampled_bits_[key >> 6] >> (key & 63u)) & 1u) s.sampled.push_back(key);
+    if ((sampled_bits_[key >> 6] >> (key & 63u)) & 1u) on_sampled_fire(key);
   }
 
-  /// Serial, at the end of the step: merges the per-rank staging buffers in
-  /// canonical rank order, buffers the tick's counts, and closes the window
-  /// when it is full.
+  /// At the end of the step: buffers the tick's population count and closes
+  /// the window when it is full.
   void end_tick();
 
   /// Close a partial window, if any ticks are buffered (end of run).
@@ -197,11 +191,6 @@ class AnalyticsEngine {
   std::string config_json() const;
 
  private:
-  struct RankStage {
-    std::vector<std::uint64_t> region_counts;  // per-region fires this tick
-    // Sampled fires this tick, in per-rank firing order.
-    std::vector<std::uint32_t> sampled;  // (core << 8) | neuron
-  };
   struct NeuronIsiState {
     std::uint64_t last_fire_tick = 0;
     bool fired_before = false;
@@ -210,11 +199,11 @@ class AnalyticsEngine {
     std::uint64_t contributed_window = 0;
   };
 
+  void on_sampled_fire(std::uint32_t key);
   void close_window();
   void emit(const AnalyticsWindow& w);
   std::string window_json(const AnalyticsWindow& w) const;
 
-  int ranks_;
   std::uint32_t num_cores_;
   std::uint32_t num_regions_ = 1;
   std::vector<std::uint32_t> core_region_;   // empty = all cores region 0
@@ -223,7 +212,6 @@ class AnalyticsEngine {
   std::vector<TraceSink*> sinks_;
 
   arch::Tick tick_ = 0;
-  std::vector<RankStage> staging_;
   // sampled(core, neuron) precomputed as one bit per (core << 8) | neuron —
   // num_cores * 256 bits — so the per-spike path never hashes or divides.
   std::vector<std::uint64_t> sampled_bits_;
@@ -235,10 +223,12 @@ class AnalyticsEngine {
   std::vector<std::uint64_t> win_pop_;     // per-tick population counts
   std::vector<std::uint64_t> win_region_;  // per-tick per-region counts,
                                            // row-major [tick][region]
-  // Per sampled neuron that ever fired, keyed (core << 8) | neuron. Only
-  // ever *looked up* (never iterated), so the hash map cannot leak its
-  // unspecified order into the output.
-  std::unordered_map<std::uint32_t, NeuronIsiState> isi_;
+  std::size_t row_ = 0;  // the current tick's row in win_region_
+  // sampled_before_[w]: sampled neurons in sampled_bits_ words [0, w), so a
+  // sampled key's slot in isi_ is that count plus the set bits below it in
+  // its own word.
+  std::vector<std::uint32_t> sampled_before_;
+  std::vector<NeuronIsiState> isi_;  // one per sampled neuron
   std::uint64_t isi_neurons_ = 0;
   std::uint64_t isi_intervals_ = 0;
   std::uint64_t isi_sum_ = 0;

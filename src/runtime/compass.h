@@ -129,11 +129,12 @@ class Compass {
           comm::Transport& transport, Config config = {});
 
   /// Observe every fired spike: hook(tick, source core, neuron index).
-  /// Intended for rasters and tests. The compute loop stages each fired
-  /// (core, neuron) per rank, and step() replays the stages on the calling
-  /// thread once the loop joins, in the serial order (rank, thread, core,
-  /// neuron ascending) — so the hook never runs inside the OpenMP team and
-  /// does not keep the ranks from running on it.
+  /// Intended for rasters and tests. Like the analytics engine and the spike
+  /// tracer, the hook reads the fire stage: the compute loop records each
+  /// fired (core, neuron) per rank while any of the three is attached, and
+  /// step() replays the stage on the calling thread once the loop joins, in
+  /// the serial order (rank, thread, core, neuron ascending) — so no fire
+  /// observer runs inside the OpenMP team or keeps the ranks off it.
   using SpikeHook = std::function<void(arch::Tick, arch::CoreId, unsigned)>;
   void set_spike_hook(SpikeHook hook) { hook_ = std::move(hook); }
 
@@ -152,20 +153,20 @@ class Compass {
   /// Attach a causal spike tracer (src/obs/spiketrace.h): every routed spike
   /// is then offered to the tracer's deterministic sampler, and sampled
   /// spikes emit span chains (fire → send → wire → recv → ring → integrate)
-  /// through the tracer's sinks. The tracer must match the partition's rank
-  /// count (throws std::invalid_argument otherwise) and outlive the
-  /// simulator. Its on_fire stages into per-source-rank buffers and is safe
-  /// under the parallel compute loop. Pass nullptr to detach.
+  /// through the tracer's sinks. The tracer gets the fire stage's connected
+  /// spikes on the calling thread (see set_spike_hook) and its deliveries
+  /// from the Network loop. It must match the partition's rank count (throws
+  /// std::invalid_argument otherwise) and outlive the simulator. Pass
+  /// nullptr to detach.
   void set_spike_tracer(obs::SpikeTracer* tracer);
 
   /// Attach a streaming-analytics engine (src/obs/analytics.h): every
   /// *fired* neuron (the raster stream, before target routing) is then
-  /// staged into the engine's per-source-rank buffers, and each tick
-  /// boundary drives the engine's serial merge + window machinery; run()
-  /// flushes a trailing partial window. It stages region counts per rank,
-  /// so it is safe under the parallel compute loop. Must match the
-  /// partition's rank count (throws std::invalid_argument) and outlive the
-  /// simulator. Pass nullptr to detach.
+  /// replayed from the fire stage into the engine on the calling thread (see
+  /// set_spike_hook), and each tick boundary drives the engine's window
+  /// machinery; run() flushes a trailing partial window. The engine must
+  /// cover the model's cores (throws std::invalid_argument otherwise) and
+  /// outlive the simulator. Pass nullptr to detach.
   void set_analytics(obs::AnalyticsEngine* analytics);
 
   /// Attach a flight recorder (src/obs/flightrec.h): the machine track then
@@ -257,7 +258,11 @@ class Compass {
   const Partition& partition() const { return partition_; }
 
  private:
+  bool fires_observed() const {
+    return hook_ || analytics_ != nullptr || tracer_ != nullptr;
+  }
   void compute_phases(int rank, perf::RankTickTimes& rt);
+  void replay_fires();
   void send_phase(int rank, perf::RankTickTimes& rt);
   void network_phase(int rank, perf::RankTickTimes& rt);
   void emit_trace_spans(const std::vector<perf::RankTickTimes>& scratch);
@@ -286,13 +291,14 @@ class Compass {
   // agg_dsts_[rank] lists the destinations holding one, ascending.
   std::vector<std::vector<std::vector<arch::WireSpike>>> agg_;
   std::vector<std::vector<int>> agg_dsts_;
-  // hook_staged_[rank]: this tick's fired (core, neuron) pairs, in fire
-  // order, filled only while a spike hook is set.
+  // fired_[rank]: this tick's fired (core, neuron) pairs, in fire order,
+  // filled only while a fire observer (spike hook, analytics engine or
+  // spike tracer) is attached.
   struct FiredNeuron {
     arch::CoreId core;
     unsigned neuron;
   };
-  std::vector<std::vector<FiredNeuron>> hook_staged_;
+  std::vector<std::vector<FiredNeuron>> fired_;
 
   // Per-rank counters, reduced after the (possibly parallel) phase loops.
   struct RankCounters {

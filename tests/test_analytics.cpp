@@ -11,7 +11,8 @@
 //   2. Model — byte-identity of every emitted JSONL line across MPI/PGAS
 //      transports, serial/parallel execution, and OpenMP thread widths for
 //      a fixed seeded macaque model; the no-observer-effect guarantee that
-//      attaching an engine leaves the main trace byte-identical; exact
+//      attaching an engine leaves the main trace byte-identical; an engine
+//      must cover the model's cores to attach; exact
 //      offline re-derivation of every window from the recorded fired-spike
 //      stream (the library-level form of `compass_prof --analytics`).
 //
@@ -35,6 +36,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -76,7 +78,7 @@ TraceBuffer drive_counts(const std::vector<std::uint64_t>& counts,
   for (std::size_t t = 0; t < counts.size(); ++t) {
     engine.begin_tick(t);
     for (std::uint64_t j = 0; j < counts[t]; ++j) {
-      engine.on_fire(0, 0, static_cast<unsigned>(j));
+      engine.on_fire(0, static_cast<unsigned>(j));
     }
     engine.end_tick();
   }
@@ -337,6 +339,23 @@ TEST(AnalyticsModel, AttachedEngineLeavesMainTraceByteIdentical) {
   EXPECT_FALSE(instrumented.analytics_jsonl.empty());
 }
 
+TEST(AnalyticsModel, AttachRequiresTheModelsCoreCount) {
+  // on_fire indexes the region map and the sampling bitmap by core id, so an
+  // engine built for fewer cores than the model would read past their ends.
+  // The rank count does not matter: the engine keeps no per-rank state.
+  const compiler::PccResult pcc = build_fixed_model();
+  arch::Model model = pcc.model;
+  comm::MpiTransport transport(pcc.partition.ranks(), comm::CommCostModel{});
+  runtime::Compass sim(model, pcc.partition, transport);
+  const auto cores = static_cast<std::uint32_t>(pcc.model.num_cores());
+  AnalyticsEngine fewer(pcc.partition.ranks(), cores - 1, {});
+  AnalyticsEngine more(pcc.partition.ranks(), cores + 1, {});
+  EXPECT_THROW(sim.set_analytics(&fewer), std::invalid_argument);
+  EXPECT_THROW(sim.set_analytics(&more), std::invalid_argument);
+  AnalyticsEngine one_rank(1, cores, {});
+  EXPECT_NO_THROW(sim.set_analytics(&one_rank));
+}
+
 TEST(AnalyticsModel, ByteIdenticalAcrossTransportsAndParallelism) {
   const compiler::PccResult pcc = build_fixed_model();
   const ModelRun baseline = run_model(pcc, false, false, true);
@@ -413,8 +432,8 @@ TEST(AnalyticsModel, OfflineReplayRederivesEveryWindowExactly) {
   sim.run(kModelTicks);
   ASSERT_FALSE(fires.empty());
 
-  // Replay: rank count is irrelevant to the output (per-rank staging merges
-  // into the same integer totals), so the offline pass always uses 1.
+  // Replay: the engine keeps no per-rank state, so the offline pass uses 1
+  // rank.
   AnalyticsEngine replay(1, static_cast<std::uint32_t>(pcc.model.num_cores()),
                          region_map(pcc), opt);
   TraceBuffer replay_buf;
@@ -423,7 +442,7 @@ TEST(AnalyticsModel, OfflineReplayRederivesEveryWindowExactly) {
   for (arch::Tick t = 0; t < kModelTicks; ++t) {
     replay.begin_tick(t);
     while (next < fires.size() && std::get<0>(fires[next]) == t) {
-      replay.on_fire(0, std::get<1>(fires[next]), std::get<2>(fires[next]));
+      replay.on_fire(std::get<1>(fires[next]), std::get<2>(fires[next]));
       ++next;
     }
     replay.end_tick();

@@ -1,7 +1,8 @@
 // Tests for the OpenMP parallel-execution mode (the default): functional
 // results must be identical to serial execution (per-rank state is disjoint
-// and spike delivery is order-independent) at any team width, and a spike
-// hook must see the serial stream without running inside the team.
+// and spike delivery is order-independent) at any team width, and the fire
+// observers (spike hook, analytics engine, spike tracer) must see the serial
+// stream without running inside the team.
 #include <gtest/gtest.h>
 
 #ifdef COMPASS_HAVE_OPENMP
@@ -19,6 +20,9 @@
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
+#include "obs/analytics.h"
+#include "obs/spiketrace.h"
+#include "obs/trace.h"
 #include "runtime/compass.h"
 
 namespace compass::runtime {
@@ -108,6 +112,91 @@ TEST(ParallelExecution, StagedHookMatchesSerialAtEveryWidth) {
     EXPECT_EQ(team.fired.size(), team.report.fired_spikes);
     EXPECT_FALSE(team.hook_in_parallel)
         << "a spike hook ran inside an OpenMP team";
+  }
+#ifdef COMPASS_HAVE_OPENMP
+  omp_set_num_threads(saved);
+#endif
+}
+
+struct FireObservers {
+  bool hook = false;
+  bool analytics = false;
+  bool tracer = false;
+};
+
+struct ObservedRun {
+  std::vector<FireEvent> fired;  // the hook's stream
+  std::string analytics;         // every analytics JSONL line
+  std::vector<obs::SpikeSpan> spans;
+};
+
+ObservedRun run_observed(const compiler::PccResult& pcc, bool pgas,
+                         bool parallel, FireObservers attach) {
+  arch::Model model = pcc.model;
+  std::unique_ptr<comm::Transport> transport;
+  if (pgas) {
+    transport = std::make_unique<comm::PgasTransport>(pcc.partition.ranks(),
+                                                      comm::CommCostModel{});
+  } else {
+    transport = std::make_unique<comm::MpiTransport>(pcc.partition.ranks(),
+                                                     comm::CommCostModel{});
+  }
+  Config cfg;
+  cfg.measure = false;
+  cfg.parallel_execution = parallel;
+  Compass sim(model, pcc.partition, *transport, cfg);
+
+  ObservedRun run;
+  if (attach.hook) {
+    sim.set_spike_hook([&run](arch::Tick t, arch::CoreId c, unsigned j) {
+      run.fired.emplace_back(t, c, j);
+    });
+  }
+  obs::AnalyticsEngine engine(
+      pcc.partition.ranks(), static_cast<std::uint32_t>(model.num_cores()), {},
+      obs::AnalyticsOptions{.window_ticks = 16, .sample_every = 4});
+  obs::TraceBuffer windows;
+  engine.add_sink(&windows);
+  if (attach.analytics) sim.set_analytics(&engine);
+  obs::SpikeTracer tracer(pcc.partition.ranks(),
+                          obs::SpikeTraceOptions{.sample_every = 4});
+  obs::SpikeSpanBuffer spans;
+  tracer.add_sink(&spans);
+  if (attach.tracer) sim.set_spike_tracer(&tracer);
+
+  sim.run(40);
+  for (const auto& rec : windows.analytics()) run.analytics += rec.json + "\n";
+  run.spans = spans.spans();
+  return run;
+}
+
+TEST(ParallelExecution, FireObserversTogetherMatchTheirSoloSerialRuns) {
+  // The three fire observers read one fire stage. Attached together on a
+  // team, each must see exactly what it sees attached alone to a serial run.
+  const compiler::PccResult pcc = build(80, 3);
+#ifdef COMPASS_HAVE_OPENMP
+  const int saved = omp_get_max_threads();
+#endif
+  for (const bool pgas : {false, true}) {
+    SCOPED_TRACE(pgas ? "pgas" : "mpi");
+    const ObservedRun hook = run_observed(pcc, pgas, false, {.hook = true});
+    const ObservedRun analytics =
+        run_observed(pcc, pgas, false, {.analytics = true});
+    const ObservedRun tracer = run_observed(pcc, pgas, false, {.tracer = true});
+    ASSERT_FALSE(hook.fired.empty());
+    ASSERT_FALSE(analytics.analytics.empty());
+    ASSERT_FALSE(tracer.spans.empty());
+    for (const int width : {1, 2, 4}) {
+      SCOPED_TRACE("OMP threads = " + std::to_string(width));
+#ifdef COMPASS_HAVE_OPENMP
+      omp_set_num_threads(width);
+#endif
+      const ObservedRun all =
+          run_observed(pcc, pgas, true, {true, true, true});
+      EXPECT_TRUE(all.fired == hook.fired);
+      EXPECT_EQ(all.analytics, analytics.analytics);
+      EXPECT_TRUE(all.spans == tracer.spans);
+    }
   }
 #ifdef COMPASS_HAVE_OPENMP
   omp_set_num_threads(saved);

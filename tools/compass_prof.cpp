@@ -154,8 +154,8 @@ int run_analytics(const std::string& analytics_path,
   }
   try {
     // Line 1 must be the config header; it carries everything needed to
-    // rebuild an identical engine (the replay is single-source, so the
-    // rank count is irrelevant to the output — see the staging contract).
+    // rebuild an identical engine (the engine keeps no per-rank state, so
+    // the replay passes one rank).
     const jsonv::JsonValue header = jsonv::JsonParser(recorded[0]).parse();
     const jsonv::JsonValue* type = header.find("type");
     if (type == nullptr || type->string != "analytics_config") {
@@ -206,7 +206,7 @@ int run_analytics(const std::string& analytics_path,
     for (std::uint64_t tick = 0; tick < total_ticks; ++tick) {
       engine.begin_tick(tick);
       while (next < events.size() && events[next].tick == tick) {
-        engine.on_fire(0, events[next].core, events[next].neuron);
+        engine.on_fire(events[next].core, events[next].neuron);
         ++next;
       }
       engine.end_tick();
