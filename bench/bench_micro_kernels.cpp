@@ -385,8 +385,10 @@ BENCHMARK(BM_TransportExchange<comm::PgasTransport>)->Arg(4)->Arg(16)->Arg(64);
 /// the runtime's layers around the kernels, including the scan of the
 /// ranks x threads x ranks per-thread send buffers. `observed` attaches what
 /// a served session attaches — a spike hook and an analytics engine — so
-/// each tick also fills the fire stage and replays it to both.
-void compass_step(benchmark::State& state, bool observed) {
+/// each tick also fills the fire stage and replays it to both. `measure`
+/// false turns the phase timers off (Config::measure), so the gap to the
+/// measured tick is what timing the phases costs.
+void compass_step(benchmark::State& state, bool observed, bool measure) {
   cocomac::MacaqueSpecOptions mopt;
   mopt.total_cores = 256;
   mopt.seed = 3;
@@ -396,7 +398,9 @@ void compass_step(benchmark::State& state, bool observed) {
   compiler::PccResult pcc =
       compiler::compile(cocomac::build_macaque_spec(mopt), popt);
   comm::MpiTransport transport(pcc.partition.ranks(), comm::CommCostModel{});
-  runtime::Compass sim(pcc.model, pcc.partition, transport);
+  runtime::Config cfg;
+  cfg.measure = measure;
+  runtime::Compass sim(pcc.model, pcc.partition, transport, cfg);
   std::vector<std::uint32_t> fired;
   obs::AnalyticsEngine analytics(
       pcc.partition.ranks(), static_cast<std::uint32_t>(pcc.model.num_cores()),
@@ -418,10 +422,16 @@ void compass_step(benchmark::State& state, bool observed) {
       static_cast<double>(after.messages - before.messages) /
       static_cast<double>(after.ticks - before.ticks));
 }
-void BM_CompassStep(benchmark::State& state) { compass_step(state, false); }
+void BM_CompassStep(benchmark::State& state) {
+  compass_step(state, false, true);
+}
 BENCHMARK(BM_CompassStep)->Arg(1)->Arg(32)->Unit(benchmark::kMicrosecond);
+void BM_CompassStepUnmeasured(benchmark::State& state) {
+  compass_step(state, false, false);
+}
+BENCHMARK(BM_CompassStepUnmeasured)->Arg(1)->Unit(benchmark::kMicrosecond);
 void BM_CompassStepObserved(benchmark::State& state) {
-  compass_step(state, true);
+  compass_step(state, true, true);
 }
 BENCHMARK(BM_CompassStepObserved)->Arg(1)->Unit(benchmark::kMicrosecond);
 

@@ -10,20 +10,6 @@
 
 namespace compass::runtime {
 
-namespace {
-
-/// Thread-CPU seconds since `mark`, moving `mark` to now. Back-to-back
-/// brackets share the read that ends one and starts the next: the clock has
-/// no vDSO fast path on Linux, so every read is a system call.
-double cpu_lap(double& mark) noexcept {
-  const double now = util::thread_cpu_seconds();
-  const double elapsed = now - mark;
-  mark = now;
-  return elapsed;
-}
-
-}  // namespace
-
 Compass::Compass(arch::Model& model, const Partition& partition,
                  comm::Transport& transport, Config config)
     : model_(model),
@@ -75,12 +61,22 @@ std::uint64_t Compass::step() {
   // Compute (Synapse + Neuron), rank by rank. Ranks are independent here —
   // no inter-rank state is touched until the transport sends — so with
   // parallel_execution the emulated ranks run concurrently on real threads.
-#ifdef COMPASS_HAVE_OPENMP
-#pragma omp parallel for schedule(static) if (config_.parallel_execution)
-#endif
-  for (int rank = 0; rank < num_ranks; ++rank) {
-    compute_phases(rank, scratch[static_cast<std::size_t>(rank)]);
-  }
+  // The contiguous thread partition is balanced to within one core, so a
+  // rank's per-thread makespan is its time / threads up to that rounding;
+  // aggregation runs on one thread and is not divided.
+  const int threads = partition_.threads_per_rank();
+  const double scale = config_.compute_time_scale;
+  const double per_thread = scale / static_cast<double>(threads);
+  rank_loop(
+      scratch,
+      [this](int rank, perf::RankTickTimes& rt, double& mark) {
+        compute_phases(rank, rt, mark);
+      },
+      [per_thread, scale](perf::RankTickTimes& rt, double ratio) {
+        rt.synapse *= ratio * per_thread;
+        rt.neuron *= ratio * per_thread;
+        rt.aggregate *= ratio * scale;
+      });
   if (wall_on) compute_loop_s = util::monotonic_seconds() - loop_t0;
   // The fire stage is complete once the compute loop joins; its observers
   // read it here, before any delivery can race ahead of the tracer.
@@ -100,13 +96,20 @@ std::uint64_t Compass::step() {
 
   // Network phase: local + remote spike delivery per rank. Every rank only
   // writes its own cores' delay buffers, so this also parallelises.
+  // Local delivery is spread over the non-master threads (the master runs
+  // the collective meanwhile), remote delivery over all of them.
   if (wall_on) loop_t0 = util::monotonic_seconds();
-#ifdef COMPASS_HAVE_OPENMP
-#pragma omp parallel for schedule(static) if (config_.parallel_execution)
-#endif
-  for (int rank = 0; rank < num_ranks; ++rank) {
-    network_phase(rank, scratch[static_cast<std::size_t>(rank)]);
-  }
+  const double per_local =
+      scale / static_cast<double>(std::max(1, threads - 1));
+  rank_loop(
+      scratch,
+      [this](int rank, perf::RankTickTimes& rt, double& mark) {
+        network_phase(rank, rt, mark);
+      },
+      [per_local, per_thread](perf::RankTickTimes& rt, double ratio) {
+        rt.local_deliver *= ratio * per_local;
+        rt.remote_deliver *= ratio * per_thread;
+      });
   if (wall_on) {
     // Threads that can get a rank: the team, capped by the rank count.
     int team = 1;
@@ -399,27 +402,71 @@ RunReport Compass::run(arch::Tick ticks) {
   return report_;
 }
 
-void Compass::compute_phases(int rank, perf::RankTickTimes& rt) {
-  // Phase compute is measured per rank with a thread-CPU clock and divided
-  // by the thread count: the contiguous thread partition is balanced to
-  // within one core, so per-thread makespan == per-rank time / threads up to
-  // that rounding. Measuring whole ranks (hundreds of cores) keeps timer
-  // overhead and noise negligible relative to the measured work.
+double Compass::end_bracket(double& mark, double& field) const noexcept {
+  if (!config_.measure && wall_ == nullptr) return 0.0;
+  const double s = util::lap(mark);
+  if (config_.measure) field = s;
+  return s;
+}
+
+template <typename Phase, typename Apportion>
+void Compass::rank_loop(std::vector<perf::RankTickTimes>& scratch,
+                        Phase phase, Apportion apportion) {
+  const int num_ranks = partition_.ranks();
+  const bool measure = config_.measure;
+  const bool timed = measure || wall_ != nullptr;
+#ifdef COMPASS_HAVE_OPENMP
+#pragma omp parallel if (config_.parallel_execution)
+#endif
+  {
+    // This thread's share: the contiguous block of ranks the static
+    // schedule gives it (all of them on one thread). Its brackets form one
+    // chain of monotonic reads in `mark`; the share's CPU/wall ratio then
+    // scales the measured ones (util/stopwatch.h).
+    util::CpuShare share;
+    double mark = 0.0;
+    int first = -1, last = -1;
+#ifdef COMPASS_HAVE_OPENMP
+#pragma omp for schedule(static) nowait
+#endif
+    for (int rank = 0; rank < num_ranks; ++rank) {
+      if (first < 0) {
+        first = rank;
+        if (measure) {
+          mark = share.start();
+        } else if (timed) {
+          mark = util::monotonic_seconds();
+        }
+      }
+      last = rank;
+      phase(rank, scratch[static_cast<std::size_t>(rank)], mark);
+    }
+    if (measure && first >= 0) {
+      const double ratio = share.finish(mark);
+      for (int rank = first; rank <= last; ++rank) {
+        apportion(scratch[static_cast<std::size_t>(rank)], ratio);
+      }
+    }
+  }
+}
+
+void Compass::compute_phases(int rank, perf::RankTickTimes& rt,
+                             double& mark) {
+  // Phase compute is bracketed per rank on the monotonic clock, one read
+  // ending each phase and starting the next, and left in `rt` as wall
+  // seconds; rank_loop() scales them by the share's CPU/wall ratio and the
+  // thread count. Measuring whole ranks (hundreds of cores) keeps timer
+  // overhead and noise negligible relative to the measured work. The wall
+  // profiler's brackets are the same reads.
   const std::size_t r = static_cast<std::size_t>(rank);
   const int threads = partition_.threads_per_rank();
-  const double inv_threads =
-      config_.compute_time_scale / static_cast<double>(threads);
 
   RankCounters& counters = counters_[r];
   std::vector<FiredNeuron>* stage = fires_observed() ? &fired_[r] : nullptr;
 
-  // Host wall brackets around the same regions the CPU clock measures.
   // Safe under the parallel rank loop: record() touches only this rank's
-  // slots. One shared read reused across the synapse/neuron boundary keeps
-  // it at one clock call per phase.
+  // slots.
   const bool wall_on = wall_ != nullptr;
-  double wall_t0 = wall_on ? util::monotonic_seconds() : 0.0;
-  double cpu_mark = config_.measure ? util::thread_cpu_seconds() : 0.0;
 
   // Synapse phase for every thread's cores.
   for (int t = 0; t < threads; ++t) {
@@ -428,12 +475,9 @@ void Compass::compute_phases(int rank, perf::RankTickTimes& rt) {
           model_.core(id).synapse_phase(tick_).synaptic_events);
     }
   }
-  if (config_.measure) rt.synapse = cpu_lap(cpu_mark) * inv_threads;
-  if (wall_on) {
-    const double wall_t1 = util::monotonic_seconds();
-    wall_->record(rank, obs::WallPhase::kSynapse, wall_t1 - wall_t0);
-    wall_t0 = wall_t1;
-  }
+  const double synapse_s = end_bracket(mark, rt.synapse);
+  if (wall_on) wall_->record(rank, obs::WallPhase::kSynapse, synapse_s);
+  const double neuron_t0 = mark;
 
   // Neuron phase: integrate-leak-fire, routing spikes to the thread-local
   // buffers exactly as Listing 1 does (localBuf[threadID] /
@@ -461,7 +505,7 @@ void Compass::compute_phases(int rank, perf::RankTickTimes& rt) {
     }
     counters.fired += fired_in_thread;
   }
-  if (config_.measure) rt.neuron = cpu_lap(cpu_mark) * inv_threads;
+  end_bracket(mark, rt.neuron);
 
   if (!transport_.one_sided() && config_.aggregate_sends) {
     // Paper default: the master thread merges the thread buffers per
@@ -487,14 +531,9 @@ void Compass::compute_phases(int rank, perf::RankTickTimes& rt) {
     for (int dst = 0; dst < ranks; ++dst) {
       if (!agg[static_cast<std::size_t>(dst)].empty()) dsts.push_back(dst);
     }
-    if (config_.measure) {
-      rt.aggregate = cpu_lap(cpu_mark) * config_.compute_time_scale;
-    }
+    end_bracket(mark, rt.aggregate);
   }
-  if (wall_on) {
-    wall_->record(rank, obs::WallPhase::kNeuron,
-                  util::monotonic_seconds() - wall_t0);
-  }
+  if (wall_on) wall_->record(rank, obs::WallPhase::kNeuron, mark - neuron_t0);
 }
 
 void Compass::replay_fires() {
@@ -572,17 +611,19 @@ void Compass::send_phase(int rank, perf::RankTickTimes& rt) {
   }
 }
 
-void Compass::network_phase(int rank, perf::RankTickTimes& rt) {
+void Compass::network_phase(int rank, perf::RankTickTimes& rt,
+                            double& mark) {
+  // Bracketed like compute_phases(): monotonic reads chained through
+  // `mark`, apportioned by rank_loop().
   const std::size_t r = static_cast<std::size_t>(rank);
   const int threads = partition_.threads_per_rank();
-  const double wall_t0 = wall_ != nullptr ? util::monotonic_seconds() : 0.0;
+  const double t0 = mark;
 
   rt.sync = transport_.sync_time(rank);
 
   // Local delivery: partitioned across the non-master threads, which run
   // concurrently with the master's collective (the overlap the ledger
   // models). Delivery is a bit-set per spike, so order is irrelevant.
-  double cpu_mark = config_.measure ? util::thread_cpu_seconds() : 0.0;
   std::uint64_t local_count = 0;
   for (int t = 0; t < threads; ++t) {
     auto& buf = local_[r][static_cast<std::size_t>(t)];
@@ -594,11 +635,7 @@ void Compass::network_phase(int rank, perf::RankTickTimes& rt) {
     buf.clear();
   }
   counters_[r].local_delivered += local_count;
-  if (config_.measure) {
-    const int width = std::max(1, threads - 1);
-    rt.local_deliver = cpu_lap(cpu_mark) * config_.compute_time_scale /
-                       static_cast<double>(width);
-  }
+  end_bracket(mark, rt.local_deliver);
 
   // Remote delivery: all threads take turns receiving messages (serialised
   // probe/recv, charged by the cost model) and deliver their contents in
@@ -609,14 +646,10 @@ void Compass::network_phase(int rank, perf::RankTickTimes& rt) {
       if (tracer_ != nullptr) tracer_->on_deliver(w);
     }
   }
-  if (config_.measure) {
-    rt.remote_deliver = cpu_lap(cpu_mark) * config_.compute_time_scale /
-                        static_cast<double>(threads);
-  }
+  end_bracket(mark, rt.remote_deliver);
   rt.recv = transport_.recv_time(rank);
   if (wall_ != nullptr) {
-    wall_->record(rank, obs::WallPhase::kNetwork,
-                  util::monotonic_seconds() - wall_t0);
+    wall_->record(rank, obs::WallPhase::kNetwork, mark - t0);
   }
 }
 

@@ -14,9 +14,11 @@
 // Ranks are *virtual*: with Config::parallel_execution they run on an
 // OpenMP team (synapse, neuron and aggregation in one rank loop, delivery
 // in another), and only message posting and the exchange stay serial on
-// the calling thread. Each rank's compute is measured with a thread-CPU
-// clock and composed with modelled communication costs into the parallel
-// makespan (src/perf/).
+// the calling thread. Each rank's compute is bracketed on the monotonic
+// clock, scaled by the CPU/wall ratio of the thread's share of the rank loop
+// (so time the scheduler gave to others is excluded in proportion;
+// util/stopwatch.h), and composed with modelled communication costs into
+// the parallel makespan (src/perf/).
 // The functional results — membrane trajectories, spike trains, message and
 // byte counts — are exactly those of the distributed execution, because
 // spike delivery is order-independent and all randomness is per-core.
@@ -261,10 +263,22 @@ class Compass {
   bool fires_observed() const {
     return hook_ || analytics_ != nullptr || tracer_ != nullptr;
   }
-  void compute_phases(int rank, perf::RankTickTimes& rt);
+  // Runs phase(rank, rt, mark) for every rank, on the OpenMP team when
+  // parallel_execution is on. Each thread's share of the ranks is one chain
+  // of monotonic reads (`mark`) between two thread-CPU reads; with measure
+  // on, apportion(rt, ratio) then scales each of its ranks' brackets by the
+  // share's CPU/wall ratio.
+  template <typename Phase, typename Apportion>
+  void rank_loop(std::vector<perf::RankTickTimes>& scratch, Phase phase,
+                 Apportion apportion);
+  // Ends the phase bracket open at `mark` and starts the next one there:
+  // returns its monotonic seconds (0 when nothing is timing), and leaves them
+  // in `field` when measuring, for rank_loop() to apportion.
+  double end_bracket(double& mark, double& field) const noexcept;
+  void compute_phases(int rank, perf::RankTickTimes& rt, double& mark);
   void replay_fires();
   void send_phase(int rank, perf::RankTickTimes& rt);
-  void network_phase(int rank, perf::RankTickTimes& rt);
+  void network_phase(int rank, perf::RankTickTimes& rt, double& mark);
   void emit_trace_spans(const std::vector<perf::RankTickTimes>& scratch);
   void emit_tick_trace(const perf::PhaseBreakdown& composed,
                        std::uint64_t routed, std::uint64_t local,

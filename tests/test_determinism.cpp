@@ -16,6 +16,7 @@
 #endif
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -202,24 +203,35 @@ TEST(Determinism, ProductionKernelsMatchSerialOracleStepper) {
 
 TEST(Determinism, MeasuredRunsKeepFunctionalCountersStable) {
   // With host timers ON the time fields wobble, but the functional counters
-  // must not.
+  // must not, on either transport.
   const compiler::PccResult pcc = build_fixed_model();
-  auto run_measured = [&](bool parallel) {
+  auto run_measured = [&](bool pgas, bool parallel) {
     arch::Model model = pcc.model;
-    comm::MpiTransport transport(3, comm::CommCostModel{});
+    std::unique_ptr<comm::Transport> transport;
+    if (pgas) {
+      transport =
+          std::make_unique<comm::PgasTransport>(3, comm::CommCostModel{});
+    } else {
+      transport =
+          std::make_unique<comm::MpiTransport>(3, comm::CommCostModel{});
+    }
     runtime::Config cfg;
     cfg.parallel_execution = parallel;
-    runtime::Compass sim(model, pcc.partition, transport, cfg);
+    runtime::Compass sim(model, pcc.partition, *transport, cfg);
     return sim.run(30);
   };
-  const runtime::RunReport a = run_measured(false);
-  const runtime::RunReport b = run_measured(true);
-  EXPECT_EQ(a.fired_spikes, b.fired_spikes);
-  EXPECT_EQ(a.routed_spikes, b.routed_spikes);
-  EXPECT_EQ(a.local_spikes, b.local_spikes);
-  EXPECT_EQ(a.remote_spikes, b.remote_spikes);
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.wire_bytes, b.wire_bytes);
+  for (const bool pgas : {false, true}) {
+    SCOPED_TRACE(pgas ? "pgas" : "mpi");
+    const runtime::RunReport a = run_measured(pgas, false);
+    const runtime::RunReport b = run_measured(pgas, true);
+    EXPECT_GT(a.fired_spikes, 0u);
+    EXPECT_EQ(a.fired_spikes, b.fired_spikes);
+    EXPECT_EQ(a.routed_spikes, b.routed_spikes);
+    EXPECT_EQ(a.local_spikes, b.local_spikes);
+    EXPECT_EQ(a.remote_spikes, b.remote_spikes);
+    EXPECT_EQ(a.messages, b.messages);
+    EXPECT_EQ(a.wire_bytes, b.wire_bytes);
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #endif
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <span>
 #include <string>
@@ -397,6 +398,100 @@ TEST(ParallelExecution, SendSequenceMatchesSerialOnEveryPath) {
   EXPECT_TRUE(merged(serial[2]) == aggregated);
   EXPECT_GT(count_sends(serial[1]), count_sends(aggregated))
       << "no message concatenates two thread buffers";
+}
+
+// Checks every per-rank phase time a measured tick reports through its
+// spans: the synapse bracket, the neuron + aggregation brackets with the
+// modelled send, and the two delivery brackets with the modelled sync and
+// receive. Each must be finite and non-negative, and the compute brackets
+// every rank takes each tick must be positive.
+class PhaseTimeCheck final : public obs::TraceSink {
+ public:
+  void on_span(const obs::SpanRecord& span) override {
+    ++spans;
+    const auto ok = [](double s) { return std::isfinite(s) && s >= 0.0; };
+    if (!ok(span.compute_s) || !ok(span.comm_s)) ++bad;
+    if (span.phase != obs::Phase::kNetwork && !(span.compute_s > 0.0)) {
+      ++empty_compute;
+    }
+  }
+  void on_tick(const obs::TickRecord& tick) override {
+    if (!std::isfinite(tick.synapse_s + tick.neuron_s + tick.network_s)) {
+      ++bad;
+    }
+  }
+  std::uint64_t spans = 0;
+  std::uint64_t bad = 0;
+  std::uint64_t empty_compute = 0;
+};
+
+struct MeasuredRun {
+  RunReport report;
+  arch::Model model;
+  PhaseTimeCheck check;
+};
+
+MeasuredRun run_measured(const compiler::PccResult& pcc, bool pgas,
+                         bool parallel) {
+  MeasuredRun run;
+  run.model = pcc.model;
+  std::unique_ptr<comm::Transport> transport;
+  if (pgas) {
+    transport = std::make_unique<comm::PgasTransport>(pcc.partition.ranks(),
+                                                      comm::CommCostModel{});
+  } else {
+    transport = std::make_unique<comm::MpiTransport>(pcc.partition.ranks(),
+                                                     comm::CommCostModel{});
+  }
+  Config cfg;
+  cfg.measure = true;
+  cfg.parallel_execution = parallel;
+  Compass sim(run.model, pcc.partition, *transport, cfg);
+  sim.add_trace_sink(&run.check);
+  run.report = sim.run(30);
+  return run;
+}
+
+TEST(ParallelExecution, MeasuredPhaseTimesAreFiniteAtEveryWidth) {
+  // Three ranks, so at width 4 one team thread gets no rank and its share
+  // of each rank loop is empty.
+  const compiler::PccResult pcc = build(80, 3);
+  const std::uint64_t spans_per_run = 30u * 3u * 3u;  // ticks x ranks x phases
+  for (const bool pgas : {false, true}) {
+    SCOPED_TRACE(pgas ? "pgas" : "mpi");
+    const MeasuredRun serial = run_measured(pcc, pgas, false);
+    ASSERT_GT(serial.report.fired_spikes, 0u);
+    EXPECT_EQ(serial.check.spans, spans_per_run);
+    EXPECT_EQ(serial.check.bad, 0u);
+    EXPECT_EQ(serial.check.empty_compute, 0u);
+#ifdef COMPASS_HAVE_OPENMP
+    const int saved = omp_get_max_threads();
+#endif
+    for (const int width : {1, 2, 4}) {
+      SCOPED_TRACE("OMP threads = " + std::to_string(width));
+#ifdef COMPASS_HAVE_OPENMP
+      omp_set_num_threads(width);
+#endif
+      const MeasuredRun team = run_measured(pcc, pgas, true);
+      EXPECT_EQ(team.check.spans, spans_per_run);
+      EXPECT_EQ(team.check.bad, 0u);
+      EXPECT_EQ(team.check.empty_compute, 0u);
+      const perf::PhaseBreakdown& v = team.report.virtual_time;
+      EXPECT_TRUE(std::isfinite(v.total()) && v.synapse > 0.0 &&
+                  v.neuron > 0.0 && v.network > 0.0);
+      EXPECT_EQ(team.report.fired_spikes, serial.report.fired_spikes);
+      EXPECT_EQ(team.report.routed_spikes, serial.report.routed_spikes);
+      EXPECT_EQ(team.report.local_spikes, serial.report.local_spikes);
+      EXPECT_EQ(team.report.remote_spikes, serial.report.remote_spikes);
+      EXPECT_EQ(team.report.synaptic_events, serial.report.synaptic_events);
+      EXPECT_EQ(team.report.messages, serial.report.messages);
+      EXPECT_EQ(team.report.wire_bytes, serial.report.wire_bytes);
+      EXPECT_TRUE(team.model == serial.model);
+    }
+#ifdef COMPASS_HAVE_OPENMP
+    omp_set_num_threads(saved);
+#endif
+  }
 }
 
 }  // namespace

@@ -1,12 +1,17 @@
 // Unit tests for the virtual-time ledger: makespan composition, the
 // Reduce-Scatter/local-delivery overlap, and slowdown accounting — plus the
 // divide-by-zero guards on the derived-rate helpers (RunReport::slowdown(),
-// RunReport::mean_rate_hz(), RunLedger::slowdown_vs_realtime()).
+// RunReport::mean_rate_hz(), RunLedger::slowdown_vs_realtime()), and the
+// apportioning of a thread's CPU time over its phase brackets
+// (util::cpu_wall_ratio()) that feeds the ledger its measured fields.
 #include "perf/ledger.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "runtime/compass.h"
+#include "util/stopwatch.h"
 
 namespace compass::perf {
 namespace {
@@ -175,6 +180,56 @@ TEST(RunReport, MeanRateGuardsBothZeroDenominators) {
   EXPECT_DOUBLE_EQ(rep.mean_rate_hz(0), 0.0);  // neurons == 0
   // 42 spikes over 1 biological second across 100 neurons -> 0.42 Hz.
   EXPECT_DOUBLE_EQ(rep.mean_rate_hz(100), 0.42);
+}
+
+// --- Apportioning a share's CPU time over its brackets ---------------------
+// Synthetic samples: one thread's share of a rank loop is a row of
+// monotonic brackets that tile it, plus the share's thread-CPU seconds.
+
+constexpr double kUs = 1e-6;
+
+TEST(CpuWallRatio, NoStealKeepsEveryBracket) {
+  const std::array<double, 3> brackets{5 * kUs, 12 * kUs, 3 * kUs};
+  const double wall = brackets[0] + brackets[1] + brackets[2];
+  const double ratio = util::cpu_wall_ratio(wall, wall);
+  EXPECT_DOUBLE_EQ(ratio, 1.0);
+  for (const double b : brackets) EXPECT_DOUBLE_EQ(b * ratio, b);
+}
+
+TEST(CpuWallRatio, SliceStolenInOneBracketIsExcludedInProportion) {
+  // Two ranks of 10 us compute each; the scheduler takes 5 us from the
+  // thread inside the second rank's bracket.
+  const double stolen = 5 * kUs;
+  const std::array<double, 2> brackets{10 * kUs, 10 * kUs + stolen};
+  const double wall = brackets[0] + brackets[1];
+  const double cpu = wall - stolen;
+  const double ratio = util::cpu_wall_ratio(wall, cpu);
+  EXPECT_DOUBLE_EQ(ratio, 0.8);
+  const double first = brackets[0] * ratio;
+  const double second = brackets[1] * ratio;
+  EXPECT_DOUBLE_EQ(first + second, cpu);  // the share's CPU, no more
+  EXPECT_LT(second, brackets[1]);
+  EXPECT_LT(first, brackets[0]);  // spread over the share, not pinned
+  EXPECT_GT(second, first);       // longer bracket, larger charge
+}
+
+TEST(CpuWallRatio, ThreadWithoutRanksGivesAFiniteNeutralRatio) {
+  // A team thread the static schedule gave no rank never brackets anything;
+  // its (zero-wall) share must not produce a NaN or infinity.
+  EXPECT_DOUBLE_EQ(util::cpu_wall_ratio(0.0, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(util::cpu_wall_ratio(0.0, 1 * kUs), 1.0);
+  EXPECT_DOUBLE_EQ(util::cpu_wall_ratio(-1 * kUs, 0.0), 1.0);
+}
+
+TEST(CpuWallRatio, CpuAboveWallFromGranularityIsClamped) {
+  // The two clocks tick apart, so an unpreempted share can read slightly
+  // more CPU than wall; that is never extra compute.
+  const double wall = 20 * kUs;
+  EXPECT_DOUBLE_EQ(util::cpu_wall_ratio(wall, wall + 0.4 * kUs), 1.0);
+  EXPECT_DOUBLE_EQ(util::cpu_wall_ratio(wall, 3.0 * wall), 1.0);
+  // And the other side of the range: no CPU at all charges nothing.
+  EXPECT_DOUBLE_EQ(util::cpu_wall_ratio(wall, 0.0), 0.0);
+  EXPECT_DOUBLE_EQ(util::cpu_wall_ratio(wall, -1 * kUs), 0.0);
 }
 
 }  // namespace
