@@ -106,6 +106,7 @@ int main(int argc, char** argv) {
     resilience::FaultInjectingTransport faulty(inner, plan);
     runtime::Config cfg;
     runtime::Compass sim(model, pcc.partition, faulty, cfg);
+    // The migrate planner reads the measured comm matrix from here.
     obs::ProfileCollector profiler(ranks);
     sim.set_profile(&profiler);
 
@@ -120,7 +121,6 @@ int main(int argc, char** argv) {
     ropt.policy = policy;
     resilience::RecoverySupervisor supervisor(ropt, sim, model, faulty,
                                               manager);
-    supervisor.set_profile(&profiler);
     supervisor.arm();
 
     const runtime::RunReport rep = sim.run(total_ticks);

@@ -111,7 +111,7 @@ runtime::RunReport run_model(const arch::Model& model,
   runtime::Compass sim(copy, partition, *transport, config);
   std::optional<runtime::RunObservers>& obs = bench_obs();
   if (!obs) obs.emplace(runtime::ObsOptions{});
-  obs->attach(sim, *transport, *transport, {}, profile);
+  obs->attach(sim, *transport, {}, profile);
   runtime::RunReport rep = sim.run(ticks);
   obs->end_run(rep);
   return rep;

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "util/stopwatch.h"
-
 namespace compass::comm {
 
 MpiTransport::MpiTransport(int ranks, CommCostModel model,
@@ -42,8 +40,6 @@ void MpiTransport::send(int src, int dst,
 void MpiTransport::exchange() {
   assert(!exchanged_);
   exchanged_ = true;
-  const double wall_t0 =
-      wall_prof_ != nullptr ? util::monotonic_seconds() : 0.0;
 
   // Reduce-Scatter: every rank participates and pays the collective cost,
   // whether or not it has traffic ("the master thread uses an MPI
@@ -65,10 +61,6 @@ void MpiTransport::exchange() {
       recv_s_[r] += cost_.mpi_recv_cost(wire_size(e.count));
       note_recv(r, e.count, wire_size(e.count));
     }
-  }
-  if (wall_prof_ != nullptr) {
-    wall_prof_->record_global(obs::WallPhase::kExchange,
-                              util::monotonic_seconds() - wall_t0);
   }
 }
 

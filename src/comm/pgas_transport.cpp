@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "util/stopwatch.h"
-
 namespace compass::comm {
 
 PgasTransport::PgasTransport(int ranks, CommCostModel model,
@@ -38,8 +36,6 @@ void PgasTransport::send(int src, int dst,
 void PgasTransport::exchange() {
   assert(!exchanged_);
   exchanged_ = true;
-  const double wall_t0 =
-      wall_prof_ != nullptr ? util::monotonic_seconds() : 0.0;
 
   const double barrier = cost_.barrier_cost(ranks_);
   for (int r = 0; r < ranks_; ++r) sync_s_[r] = barrier;
@@ -56,10 +52,6 @@ void PgasTransport::exchange() {
         note_recv(dst, seg.size(), wire_size(seg.size()));
       }
     }
-  }
-  if (wall_prof_ != nullptr) {
-    wall_prof_->record_global(obs::WallPhase::kExchange,
-                              util::monotonic_seconds() - wall_t0);
   }
 }
 

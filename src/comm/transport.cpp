@@ -50,30 +50,11 @@ std::vector<int> Transport::hop_matrix() const {
 }
 
 void Transport::begin_tick() {
-  flush_metrics();
-  metrics_flushed_ = (metrics_ == nullptr);
   stats_.reset();
   for (RankCommStats& rs : rank_stats_) rs.reset();
   std::fill(send_s_.begin(), send_s_.end(), 0.0);
   std::fill(sync_s_.begin(), sync_s_.end(), 0.0);
   std::fill(recv_s_.begin(), recv_s_.end(), 0.0);
-}
-
-void Transport::set_metrics(obs::MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  metrics_flushed_ = true;
-  if (metrics_ == nullptr) return;
-  m_messages_ = metrics_->counter("comm.messages", "messages");
-  m_spikes_ = metrics_->counter("comm.remote_spikes", "spikes");
-  m_bytes_ = metrics_->counter("comm.wire_bytes", "bytes");
-}
-
-void Transport::flush_metrics() {
-  if (metrics_ == nullptr || metrics_flushed_) return;
-  metrics_->add(m_messages_, stats_.messages);
-  metrics_->add(m_spikes_, stats_.remote_spikes);
-  metrics_->add(m_bytes_, stats_.wire_bytes);
-  metrics_flushed_ = true;
 }
 
 }  // namespace compass::comm

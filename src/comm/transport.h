@@ -14,6 +14,12 @@
 // wire is replaced by in-process copies plus a calibrated cost model whose
 // per-rank virtual times the runtime folds into the scaling figures.
 //
+// A transport only moves spikes and accounts for them. runtime::Compass is
+// the one place observability attaches: it reads tick_stats()/tick_faults()
+// into the metrics registry, times exchange() for the wall profiler, and
+// forwards only the two per-message hooks, the comm matrix and the flight
+// recorder, to the transport.
+//
 // Threading contract: transports are driven by the virtual-machine loop on
 // one OS thread; calls are not synchronised. The *receiver-side* critical
 // section of real MPI is represented in the cost model (mpi_recv_cost), not
@@ -28,9 +34,7 @@
 #include "comm/cost_model.h"
 #include "comm/torus.h"
 #include "obs/flightrec.h"
-#include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/wallprof.h"
 
 namespace compass::comm {
 
@@ -127,14 +131,6 @@ class Transport {
   /// inject faults (all the plain ones). Valid until the next begin_tick().
   virtual const TickFaultStats* tick_faults() const { return nullptr; }
 
-  /// Publish this transport's counters into `metrics` (messages, remote
-  /// spikes, wire bytes). Each tick's stats are flushed into the registry at
-  /// the next begin_tick(); call flush_metrics() after the final tick to
-  /// publish the tail. Pass nullptr to detach; detached costs one branch per
-  /// tick.
-  virtual void set_metrics(obs::MetricsRegistry* metrics);
-  virtual void flush_metrics();
-
   /// Attach a per-(src, dst) communication matrix (src/obs/profile.h): every
   /// message/put is then recorded against its source and destination rank.
   /// The runtime attaches it when profiling; detached costs one pointer test
@@ -150,16 +146,6 @@ class Transport {
   /// Virtual for the same decorator-forwarding reason as set_comm_matrix.
   virtual void set_flight_recorder(obs::FlightRecorder* flight) {
     flight_ = flight;
-  }
-
-  /// Attach the host wall-clock profiler (src/obs/wallprof.h): exchange()
-  /// then brackets its completion step with monotonic-clock reads and
-  /// records the host time as the global kExchange phase. The transport
-  /// owns this recording (not the runtime) so decorated transports are
-  /// timed where the work happens. Detached costs one pointer test per
-  /// exchange. Virtual for decorator forwarding.
-  virtual void set_wall_profiler(obs::WallProfiler* wall) {
-    wall_prof_ = wall;
   }
 
   /// Attach a torus topology: point-to-point sends are then charged
@@ -256,17 +242,12 @@ class Transport {
   std::vector<RankCommStats> rank_stats_;
   std::vector<double> send_s_, sync_s_, recv_s_;
   obs::FlightRecorder* flight_ = nullptr;
-  obs::WallProfiler* wall_prof_ = nullptr;
 
  private:
   const TorusTopology* topology_ = nullptr;
   int ranks_per_node_ = 1;
   std::vector<int> node_of_rank_;  // explicit rank -> node map (may be empty)
   obs::CommMatrix* comm_matrix_ = nullptr;
-
-  obs::MetricsRegistry* metrics_ = nullptr;
-  bool metrics_flushed_ = true;  // nothing to flush before the first tick
-  obs::MetricsRegistry::Id m_messages_ = 0, m_spikes_ = 0, m_bytes_ = 0;
 };
 
 }  // namespace compass::comm

@@ -22,6 +22,12 @@ namespace compass::obs {
 
 namespace {
 
+/// Sample /proc RSS every this many completed ticks (procfs reads are
+/// ~us-scale, far too hot for every tick).
+constexpr std::uint64_t kRssEveryTicks = 64;
+/// Ticks/s moving-window length, in samples (one sample per tick).
+constexpr std::size_t kRateWindowTicks = 64;
+
 /// Microsecond bucket index, metrics.h-style power-of-two bucketing.
 int bucket_of(double seconds) {
   const double us = seconds * 1e6;
@@ -294,7 +300,7 @@ void write_wallprof_summary_json(std::ostream& os,
 // --- WallProfiler -----------------------------------------------------------
 
 WallProfiler::WallProfiler(int ranks, WallprofOptions options)
-    : ranks_(ranks), options_(options), window_(options.window) {
+    : ranks_(ranks), options_(options), window_(kRateWindowTicks) {
   if (ranks_ < 1) {
     throw std::invalid_argument("WallProfiler: ranks must be >= 1");
   }
@@ -369,8 +375,7 @@ void WallProfiler::end_tick(std::uint64_t tick) {
   wall_total_s_ = now - epoch_s_;
   window_.add(tick + 1, wall_total_s_);
   ops_.fetch_add(1, std::memory_order_relaxed);
-  if (ticks_ == 1 || (options_.rss_every_ticks != 0 &&
-                      ticks_ % options_.rss_every_ticks == 0)) {
+  if (ticks_ == 1 || ticks_ % kRssEveryTicks == 0) {
     last_resources_ = sample_host_resources();
   }
   if (metrics_ != nullptr) {

@@ -147,14 +147,6 @@ struct WallprofOptions {
   /// Emit a {"type":"wallheartbeat"} record every N completed ticks (0 = no
   /// heartbeat records; the end-of-run summary is always written).
   std::uint64_t heartbeat_every_ticks = 0;
-  /// Sample /proc RSS every N completed ticks (procfs reads are ~us-scale,
-  /// far too hot for every tick).
-  std::uint64_t rss_every_ticks = 64;
-  /// Ticks/s moving-window length, in samples (one sample per tick).
-  std::size_t window = 64;
-  /// Have the attaching simulator enable kernel-dispatch counting and report
-  /// snapshot deltas in the summary.
-  bool count_kernel_dispatch = true;
 };
 
 /// One rank's wall + virtual accumulation for the per-rank phases.
@@ -208,7 +200,6 @@ class WallProfiler {
   explicit WallProfiler(int ranks, WallprofOptions options = {});
 
   int ranks() const { return ranks_; }
-  const WallprofOptions& options() const { return options_; }
 
   /// JSONL sink for heartbeat records and the end-of-run summary. Separate
   /// from every trace sink by design; pass nullptr to detach. The stream

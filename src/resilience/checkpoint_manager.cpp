@@ -45,15 +45,9 @@ long long tick_of(const std::string& name) {
 
 }  // namespace
 
-CheckpointManager::CheckpointManager(CheckpointOptions options,
-                                     obs::MetricsRegistry* metrics)
-    : options_(std::move(options)), metrics_(metrics) {
+CheckpointManager::CheckpointManager(CheckpointOptions options)
+    : options_(std::move(options)) {
   if (options_.keep < 1) options_.keep = 1;
-  if (metrics_ != nullptr) {
-    m_snapshots_ = metrics_->counter("ckpt.snapshots", "snapshots");
-    m_bytes_ = metrics_->counter("ckpt.bytes", "bytes");
-    m_write_s_ = metrics_->gauge("ckpt.write_s", "s");
-  }
 }
 
 std::string CheckpointManager::file_name(arch::Tick tick) {
@@ -75,12 +69,12 @@ std::string CheckpointManager::write_now(const runtime::Compass& sim,
   try {
     return write_unguarded(sim, model);
   } catch (const CheckpointError&) {
-    if (flight_ != nullptr) {
+    if (obs::FlightRecorder* flight = sim.flight_recorder()) {
       // Failed persistence is exactly what the black box is for: record the
       // failure, dump the window, then let the error propagate.
-      flight_->record(-1, obs::FlightEventKind::kCheckpoint, "error", -1,
-                      sim.now());
-      flight_->dump_now("checkpoint-error");
+      flight->record(-1, obs::FlightEventKind::kCheckpoint, "error", -1,
+                     sim.now());
+      flight->dump_now("checkpoint-error");
     }
     throw;
   }
@@ -107,14 +101,14 @@ std::string CheckpointManager::write_unguarded(const runtime::Compass& sim,
   ++stats_.snapshots;
   stats_.bytes += bytes;
   stats_.write_s += elapsed;
-  if (metrics_ != nullptr) {
-    metrics_->add(m_snapshots_);
-    metrics_->add(m_bytes_, bytes);
-    metrics_->set(m_write_s_, stats_.write_s);
+  if (obs::MetricsRegistry* metrics = sim.metrics()) {
+    metrics->add(metrics->counter("ckpt.snapshots", "snapshots"));
+    metrics->add(metrics->counter("ckpt.bytes", "bytes"), bytes);
+    metrics->set(metrics->gauge("ckpt.write_s", "s"), stats_.write_s);
   }
-  if (flight_ != nullptr) {
-    flight_->record(-1, obs::FlightEventKind::kCheckpoint, "write", -1,
-                    sim.now(), bytes);
+  if (obs::FlightRecorder* flight = sim.flight_recorder()) {
+    flight->record(-1, obs::FlightEventKind::kCheckpoint, "write", -1,
+                   sim.now(), bytes);
   }
 
   // Re-writing the same tick (e.g. write_now right after a periodic write)
@@ -123,10 +117,10 @@ std::string CheckpointManager::write_unguarded(const runtime::Compass& sim,
   for (const std::string& p : written_) known = known || p == path;
   if (!known) written_.push_back(path);
   prune();
-  if (wall_ != nullptr) {
+  if (obs::WallProfiler* wall = sim.wall_profiler()) {
     // The whole snapshot (capture + write + prune) charged as one
     // kCheckpoint observation; sw covers capture+write, re-read for prune.
-    wall_->record_global(obs::WallPhase::kCheckpoint, sw.elapsed_s());
+    wall->record_global(obs::WallPhase::kCheckpoint, sw.elapsed_s());
   }
   return path;
 }

@@ -2,18 +2,19 @@
 //
 // Attached to a running Compass via its tick-callback hook, the manager
 // writes `checkpoint-<tick>.ckpt` into a directory every N ticks (each file
-// crash-consistent via checkpoint.h's temp+fsync+rename protocol), keeps
-// only the newest K snapshots, and publishes write volume/latency into the
-// metrics registry (`ckpt.snapshots`, `ckpt.bytes`, `ckpt.write_s`).
+// crash-consistent via checkpoint.h's temp+fsync+rename protocol) and keeps
+// only the newest K snapshots. It keeps no observability attachments of its
+// own: each write reads the simulator's planes, publishing write
+// volume/latency into Compass::metrics() (`ckpt.snapshots`, `ckpt.bytes`,
+// `ckpt.write_s`, registered at the first write), a ckpt event into
+// Compass::flight_recorder(), and the snapshot's wall time into
+// Compass::wall_profiler() as the global checkpoint phase.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <string>
 
-#include "obs/flightrec.h"
-#include "obs/metrics.h"
-#include "obs/wallprof.h"
 #include "resilience/checkpoint.h"
 
 namespace compass::resilience {
@@ -30,31 +31,24 @@ struct CheckpointOptions {
 
 class CheckpointManager {
  public:
-  /// Cumulative write accounting (also published via metrics when attached).
+  /// Cumulative write accounting (also published via the simulator's
+  /// metrics registry when one is attached).
   struct Stats {
     std::uint64_t snapshots = 0;
     std::uint64_t bytes = 0;
     double write_s = 0.0;
   };
 
-  explicit CheckpointManager(CheckpointOptions options,
-                             obs::MetricsRegistry* metrics = nullptr);
-
-  /// Attach a flight recorder: successful writes become ckpt events in the
-  /// machine track, and a CheckpointError triggers a post-mortem dump
-  /// ("checkpoint-error") before the exception propagates.
-  void set_flight_recorder(obs::FlightRecorder* flight) { flight_ = flight; }
-
-  /// Attach the host wall-clock profiler: each snapshot's capture+write+prune
-  /// wall time is then recorded as the global kCheckpoint phase.
-  void set_wall_profiler(obs::WallProfiler* wall) { wall_ = wall; }
+  explicit CheckpointManager(CheckpointOptions options);
 
   /// Register the periodic tick callback on `sim`. `sim` and `model` must
   /// outlive the manager; no-op scheduling when options.every == 0.
   void attach(runtime::Compass& sim, arch::Model& model);
 
   /// Snapshot now, prune to `keep`, and return the written path.
-  /// Throws CheckpointError(kIo) when the directory or file is unwritable.
+  /// Throws CheckpointError(kIo) when the directory or file is unwritable;
+  /// with a flight recorder on `sim`, the failure is recorded and the
+  /// window dumped ("checkpoint-error") before the exception propagates.
   std::string write_now(const runtime::Compass& sim, const arch::Model& model);
 
   const Stats& stats() const { return stats_; }
@@ -87,11 +81,6 @@ class CheckpointManager {
   std::deque<std::string> written_;  // oldest-first, bounded by options_.keep
   std::string buffer_;  // the encoded snapshot, reused across writes
   Stats stats_;
-
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::MetricsRegistry::Id m_snapshots_ = 0, m_bytes_ = 0, m_write_s_ = 0;
-  obs::FlightRecorder* flight_ = nullptr;
-  obs::WallProfiler* wall_ = nullptr;
 };
 
 }  // namespace compass::resilience

@@ -123,8 +123,9 @@ struct FaultPlan {
 };
 
 /// Decorator over any concrete transport. The runtime drives it exactly like
-/// the wrapped transport; injected faults surface through tick_faults(),
-/// the metrics registry (`fault.*` counters), and added virtual send time.
+/// the wrapped transport; injected faults surface through tick_faults()
+/// (which Compass folds into the report, the trace records and its `fault.*`
+/// counters) and added virtual send time.
 class FaultInjectingTransport final : public comm::Transport {
  public:
   /// `inner` must outlive this object and must not be driven directly while
@@ -160,9 +161,6 @@ class FaultInjectingTransport final : public comm::Transport {
   double sync_time(int rank) const override { return inner_.sync_time(rank); }
   double recv_time(int rank) const override { return inner_.recv_time(rank); }
 
-  void set_metrics(obs::MetricsRegistry* metrics) override;
-  void flush_metrics() override;
-
   /// The wrapped transport's sends are the ones that reach the wire, so the
   /// comm matrix records surviving traffic only (dropped messages never
   /// appear; duplicated ones appear twice — consistent with tick_stats()).
@@ -177,12 +175,6 @@ class FaultInjectingTransport final : public comm::Transport {
   void set_flight_recorder(obs::FlightRecorder* flight) override {
     flight_ = flight;
     inner_.set_flight_recorder(flight);
-  }
-
-  /// Forward only: the wrapped transport's exchange() does the real
-  /// completion work, so it owns the kExchange wall bracket.
-  void set_wall_profiler(obs::WallProfiler* wall) override {
-    inner_.set_wall_profiler(wall);
   }
 
   /// Align the kill-tick clock after a checkpoint restore (mirrors
@@ -235,12 +227,6 @@ class FaultInjectingTransport final : public comm::Transport {
   std::vector<arch::WireSpike> corrupt_scratch_;
   bool warned_[3] = {false, false, false};  // drop / corrupt / kill
   bool kill_dumped_ = false;  // one flight dump per run, at the first kill
-
-  obs::MetricsRegistry* fmetrics_ = nullptr;
-  bool fmetrics_flushed_ = true;
-  obs::MetricsRegistry::Id m_injected_ = 0, m_dropped_ = 0, m_corrupt_ = 0,
-                           m_dup_ = 0, m_stalled_ = 0, m_retries_ = 0,
-                           m_lost_ = 0;
 };
 
 }  // namespace compass::resilience

@@ -83,8 +83,9 @@ void RecoverySupervisor::recover(int dead, arch::Tick tick) {
   if (options_.policy == RecoveryPolicy::kMigrate) {
     // Re-place the orphans across survivors, preferring the ranks that
     // measurably exchanged the most spikes with the dead one.
+    const obs::ProfileCollector* profiler = sim_.profile();
     const obs::CommMatrix* measured =
-        profiler_ != nullptr ? &profiler_->comm_matrix() : nullptr;
+        profiler != nullptr ? &profiler->comm_matrix() : nullptr;
     std::vector<int> rank_of =
         place::replace_dead_rank(sim_.partition(), dead, measured);
     migrated = orphans.size();
@@ -114,8 +115,8 @@ void RecoverySupervisor::recover(int dead, arch::Tick tick) {
   event.policy = options_.policy;
   event.checkpoint_path = path;
   event.wall_s = sw.elapsed_s();
-  if (wall_ != nullptr) {
-    wall_->record_global(obs::WallPhase::kRecovery, event.wall_s);
+  if (obs::WallProfiler* wall = sim_.wall_profiler()) {
+    wall->record_global(obs::WallPhase::kRecovery, event.wall_s);
   }
 
   obs::RecoveryRecord rec;
@@ -128,17 +129,17 @@ void RecoverySupervisor::recover(int dead, arch::Tick tick) {
   rec.cores_migrated = event.cores_migrated;
   sim_.note_recovery(rec);
 
-  if (metrics_ != nullptr) {
+  if (obs::MetricsRegistry* metrics = sim_.metrics()) {
     // Registered lazily so fault-free runs' metric snapshots do not grow
     // zero-valued recovery series.
-    metrics_->add(metrics_->counter("compass.recoveries", "recoveries"));
-    metrics_->set(metrics_->gauge("compass.recovery.ticks_lost", "ticks"),
-                  static_cast<double>(sim_.report().recovery_ticks_lost));
+    metrics->add(metrics->counter("compass.recoveries", "recoveries"));
+    metrics->set(metrics->gauge("compass.recovery.ticks_lost", "ticks"),
+                 static_cast<double>(sim_.report().recovery_ticks_lost));
   }
-  if (flight_ != nullptr) {
-    flight_->record(-1, obs::FlightEventKind::kRecovery,
-                    resilience::to_string(options_.policy), dead, tick,
-                    cp.tick);
+  if (obs::FlightRecorder* flight = sim_.flight_recorder()) {
+    flight->record(-1, obs::FlightEventKind::kRecovery,
+                   resilience::to_string(options_.policy), dead, tick,
+                   cp.tick);
   }
 
   std::cerr << "compass: recovery: rank " << dead << " died; "

@@ -26,10 +26,10 @@
 //                 policy "restart-rank": the rank is revive()d in place and
 //                 keeps its cores (models a hot-spare respawn).
 //   resume        the tick loop continues in declared degraded mode; the
-//                 recovery is recorded in the RunReport, the metrics
-//                 registry (compass_recoveries_total,
-//                 compass_recovery_ticks_lost), every JSONL trace sink, and
-//                 the flight recorder. Spike-trace chains resume with
+//                 recovery is recorded in the RunReport, every JSONL trace
+//                 sink, and the simulator's metrics registry, flight
+//                 recorder and wall profiler (see RecoverySupervisor).
+//                 Spike-trace chains resume with
 //                 correct ids automatically: trace ids are pure functions
 //                 of (seed, tick, core, neuron), never of rank ownership.
 //
@@ -53,9 +53,6 @@
 #include "arch/types.h"
 #include "comm/torus.h"
 #include "comm/transport.h"
-#include "obs/flightrec.h"
-#include "obs/metrics.h"
-#include "obs/profile.h"
 #include "resilience/checkpoint_manager.h"
 #include "resilience/fault.h"
 #include "runtime/compass.h"
@@ -110,6 +107,16 @@ struct RecoveryOptions {
 /// repairs the run per the configured policy. All referenced objects must
 /// outlive the supervisor; `model` must be the model `sim` runs and
 /// `checkpoints` the manager snapshotting that simulator.
+///
+/// What each recovery publishes goes to the planes attached to `sim` at
+/// that moment: Compass::metrics() gets compass.recoveries (counter) and
+/// compass.recovery.ticks_lost (gauge), registered lazily at the first
+/// recovery so fault-free snapshots are unchanged;
+/// Compass::flight_recorder() a recovery event; Compass::wall_profiler()
+/// the recovery's wall time (detection → migrated + replayed) as the global
+/// kRecovery phase. Under migrate, Compass::profile()'s measured comm
+/// matrix steers the orphan redistribution (without one it degrades to
+/// lowest-rank-first).
 class RecoverySupervisor {
  public:
   RecoverySupervisor(RecoveryOptions options, runtime::Compass& sim,
@@ -122,21 +129,6 @@ class RecoverySupervisor {
   /// No-op under kAbort — that policy must stay bit-for-bit identical to a
   /// run without a supervisor. Call once, before run().
   void arm();
-
-  /// Measured comm matrix source for the migrate planner (optional; without
-  /// one the orphan redistribution degrades to lowest-rank-first).
-  void set_profile(const obs::ProfileCollector* profiler) {
-    profiler_ = profiler;
-  }
-  /// Recovery counters: compass.recoveries (counter) and
-  /// compass.recovery.ticks_lost (gauge). Series are registered lazily at
-  /// the first recovery so fault-free snapshots are unchanged.
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
-  void set_flight_recorder(obs::FlightRecorder* flight) { flight_ = flight; }
-  /// Attach the host wall-clock profiler: each completed recovery's wall
-  /// time (detection → migrated + replayed) is recorded as the global
-  /// kRecovery phase.
-  void set_wall_profiler(obs::WallProfiler* wall) { wall_ = wall; }
 
   /// Completed recoveries, oldest first (at most one per killed rank today).
   const std::vector<RecoveryEvent>& events() const { return events_; }
@@ -151,10 +143,6 @@ class RecoverySupervisor {
   arch::Model& model_;
   FaultInjectingTransport& transport_;
   CheckpointManager& checkpoints_;
-  const obs::ProfileCollector* profiler_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
-  obs::WallProfiler* wall_ = nullptr;
   bool armed_ = false;
   bool recovered_ = false;  // one recovery per run: a rank dies once
   std::vector<RecoveryEvent> events_;

@@ -1,6 +1,7 @@
 #include "runtime/compass.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <stdexcept>
 
@@ -9,6 +10,27 @@
 #endif
 
 namespace compass::runtime {
+
+namespace {
+
+// The fault decorator's per-tick counters, published as `fault.*` in this
+// order.
+struct FaultCounter {
+  const char* name;
+  const char* unit;
+  std::uint64_t comm::TickFaultStats::*field;
+};
+constexpr std::array<FaultCounter, 7> kFaultCounters{{
+    {"fault.injected", "faults", &comm::TickFaultStats::injected},
+    {"fault.dropped_msgs", "messages", &comm::TickFaultStats::dropped_msgs},
+    {"fault.corrupt_msgs", "messages", &comm::TickFaultStats::corrupt_msgs},
+    {"fault.dup_msgs", "messages", &comm::TickFaultStats::dup_msgs},
+    {"fault.stalled_msgs", "messages", &comm::TickFaultStats::stalled_msgs},
+    {"fault.retries", "messages", &comm::TickFaultStats::retries},
+    {"fault.lost_spikes", "spikes", &comm::TickFaultStats::lost_spikes},
+}};
+
+}  // namespace
 
 Compass::Compass(arch::Model& model, const Partition& partition,
                  comm::Transport& transport, Config config)
@@ -89,7 +111,13 @@ std::uint64_t Compass::step() {
   }
 
   // Global synchronisation point: Reduce-Scatter (MPI) or barrier (PGAS).
+  // Its wall bracket closes where the network loop's opens.
+  const double exchange_t0 = wall_on ? util::monotonic_seconds() : 0.0;
   transport_.exchange();
+  if (wall_on) {
+    loop_t0 = util::monotonic_seconds();
+    wall_->record_global(obs::WallPhase::kExchange, loop_t0 - exchange_t0);
+  }
   if (flight_ != nullptr) {
     flight_->record(-1, obs::FlightEventKind::kPhase, "exchange", -1, tick_);
   }
@@ -98,7 +126,6 @@ std::uint64_t Compass::step() {
   // writes its own cores' delay buffers, so this also parallelises.
   // Local delivery is spread over the non-master threads (the master runs
   // the collective meanwhile), remote delivery over all of them.
-  if (wall_on) loop_t0 = util::monotonic_seconds();
   const double per_local =
       scale / static_cast<double>(std::max(1, threads - 1));
   rank_loop(
@@ -180,6 +207,14 @@ std::uint64_t Compass::step() {
   if (!sinks_.empty()) emit_tick_trace(composed, tick_routed, tick_local, ts);
 
   if (metrics_ != nullptr) {
+    metrics_->add(ids_.messages, ts.messages);
+    metrics_->add(ids_.comm_spikes, ts.remote_spikes);
+    metrics_->add(ids_.wire_bytes, ts.wire_bytes);
+    if (faults != nullptr) {
+      for (std::size_t i = 0; i < kFaultCounters.size(); ++i) {
+        metrics_->add(ids_.faults[i], faults->*kFaultCounters[i].field);
+      }
+    }
     metrics_->add(ids_.ticks);
     metrics_->add(ids_.fired, tick_fired_);
     metrics_->add(ids_.routed, tick_routed);
@@ -241,6 +276,17 @@ void Compass::note_recovery(const obs::RecoveryRecord& recovery) {
 void Compass::set_metrics(obs::MetricsRegistry* metrics) {
   metrics_ = metrics;
   if (metrics_ == nullptr) return;
+  ids_.messages = metrics_->counter("comm.messages", "messages");
+  ids_.comm_spikes = metrics_->counter("comm.remote_spikes", "spikes");
+  ids_.wire_bytes = metrics_->counter("comm.wire_bytes", "bytes");
+  static_assert(kFaultCounters.size() ==
+                std::tuple_size_v<decltype(ids_.faults)>);
+  if (transport_.tick_faults() != nullptr) {
+    for (std::size_t i = 0; i < kFaultCounters.size(); ++i) {
+      ids_.faults[i] = metrics_->counter(kFaultCounters[i].name,
+                                         kFaultCounters[i].unit);
+    }
+  }
   ids_.ticks = metrics_->counter("run.ticks", "ticks", "Simulated ticks.");
   ids_.fired = metrics_->counter("run.fired_spikes", "spikes",
                                  "Neurons that crossed threshold.");
@@ -282,7 +328,7 @@ void Compass::set_analytics(obs::AnalyticsEngine* analytics) {
 
 void Compass::set_flight_recorder(obs::FlightRecorder* flight) {
   flight_ = flight;
-  if (flight != nullptr) transport_.set_flight_recorder(flight);
+  transport_.set_flight_recorder(flight);
 }
 
 void Compass::set_wall_profiler(obs::WallProfiler* wall) {
@@ -291,8 +337,7 @@ void Compass::set_wall_profiler(obs::WallProfiler* wall) {
         "Compass: wall profiler rank count does not match partition");
   }
   wall_ = wall;
-  transport_.set_wall_profiler(wall);
-  if (wall != nullptr && wall->options().count_kernel_dispatch) {
+  if (wall != nullptr) {
     arch::kernels::set_dispatch_counting(true);
     wall_kernel_base_ = arch::kernels::dispatch_counters();
   }
@@ -373,7 +418,7 @@ RunReport Compass::run(arch::Tick ticks) {
   for (arch::Tick i = 0; i < ticks; ++i) step();
   report_.host_wall_s += wall.elapsed_s();
   report_.virtual_time = ledger_.totals();
-  if (wall_ != nullptr && wall_->options().count_kernel_dispatch) {
+  if (wall_ != nullptr) {
     // Delta since the profiler attached (overwrite, not accumulate — the
     // baseline is fixed, so repeated run() calls stay correct).
     const arch::kernels::DispatchCounters now =
@@ -388,7 +433,6 @@ RunReport Compass::run(arch::Tick ticks) {
     delta.neuron_scalar = now.neuron_scalar - wall_kernel_base_.neuron_scalar;
     wall_->note_kernel_counts(delta);
   }
-  transport_.flush_metrics();  // publish the final tick's comm counters
   // Close a trailing partial analytics window before the metrics snapshot,
   // so its gauges land in RunReport::metrics.
   if (analytics_ != nullptr) analytics_->flush();

@@ -1,19 +1,28 @@
 #include "runtime/observers.h"
 
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 
 namespace compass::runtime {
 
-namespace {
-
-void open_output(std::ofstream& os, const std::string& path) {
+void RunObservers::CreatedFiles::open(std::ofstream& os,
+                                      const std::string& path) {
   if (path.empty()) return;
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path, ec);
   os.open(path);
   if (!os) throw std::runtime_error("cannot write " + path);
+  if (!existed) paths.push_back(path);
 }
 
-}  // namespace
+RunObservers::CreatedFiles::~CreatedFiles() {
+  if (keep) return;
+  for (const std::string& path : paths) {
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+  }
+}
 
 std::vector<util::Flag> ObsOptions::flags() {
   using util::Flag;
@@ -42,25 +51,24 @@ std::vector<util::Flag> ObsOptions::flags() {
 RunObservers::RunObservers(ObsOptions options)
     : options_(std::move(options)),
       metrics_on_(options_.metrics || !options_.metrics_out.empty()) {
-  open_output(trace_os_, options_.trace_out);
-  open_output(chrome_os_, options_.chrome_out);
-  open_output(metrics_os_, options_.metrics_out);
-  open_output(profile_os_, options_.profile_out);
-  open_output(span_os_, options_.spike_trace_out);
-  open_output(wall_os_, options_.wallprof_out);
-  open_output(analytics_os_, options_.analytics_out);
+  created_.open(trace_os_, options_.trace_out);
+  created_.open(chrome_os_, options_.chrome_out);
+  created_.open(metrics_os_, options_.metrics_out);
+  created_.open(profile_os_, options_.profile_out);
+  created_.open(span_os_, options_.spike_trace_out);
+  created_.open(wall_os_, options_.wallprof_out);
+  created_.open(analytics_os_, options_.analytics_out);
   if (trace_os_.is_open()) jsonl_.emplace(trace_os_);
   if (span_os_.is_open()) span_writer_.emplace(span_os_);
   if (analytics_os_.is_open()) analytics_writer_.emplace(analytics_os_);
 }
 
-void RunObservers::attach(Compass& sim, comm::Transport& transport,
-                          const comm::Transport& hops,
+void RunObservers::attach(Compass& sim, const comm::Transport& hops,
                           std::vector<std::uint32_t> core_region,
                           bool profile) {
+  created_.keep = true;
   const int ranks = sim.partition().ranks();
   obs::MetricsRegistry* const m = metrics();
-  transport.set_metrics(m);
   sim.set_metrics(m);
 
   profiler_.reset();
@@ -121,6 +129,7 @@ void RunObservers::end_run(const RunReport& report) {
 }
 
 void RunObservers::finish() {
+  created_.keep = true;
   if (span_writer_) span_writer_->finish();
   if (chrome_os_.is_open()) chrome_.write(chrome_os_);
   if (metrics_os_.is_open()) registry_.write_json(metrics_os_);

@@ -8,8 +8,10 @@
 // JSONL streams append across the runs of one process. Each run then calls
 // attach() to hang its own per-run planes (profile collector, spike tracer,
 // analytics engine, wall profiler; each sized to that run's rank count) on
-// one Compass and its transport, end_run() after run(), and the process
-// calls finish() once to write the whole-process outputs.
+// one Compass, end_run() after run(), and the process calls finish() once to
+// write the whole-process outputs. A RunObservers destroyed before any
+// attach() or finish() (the process failed before simulating) removes the
+// output files it created, so a failed run leaves no empty outputs behind.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +54,8 @@ struct ObsOptions {
 class RunObservers {
  public:
   /// Opens every requested output file; throws std::runtime_error
-  /// ("cannot write PATH") when one cannot be opened.
+  /// ("cannot write PATH") when one cannot be opened, removing the ones it
+  /// had created.
   explicit RunObservers(ObsOptions options);
   // The writers hold references to the streams beside them.
   RunObservers(const RunObservers&) = delete;
@@ -63,14 +66,13 @@ class RunObservers {
     return metrics_on_ ? &registry_ : nullptr;
   }
 
-  /// Attach the requested planes for one run of `sim` over `transport`.
-  /// `hops` is the transport whose hop model the spike tracer reports (the
-  /// undecorated one when `transport` is a fault decorator). `core_region`
-  /// maps cores to analytics regions (empty = one region). With `profile`
-  /// a collector is attached even without --profile-out. Replaces the
-  /// previous run's planes, so that run's simulator must be gone.
-  void attach(Compass& sim, comm::Transport& transport,
-              const comm::Transport& hops,
+  /// Attach the requested planes for one run of `sim`. `hops` is the
+  /// transport whose hop model the spike tracer reports (the undecorated
+  /// one when `sim` runs over a fault decorator). `core_region` maps cores
+  /// to analytics regions (empty = one region). With `profile` a collector
+  /// is attached even without --profile-out. Replaces the previous run's
+  /// planes, so that run's simulator must be gone.
+  void attach(Compass& sim, const comm::Transport& hops,
               std::vector<std::uint32_t> core_region = {},
               bool profile = false);
 
@@ -106,6 +108,22 @@ class RunObservers {
     return o ? &*o : nullptr;
   }
 
+  // The output files this object created, removed on destruction unless an
+  // attach() or finish() kept them. Declared first so it is destroyed after
+  // the streams close.
+  struct CreatedFiles {
+    std::vector<std::string> paths;
+    bool keep = false;
+    CreatedFiles() = default;
+    CreatedFiles(const CreatedFiles&) = delete;
+    CreatedFiles& operator=(const CreatedFiles&) = delete;
+    ~CreatedFiles();
+    /// Opens `path` when one was requested; throws std::runtime_error
+    /// ("cannot write PATH") when it cannot be opened.
+    void open(std::ofstream& os, const std::string& path);
+  };
+
+  CreatedFiles created_;
   ObsOptions options_;
   bool metrics_on_ = false;
   obs::MetricsRegistry registry_;

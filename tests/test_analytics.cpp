@@ -41,10 +41,10 @@
 #include <tuple>
 #include <vector>
 
-#include "cocomac/macaque.h"
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
+#include "macaque_fixture.h"
 #include "obs/analytics.h"
 #include "obs/jsonv.h"
 #include "obs/trace.h"
@@ -56,6 +56,8 @@
 
 namespace compass {
 namespace {
+
+using testing::compile_macaque;
 
 using obs::AnalyticsEngine;
 using obs::AnalyticsOptions;
@@ -258,16 +260,6 @@ TEST(AnalyticsUnit, ConfigHeaderIsEmittedOnceBeforeFirstWindow) {
 
 constexpr arch::Tick kModelTicks = 50;  // 3 full windows of 16 + a partial
 
-compiler::PccResult build_fixed_model() {
-  cocomac::MacaqueSpecOptions mopt;
-  mopt.total_cores = 77;
-  mopt.seed = 2012;
-  compiler::PccOptions popt;
-  popt.ranks = 3;
-  popt.threads_per_rank = 2;
-  return compiler::compile(cocomac::build_macaque_spec(mopt), popt);
-}
-
 std::vector<std::uint32_t> region_map(const compiler::PccResult& pcc) {
   std::vector<std::uint32_t> core_region(pcc.model.num_cores(), 0);
   for (std::size_t g = 0; g < pcc.regions.size(); ++g) {
@@ -329,7 +321,7 @@ TEST(AnalyticsModel, AttachedEngineLeavesMainTraceByteIdentical) {
   // The no-observer-effect half of the acceptance criterion: the spans,
   // tick records, and run report of an instrumented run are byte-for-byte
   // the bytes of a bare run.
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   const ModelRun bare = run_model(pcc, false, false, false);
   const ModelRun instrumented = run_model(pcc, false, false, true);
   EXPECT_EQ(bare.trace_jsonl, instrumented.trace_jsonl);
@@ -343,7 +335,7 @@ TEST(AnalyticsModel, AttachRequiresTheModelsCoreCount) {
   // on_fire indexes the region map and the sampling bitmap by core id, so an
   // engine built for fewer cores than the model would read past their ends.
   // The rank count does not matter: the engine keeps no per-rank state.
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
   comm::MpiTransport transport(pcc.partition.ranks(), comm::CommCostModel{});
   runtime::Compass sim(model, pcc.partition, transport);
@@ -357,7 +349,7 @@ TEST(AnalyticsModel, AttachRequiresTheModelsCoreCount) {
 }
 
 TEST(AnalyticsModel, ByteIdenticalAcrossTransportsAndParallelism) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   const ModelRun baseline = run_model(pcc, false, false, true);
   ASSERT_FALSE(baseline.analytics_jsonl.empty());
   // Header + 3 full windows + the flushed partial.
@@ -383,7 +375,7 @@ TEST(AnalyticsModel, ByteIdenticalAcrossTransportsAndParallelism) {
 
 TEST(AnalyticsModel, ByteIdenticalAcrossOmpThreadWidths) {
 #ifdef _OPENMP
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   const int saved = omp_get_max_threads();
   omp_set_num_threads(1);
   const ModelRun baseline = run_model(pcc, false, true, true);
@@ -407,7 +399,7 @@ TEST(AnalyticsModel, OfflineReplayRederivesEveryWindowExactly) {
   // through a fresh single-rank engine: every line must come back
   // byte-for-byte. This is the library-level form of
   //   compass_prof --analytics <jsonl> --raster <rst>
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
 
   arch::Model model = pcc.model;
   comm::MpiTransport transport(pcc.partition.ranks(), comm::CommCostModel{});
@@ -459,7 +451,7 @@ std::string golden_path() {
 }
 
 TEST(AnalyticsGolden, WindowsMatchCommittedJsonl) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   const std::string actual = run_model(pcc, false, false, true).analytics_jsonl;
 
   if (std::getenv("COMPASS_REGOLDEN") != nullptr) {

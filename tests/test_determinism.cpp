@@ -23,10 +23,10 @@
 #include <vector>
 
 #include "arch/spike.h"
-#include "cocomac/macaque.h"
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
+#include "macaque_fixture.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "runtime/compass.h"
@@ -34,15 +34,7 @@
 namespace compass {
 namespace {
 
-compiler::PccResult build_fixed_model() {
-  cocomac::MacaqueSpecOptions mopt;
-  mopt.total_cores = 77;
-  mopt.seed = 2012;
-  compiler::PccOptions popt;
-  popt.ranks = 3;
-  popt.threads_per_rank = 2;
-  return compiler::compile(cocomac::build_macaque_spec(mopt), popt);
-}
+using testing::compile_macaque;
 
 struct DeterministicRun {
   runtime::RunReport report;
@@ -94,7 +86,7 @@ void expect_equivalent(const DeterministicRun& a, const DeterministicRun& b) {
 }
 
 TEST(Determinism, RepeatedRunsAreByteIdentical) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   const DeterministicRun first = run_once(pcc, /*parallel=*/false);
   const DeterministicRun second = run_once(pcc, /*parallel=*/false);
   ASSERT_FALSE(first.trace_jsonl.empty());
@@ -102,14 +94,14 @@ TEST(Determinism, RepeatedRunsAreByteIdentical) {
 }
 
 TEST(Determinism, ParallelExecutionMatchesSerial) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   const DeterministicRun serial = run_once(pcc, /*parallel=*/false);
   const DeterministicRun parallel = run_once(pcc, /*parallel=*/true);
   expect_equivalent(serial, parallel);
 }
 
 TEST(Determinism, PgasRepeatedRunsAreByteIdentical) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   const DeterministicRun first = run_once(pcc, /*parallel=*/false, true);
   const DeterministicRun second = run_once(pcc, /*parallel=*/true, true);
   expect_equivalent(first, second);
@@ -117,7 +109,7 @@ TEST(Determinism, PgasRepeatedRunsAreByteIdentical) {
 
 TEST(Determinism, IndependentOfOmpThreadCount) {
 #ifdef _OPENMP
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   const int saved = omp_get_max_threads();
   omp_set_num_threads(1);
   const DeterministicRun baseline = run_once(pcc, /*parallel=*/true);
@@ -168,7 +160,7 @@ TEST(Determinism, ProductionKernelsMatchSerialOracleStepper) {
   // The whole-model differential: the production kernels on the Compass
   // loop (77 CoCoMac cores, stochastic neurons included) against the scalar
   // oracle walk — same fire stream, same final model, same PRNG positions.
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   constexpr arch::Tick kTicks = 50;
   arch::Model oracle = pcc.model;
   const std::vector<FireEvent> oracle_fired = step_oracle(oracle, kTicks);
@@ -204,7 +196,7 @@ TEST(Determinism, ProductionKernelsMatchSerialOracleStepper) {
 TEST(Determinism, MeasuredRunsKeepFunctionalCountersStable) {
   // With host timers ON the time fields wobble, but the functional counters
   // must not, on either transport.
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   auto run_measured = [&](bool pgas, bool parallel) {
     arch::Model model = pcc.model;
     std::unique_ptr<comm::Transport> transport;

@@ -10,17 +10,19 @@
 
 #include <vector>
 
-#include "cocomac/macaque.h"
 #include "comm/mpi_transport.h"
 #include "compiler/pcc.h"
+#include "macaque_fixture.h"
 #include "obs/trace.h"
 #include "runtime/compass.h"
 
 namespace compass {
 namespace {
 
-// Regeneration recipe: build the same spec/options below, run 30 ticks with
-// tick-series recording, and print inventory/report fields.
+using testing::compile_macaque;
+
+// Regeneration recipe: build compile_macaque()'s default model, run 30 ticks
+// with tick-series recording, and print inventory/report fields.
 constexpr std::uint64_t kGoldenSynapses = 1263795;
 constexpr std::uint64_t kGoldenWhite = 9498;
 constexpr std::uint64_t kGoldenGray = 10214;
@@ -34,25 +36,15 @@ constexpr std::uint64_t kGoldenSeries[30] = {
     196, 266, 240, 262, 247, 242, 227, 226, 228, 246,
     251, 262, 237, 220, 217, 236, 212, 199, 232, 207};
 
-compiler::PccResult golden_compile() {
-  cocomac::MacaqueSpecOptions mopt;
-  mopt.total_cores = 77;
-  mopt.seed = 2012;
-  compiler::PccOptions popt;
-  popt.ranks = 3;
-  popt.threads_per_rank = 2;
-  return compiler::compile(cocomac::build_macaque_spec(mopt), popt);
-}
-
 TEST(Golden, ModelConstructionIsFrozen) {
-  const compiler::PccResult pcc = golden_compile();
+  const compiler::PccResult pcc = compile_macaque();
   EXPECT_EQ(pcc.model.inventory().synapses, kGoldenSynapses);
   EXPECT_EQ(pcc.stats.white_connections, kGoldenWhite);
   EXPECT_EQ(pcc.stats.gray_connections, kGoldenGray);
 }
 
 TEST(Golden, SimulationTraceIsFrozen) {
-  compiler::PccResult pcc = golden_compile();
+  compiler::PccResult pcc = compile_macaque();
   comm::MpiTransport transport(3, comm::CommCostModel{});
   obs::TraceBuffer trace;
   runtime::Compass sim(pcc.model, pcc.partition, transport);

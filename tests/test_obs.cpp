@@ -4,20 +4,23 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "cocomac/macaque.h"
 #include "comm/mpi_transport.h"
 #include "compiler/pcc.h"
 #include "json_lite.h"
+#include "macaque_fixture.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/compass.h"
 
 namespace compass {
 namespace {
+
+using testing::compile_macaque;
 
 using testing::json_valid;
 
@@ -265,18 +268,8 @@ TEST(ChromeTraceWriter, DefaultCapKeepsEverythingForShortRuns) {
 
 // --- End-to-end wiring through Compass ------------------------------------
 
-compiler::PccResult build_model(obs::MetricsRegistry* metrics = nullptr) {
-  cocomac::MacaqueSpecOptions mopt;
-  mopt.total_cores = 77;
-  mopt.seed = 2012;
-  compiler::PccOptions popt;
-  popt.ranks = 3;
-  popt.threads_per_rank = 2;
-  return compiler::compile(cocomac::build_macaque_spec(mopt), popt, metrics);
-}
-
 TEST(CompassTrace, SpanAndTickRecordShapes) {
-  compiler::PccResult pcc = build_model();
+  compiler::PccResult pcc = compile_macaque();
   comm::MpiTransport transport(3, comm::CommCostModel{});
   runtime::Compass sim(pcc.model, pcc.partition, transport);
   obs::TraceBuffer buf;
@@ -304,7 +297,7 @@ TEST(CompassTrace, SpanAndTickRecordShapes) {
 }
 
 TEST(CompassTrace, TracedPhaseTimesMatchPhaseBreakdownTotals) {
-  compiler::PccResult pcc = build_model();
+  compiler::PccResult pcc = compile_macaque();
   comm::MpiTransport transport(3, comm::CommCostModel{});
   runtime::Compass sim(pcc.model, pcc.partition, transport);
   obs::TraceBuffer buf;
@@ -323,7 +316,7 @@ TEST(CompassTrace, TracedPhaseTimesMatchPhaseBreakdownTotals) {
 }
 
 TEST(CompassTrace, NeuronSpansSumToFiredSpikes) {
-  compiler::PccResult pcc = build_model();
+  compiler::PccResult pcc = compile_macaque();
   comm::MpiTransport transport(3, comm::CommCostModel{});
   runtime::Compass sim(pcc.model, pcc.partition, transport);
   obs::TraceBuffer buf;
@@ -344,7 +337,7 @@ TEST(CompassTrace, NeuronSpansSumToFiredSpikes) {
 }
 
 TEST(CompassTrace, MultipleSinksAllReceiveRecords) {
-  compiler::PccResult pcc = build_model();
+  compiler::PccResult pcc = compile_macaque();
   comm::MpiTransport transport(3, comm::CommCostModel{});
   runtime::Compass sim(pcc.model, pcc.partition, transport);
   obs::TraceBuffer a, b;
@@ -358,9 +351,8 @@ TEST(CompassTrace, MultipleSinksAllReceiveRecords) {
 
 TEST(CompassMetrics, RuntimeTransportAndPccPublish) {
   obs::MetricsRegistry reg;
-  compiler::PccResult pcc = build_model(&reg);
+  compiler::PccResult pcc = compile_macaque({.metrics = &reg});
   comm::MpiTransport transport(3, comm::CommCostModel{});
-  transport.set_metrics(&reg);
   runtime::Compass sim(pcc.model, pcc.partition, transport);
   sim.set_metrics(&reg);
   const runtime::RunReport rep = sim.run(18);
@@ -389,8 +381,33 @@ TEST(CompassMetrics, RuntimeTransportAndPccPublish) {
   EXPECT_NEAR(find("run.virtual_time_s").value, rep.virtual_total_s(), 1e-12);
 }
 
+TEST(CompassMetrics, EveryStepPublishesItsCommCounters) {
+  compiler::PccResult pcc = compile_macaque();
+  comm::MpiTransport transport(3, comm::CommCostModel{});
+  runtime::Compass sim(pcc.model, pcc.partition, transport);
+  obs::MetricsRegistry reg;
+  sim.set_metrics(&reg);
+  auto count = [&](const std::string& name) {
+    for (const obs::MetricValue& m : reg.snapshot()) {
+      if (m.name == name) return m.count;
+    }
+    ADD_FAILURE() << "metric not found: " << name;
+    return std::uint64_t{0};
+  };
+  // step() alone, no run(): each tick's counters are in the registry as
+  // soon as the step returns, the last one included.
+  for (int i = 0; i < 7; ++i) {
+    sim.step();
+    const runtime::RunReport& rep = sim.report();
+    EXPECT_EQ(count("comm.messages"), rep.messages);
+    EXPECT_EQ(count("comm.remote_spikes"), rep.remote_spikes);
+    EXPECT_EQ(count("comm.wire_bytes"), rep.wire_bytes);
+  }
+  EXPECT_GT(sim.report().messages, 0u);
+}
+
 TEST(CompassMetrics, DisabledRunCarriesNoSnapshot) {
-  compiler::PccResult pcc = build_model();
+  compiler::PccResult pcc = compile_macaque();
   comm::MpiTransport transport(3, comm::CommCostModel{});
   runtime::Compass sim(pcc.model, pcc.partition, transport);
   const runtime::RunReport rep = sim.run(3);

@@ -75,8 +75,7 @@ Outcome run_with(const runtime::ObsOptions& options, bool profile = false) {
   runtime::Config cfg;
   cfg.measure = false;
   runtime::Compass sim(model, pcc().partition, transport, cfg);
-  obs.attach(sim, transport, transport, compiler::core_region_map(pcc()),
-             profile);
+  obs.attach(sim, transport, compiler::core_region_map(pcc()), profile);
   Outcome r;
   r.planes = attached(obs);
   r.report = sim.run(8);
@@ -157,6 +156,32 @@ TEST(RunObservers, UnwritableOutputIsAnError) {
     EXPECT_EQ(std::string(e.what()),
               "cannot write /nonexistent-dir/analytics.jsonl");
   }
+}
+
+TEST(RunObservers, OutputsOfARunThatNeverStartedAreRemoved) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("compass_observers_unused_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const std::string fresh = (dir / "fresh.jsonl").string();
+  const std::string existing = (dir / "existing.json").string();
+  { std::ofstream(existing) << "{}"; }
+  runtime::ObsOptions options;
+  options.trace_out = fresh;
+  options.metrics_out = existing;
+  {
+    runtime::RunObservers obs(options);
+    EXPECT_TRUE(fs::exists(fresh));
+  }  // destroyed before any attach() or finish()
+  EXPECT_FALSE(fs::exists(fresh));
+  EXPECT_TRUE(fs::exists(existing)) << "only files it created are removed";
+
+  // An output that cannot be opened takes the ones opened before it along.
+  options.analytics_out = "/nonexistent-dir/analytics.jsonl";
+  EXPECT_THROW(runtime::RunObservers{options}, std::runtime_error);
+  EXPECT_FALSE(fs::exists(fresh));
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -17,10 +17,10 @@
 #include <tuple>
 #include <vector>
 
-#include "cocomac/macaque.h"
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
+#include "macaque_fixture.h"
 #include "obs/analytics.h"
 #include "obs/spiketrace.h"
 #include "obs/trace.h"
@@ -29,15 +29,7 @@
 namespace compass::runtime {
 namespace {
 
-compiler::PccResult build(std::uint64_t cores = 96, int ranks = 4,
-                          int threads_per_rank = 2) {
-  cocomac::MacaqueSpecOptions mopt;
-  mopt.total_cores = cores;
-  compiler::PccOptions popt;
-  popt.ranks = ranks;
-  popt.threads_per_rank = threads_per_rank;
-  return compiler::compile(cocomac::build_macaque_spec(mopt), popt);
-}
+using testing::compile_macaque;
 
 RunReport run_mode(const compiler::PccResult& pcc, bool parallel,
                    arch::Model* final_model = nullptr) {
@@ -52,7 +44,8 @@ RunReport run_mode(const compiler::PccResult& pcc, bool parallel,
 }
 
 TEST(ParallelExecution, FunctionalResultsMatchSerial) {
-  const compiler::PccResult pcc = build();
+  const compiler::PccResult pcc =
+      compile_macaque({.cores = 96, .seed = 42, .ranks = 4});
   arch::Model serial_model, parallel_model;
   const RunReport serial = run_mode(pcc, false, &serial_model);
   const RunReport parallel = run_mode(pcc, true, &parallel_model);
@@ -97,7 +90,8 @@ TEST(ParallelExecution, StagedHookMatchesSerialAtEveryWidth) {
   // A spike hook keeps the team: the compute loop stages fires per rank
   // and step() replays them on the driver thread, so the stream is the
   // serial one element for element at any team width.
-  const compiler::PccResult pcc = build(80, 3);
+  const compiler::PccResult pcc =
+      compile_macaque({.cores = 80, .seed = 42, .ranks = 3});
   const HookedRun serial = run_hooked(pcc, false);
   ASSERT_GT(serial.fired.size(), 0u);
 #ifdef COMPASS_HAVE_OPENMP
@@ -174,7 +168,8 @@ ObservedRun run_observed(const compiler::PccResult& pcc, bool pgas,
 TEST(ParallelExecution, FireObserversTogetherMatchTheirSoloSerialRuns) {
   // The three fire observers read one fire stage. Attached together on a
   // team, each must see exactly what it sees attached alone to a serial run.
-  const compiler::PccResult pcc = build(80, 3);
+  const compiler::PccResult pcc =
+      compile_macaque({.cores = 80, .seed = 42, .ranks = 3});
 #ifdef COMPASS_HAVE_OPENMP
   const int saved = omp_get_max_threads();
 #endif
@@ -224,7 +219,8 @@ RunReport run_default(const compiler::PccResult& pcc, bool pgas,
 TEST(ParallelExecution, DefaultConfigIsWidthIndependent) {
   ASSERT_TRUE(Config{}.parallel_execution);
 #ifdef COMPASS_HAVE_OPENMP
-  const compiler::PccResult pcc = build(96, 5);
+  const compiler::PccResult pcc =
+      compile_macaque({.cores = 96, .seed = 42, .ranks = 5});
   const int saved = omp_get_max_threads();
   for (const bool pgas : {false, true}) {
     SCOPED_TRACE(pgas ? "pgas" : "mpi");
@@ -251,7 +247,8 @@ TEST(ParallelExecution, DefaultConfigIsWidthIndependent) {
 }
 
 TEST(ParallelExecution, CountersSurviveManySmallTicks) {
-  const compiler::PccResult pcc = build(77, 2);
+  const compiler::PccResult pcc =
+      compile_macaque({.cores = 77, .seed = 42, .ranks = 2});
   arch::Model model = pcc.model;
   comm::MpiTransport transport(2, comm::CommCostModel{});
   Config cfg;
@@ -368,7 +365,8 @@ TEST(ParallelExecution, SendSequenceMatchesSerialOnEveryPath) {
   // several thread buffers. Every path's send sequence — call order and
   // payloads — must not depend on whether, or how widely, the ranks run
   // on a team.
-  const compiler::PccResult pcc = build(96, 4, 4);
+  const compiler::PccResult pcc =
+      compile_macaque({.cores = 96, .seed = 42, .ranks = 4, .threads = 4});
   std::vector<SendLog> serial;
   for (const SendPath path : {SendPath::kMpiAggregated,
                               SendPath::kPgasOneSided,
@@ -455,7 +453,8 @@ MeasuredRun run_measured(const compiler::PccResult& pcc, bool pgas,
 TEST(ParallelExecution, MeasuredPhaseTimesAreFiniteAtEveryWidth) {
   // Three ranks, so at width 4 one team thread gets no rank and its share
   // of each rank loop is empty.
-  const compiler::PccResult pcc = build(80, 3);
+  const compiler::PccResult pcc =
+      compile_macaque({.cores = 80, .seed = 42, .ranks = 3});
   const std::uint64_t spans_per_run = 30u * 3u * 3u;  // ticks x ranks x phases
   for (const bool pgas : {false, true}) {
     SCOPED_TRACE(pgas ? "pgas" : "mpi");

@@ -14,17 +14,19 @@
 #include <stdexcept>
 #include <string>
 
-#include "cocomac/macaque.h"
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
 #include "json_lite.h"
+#include "macaque_fixture.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "runtime/compass.h"
 
 namespace compass {
 namespace {
+
+using testing::compile_macaque;
 
 using testing::json_valid;
 
@@ -85,16 +87,6 @@ TEST(ImbalanceFactor, MaxOverMean) {
 
 // --- End-to-end through Compass --------------------------------------------
 
-compiler::PccResult build_model(int ranks = 3, int threads_per_rank = 2) {
-  cocomac::MacaqueSpecOptions mopt;
-  mopt.total_cores = 77;
-  mopt.seed = 2012;
-  compiler::PccOptions popt;
-  popt.ranks = ranks;
-  popt.threads_per_rank = threads_per_rank;
-  return compiler::compile(cocomac::build_macaque_spec(mopt), popt);
-}
-
 struct ProfiledRun {
   runtime::RunReport report;
   obs::CommMatrix matrix{0};
@@ -135,7 +127,7 @@ ProfiledRun run_profiled(const compiler::PccResult& pcc, bool use_pgas = false,
 }
 
 TEST(ProfileCollector, TotalsAreBitExactAgainstRunReport) {
-  const compiler::PccResult pcc = build_model();
+  const compiler::PccResult pcc = compile_macaque();
   const ProfiledRun run = run_profiled(pcc);
   ASSERT_TRUE(run.report.profile.has_value());
   const obs::ProfileSummary& prof = *run.report.profile;
@@ -149,7 +141,7 @@ TEST(ProfileCollector, TotalsAreBitExactAgainstRunReport) {
 }
 
 TEST(ProfileCollector, ImbalanceAndOverlapInvariants) {
-  const compiler::PccResult pcc = build_model();
+  const compiler::PccResult pcc = compile_macaque();
   const ProfiledRun run = run_profiled(pcc);
   const obs::ProfileSummary& prof = *run.report.profile;
 
@@ -170,7 +162,7 @@ TEST(ProfileCollector, ImbalanceAndOverlapInvariants) {
 }
 
 TEST(ProfileCollector, CriticalCountsSumToTicksPerPhase) {
-  const compiler::PccResult pcc = build_model();
+  const compiler::PccResult pcc = compile_macaque();
   const arch::Tick ticks = 30;
   const ProfiledRun run = run_profiled(pcc, false, true, false, ticks);
   const obs::ProfileSummary& prof = *run.report.profile;
@@ -188,7 +180,7 @@ TEST(ProfileCollector, CriticalCountsSumToTicksPerPhase) {
 }
 
 TEST(CommMatrixConservation, TotalsMatchRunReport) {
-  const compiler::PccResult pcc = build_model();
+  const compiler::PccResult pcc = compile_macaque();
   const ProfiledRun run = run_profiled(pcc);
 
   const obs::CommCell total = run.matrix.total();
@@ -218,7 +210,7 @@ TEST(CommMatrixConservation, TotalsMatchRunReport) {
 
 TEST(CommMatrixConservation, ByteIdenticalAcrossOmpThreadCounts) {
 #ifdef _OPENMP
-  const compiler::PccResult pcc = build_model();
+  const compiler::PccResult pcc = compile_macaque();
   const int saved = omp_get_max_threads();
   omp_set_num_threads(1);
   const ProfiledRun baseline = run_profiled(pcc, false, /*measure=*/false);
@@ -238,7 +230,7 @@ TEST(CommMatrixConservation, MpiAndPgasAgree) {
   // At one thread per rank both transports aggregate identically (one
   // message per (src, dst) per tick), so the full matrix — message counts
   // included — is equal.
-  const compiler::PccResult one = build_model(3, /*threads_per_rank=*/1);
+  const compiler::PccResult one = compile_macaque({.ranks = 3, .threads = 1});
   const ProfiledRun mpi1 = run_profiled(one, /*use_pgas=*/false, false);
   const ProfiledRun pgas1 = run_profiled(one, /*use_pgas=*/true, false);
   EXPECT_TRUE(mpi1.matrix == pgas1.matrix);
@@ -247,7 +239,7 @@ TEST(CommMatrixConservation, MpiAndPgasAgree) {
   // MPI aggregates per rank, so message counts legitimately differ — but the
   // functional traffic (spikes, and bytes = spikes x wire-size) must agree
   // cell by cell.
-  const compiler::PccResult two = build_model(3, /*threads_per_rank=*/2);
+  const compiler::PccResult two = compile_macaque({.ranks = 3, .threads = 2});
   const ProfiledRun mpi2 = run_profiled(two, /*use_pgas=*/false, false);
   const ProfiledRun pgas2 = run_profiled(two, /*use_pgas=*/true, false);
   for (int src = 0; src < 3; ++src) {
@@ -263,7 +255,7 @@ TEST(CommMatrixConservation, MpiAndPgasAgree) {
 }
 
 TEST(ProfileCollector, DetachedRunCarriesNoProfile) {
-  const compiler::PccResult pcc = build_model();
+  const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
   comm::MpiTransport transport(3, comm::CommCostModel{});
   runtime::Compass sim(model, pcc.partition, transport);
@@ -272,7 +264,7 @@ TEST(ProfileCollector, DetachedRunCarriesNoProfile) {
 }
 
 TEST(ProfileCollector, RankCountMismatchIsRejected) {
-  const compiler::PccResult pcc = build_model();
+  const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
   comm::MpiTransport transport(3, comm::CommCostModel{});
   runtime::Compass sim(model, pcc.partition, transport);
@@ -283,7 +275,7 @@ TEST(ProfileCollector, RankCountMismatchIsRejected) {
 // --- JSON writers ----------------------------------------------------------
 
 TEST(ProfileJson, DocumentIsValidJson) {
-  const compiler::PccResult pcc = build_model();
+  const compiler::PccResult pcc = compile_macaque();
   const ProfiledRun run = run_profiled(pcc);
   std::ostringstream os;
   obs::write_profile_json(os, *run.report.profile, run.matrix);
@@ -294,7 +286,7 @@ TEST(ProfileJson, DocumentIsValidJson) {
 }
 
 TEST(ProfileJsonl, TraceCarriesOneProfileRecordAndStaysValid) {
-  const compiler::PccResult pcc = build_model();
+  const compiler::PccResult pcc = compile_macaque();
   const ProfiledRun run =
       run_profiled(pcc, false, /*measure=*/false, /*with_trace=*/true);
 
@@ -313,7 +305,7 @@ TEST(ProfileJsonl, TraceCarriesOneProfileRecordAndStaysValid) {
 // --- Offline analyzer (analyze_trace / compass_prof) -----------------------
 
 TEST(AnalyzeTrace, RoundTripReproducesRunReportExactly) {
-  const compiler::PccResult pcc = build_model();
+  const compiler::PccResult pcc = compile_macaque();
   const arch::Tick ticks = 25;
   const ProfiledRun run =
       run_profiled(pcc, false, /*measure=*/false, /*with_trace=*/true, ticks);
@@ -366,7 +358,7 @@ TEST(AnalyzeTrace, SpanDerivedRankTimesMatchOnlineCollector) {
   // modelled double serialized at full precision, so the analyzer's
   // span-derived per-rank phase seconds equal the online collector's — the
   // two implement the same accounting independently.
-  const compiler::PccResult pcc = build_model();
+  const compiler::PccResult pcc = compile_macaque();
   const ProfiledRun run =
       run_profiled(pcc, false, /*measure=*/false, /*with_trace=*/true);
 
@@ -390,7 +382,7 @@ TEST(AnalyzeTrace, SpanDerivedRankTimesMatchOnlineCollector) {
 }
 
 TEST(AnalyzeTrace, TraceWithoutProfileRecordStillAnalyzes) {
-  const compiler::PccResult pcc = build_model();
+  const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
   comm::MpiTransport transport(3, comm::CommCostModel{});
   runtime::Config cfg;
@@ -437,7 +429,7 @@ TEST(AnalyzeTrace, UnknownRecordTypesAreSkipped) {
 // --- Report writers --------------------------------------------------------
 
 TEST(TraceReport, HumanReportNamesEveryPhaseAndTheMatrix) {
-  const compiler::PccResult pcc = build_model();
+  const compiler::PccResult pcc = compile_macaque();
   const ProfiledRun run =
       run_profiled(pcc, false, /*measure=*/false, /*with_trace=*/true);
   std::istringstream is(run.trace_jsonl);
@@ -454,7 +446,7 @@ TEST(TraceReport, HumanReportNamesEveryPhaseAndTheMatrix) {
 }
 
 TEST(TraceReport, JsonReportIsValidJson) {
-  const compiler::PccResult pcc = build_model();
+  const compiler::PccResult pcc = compile_macaque();
   const ProfiledRun run =
       run_profiled(pcc, false, /*measure=*/false, /*with_trace=*/true);
   std::istringstream is(run.trace_jsonl);

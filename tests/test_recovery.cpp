@@ -31,10 +31,10 @@
 #include <tuple>
 #include <vector>
 
-#include "cocomac/macaque.h"
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
+#include "macaque_fixture.h"
 #include "obs/flightrec.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -48,6 +48,8 @@
 
 namespace compass {
 namespace {
+
+using testing::compile_macaque;
 
 namespace fs = std::filesystem;
 
@@ -63,17 +65,6 @@ using resilience::RecoveryOptions;
 using resilience::RecoveryPolicy;
 using resilience::RecoverySupervisor;
 using SpikeEvent = std::tuple<Tick, CoreId, unsigned>;
-
-/// The frozen seed-2012 network the other lockdown suites also use.
-compiler::PccResult build_fixed_model(int ranks = 3, int threads = 2) {
-  cocomac::MacaqueSpecOptions mopt;
-  mopt.total_cores = 77;
-  mopt.seed = 2012;
-  compiler::PccOptions popt;
-  popt.ranks = ranks;
-  popt.threads_per_rank = threads;
-  return compiler::compile(cocomac::build_macaque_spec(mopt), popt);
-}
 
 std::string unique_dir(const char* tag) {
   static int counter = 0;
@@ -199,7 +190,7 @@ TEST(FaultPlanKillPair, PairParsesAndEchoesBoth) {
 
 TEST(LatestAtOrBefore, PicksNewestSnapshotNotAfterTheFailure) {
   const std::string dir = unique_dir("at_or_before");
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   RecoveryRun run(pcc, FaultPlan{}, RecoveryPolicy::kAbort, dir, 0);
   for (Tick t : {Tick{5}, Tick{10}, Tick{15}}) {
     resilience::Checkpoint cp = resilience::capture(*run.sim, run.model);
@@ -220,7 +211,7 @@ TEST(LatestAtOrBefore, PicksNewestSnapshotNotAfterTheFailure) {
 
 TEST(CheckpointRetention, UnwritableDirIsTypedIoError) {
   const std::string dir = unique_dir("typed_io");
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   RecoveryRun run(pcc, FaultPlan{}, RecoveryPolicy::kAbort, dir, 0);
   EXPECT_FALSE(run.manager->write_now(*run.sim, run.model).empty());
   // Replace the directory with a plain file: both the write path and the
@@ -238,7 +229,7 @@ TEST(CheckpointRetention, UnwritableDirIsTypedIoError) {
 
 TEST(CheckpointRetention, PruneKeepsNewestAndSurvivesDirectoryFsync) {
   const std::string dir = unique_dir("retention");
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   FaultPlan plan;  // fault-free
   RecoveryRun run(pcc, plan, RecoveryPolicy::kAbort, dir, 0);
   CheckpointOptions copt;
@@ -262,7 +253,7 @@ TEST(CheckpointRetention, PruneKeepsNewestAndSurvivesDirectoryFsync) {
 // --- Orphan re-placement planner --------------------------------------------
 
 TEST(ReplaceDeadRank, MovesEveryOrphanToSurvivorsUnderLoadCap) {
-  const compiler::PccResult pcc = build_fixed_model(4, 1);
+  const compiler::PccResult pcc = compile_macaque({.ranks = 4, .threads = 1});
   const std::vector<int> rank_of =
       place::replace_dead_rank(pcc.partition, 1, nullptr);
   ASSERT_EQ(rank_of.size(), pcc.partition.num_cores());
@@ -286,7 +277,7 @@ TEST(ReplaceDeadRank, MovesEveryOrphanToSurvivorsUnderLoadCap) {
 }
 
 TEST(ReplaceDeadRank, PrefersTheRankThatTalkedMostToTheDeadOne) {
-  const compiler::PccResult pcc = build_fixed_model(4, 1);
+  const compiler::PccResult pcc = compile_macaque({.ranks = 4, .threads = 1});
   obs::CommMatrix comm(4);
   // Rank 3 exchanged overwhelmingly more spikes with rank 1 than anyone.
   comm.record(1, 3, /*spikes=*/100000, /*bytes=*/1);
@@ -306,7 +297,7 @@ TEST(ReplaceDeadRank, PrefersTheRankThatTalkedMostToTheDeadOne) {
 }
 
 TEST(ReplaceDeadRank, IsDeterministic) {
-  const compiler::PccResult pcc = build_fixed_model(4, 1);
+  const compiler::PccResult pcc = compile_macaque({.ranks = 4, .threads = 1});
   obs::CommMatrix comm(4);
   comm.record(1, 2, 500, 1);
   comm.record(0, 1, 500, 1);
@@ -317,12 +308,12 @@ TEST(ReplaceDeadRank, IsDeterministic) {
 }
 
 TEST(ReplaceDeadRank, RejectsImpossibleInputs) {
-  const compiler::PccResult pcc = build_fixed_model(3, 1);
+  const compiler::PccResult pcc = compile_macaque({.ranks = 3, .threads = 1});
   EXPECT_THROW(place::replace_dead_rank(pcc.partition, -1, nullptr),
                place::PlacementError);
   EXPECT_THROW(place::replace_dead_rank(pcc.partition, 3, nullptr),
                place::PlacementError);
-  const compiler::PccResult solo = build_fixed_model(1, 1);
+  const compiler::PccResult solo = compile_macaque({.ranks = 1, .threads = 1});
   EXPECT_THROW(place::replace_dead_rank(solo.partition, 0, nullptr),
                place::PlacementError);
 }
@@ -331,12 +322,13 @@ TEST(ReplaceDeadRank, RejectsImpossibleInputs) {
 
 TEST(RecoverySupervisor, MigrateSurvivesTheKillAndReportsIt) {
   const std::string dir = unique_dir("migrate");
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   RecoveryRun run(pcc, kill_plan(1, 25), RecoveryPolicy::kMigrate, dir, 10);
   obs::MetricsRegistry metrics;
   obs::FlightRecorder flight(pcc.partition.ranks());
-  run.supervisor->set_metrics(&metrics);
-  run.supervisor->set_flight_recorder(&flight);
+  // The supervisor and manager publish through the simulator's planes.
+  run.sim->set_metrics(&metrics);
+  run.sim->set_flight_recorder(&flight);
   run.supervisor->arm();
 
   const runtime::RunReport rep = run.sim->run(60);
@@ -386,7 +378,7 @@ TEST(RecoverySupervisor, MigrateSurvivesTheKillAndReportsIt) {
 
 TEST(RecoverySupervisor, BaselineSnapshotSurvivesAnEarlyKill) {
   const std::string dir = unique_dir("baseline");
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   // No periodic checkpoints at all: only arm()'s baseline stands between
   // the kill and an unrecoverable run.
   RecoveryRun run(pcc, kill_plan(0, 3), RecoveryPolicy::kMigrate, dir, 0);
@@ -405,7 +397,7 @@ TEST(RecoverySupervisor, BaselineSnapshotSurvivesAnEarlyKill) {
 
 TEST(RecoverySupervisor, RestartRankRevivesInPlace) {
   const std::string dir = unique_dir("restart");
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   RecoveryRun run(pcc, kill_plan(1, 25), RecoveryPolicy::kRestartRank, dir,
                   10);
   run.supervisor->arm();
@@ -428,7 +420,7 @@ TEST(RecoverySupervisor, RestartRankRevivesInPlace) {
 TEST(RecoverySupervisor, AbortPolicyIsBitForBitInert) {
   const std::string dir_a = unique_dir("abort_a");
   const std::string dir_b = unique_dir("abort_b");
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
 
   // Plain faulty run, no supervisor anywhere near it.
   RecoveryRun plain(pcc, kill_plan(1, 25), RecoveryPolicy::kAbort, dir_a, 0);
@@ -457,7 +449,7 @@ TEST(RecoverySupervisor, AbortPolicyIsBitForBitInert) {
 TEST(RecoveryDeterminism, MigrateIsByteIdenticalAcrossTransports) {
   const std::string dir_mpi = unique_dir("det_mpi");
   const std::string dir_pgas = unique_dir("det_pgas");
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
 
   RecoveryRun mpi(pcc, kill_plan(1, 25), RecoveryPolicy::kMigrate, dir_mpi, 10,
                   TransportKind::kMpi);
@@ -489,8 +481,9 @@ TEST(RecoveryDeterminism, MigrateIsByteIdenticalAcrossTransports) {
 TEST(RecoveryDeterminism, MigrateIsByteIdenticalAcrossThreadWidths) {
   const std::string dir_1 = unique_dir("det_t1");
   const std::string dir_4 = unique_dir("det_t4");
-  const compiler::PccResult narrow = build_fixed_model(3, 1);
-  const compiler::PccResult wide = build_fixed_model(3, 4);
+  const compiler::PccResult narrow =
+      compile_macaque({.ranks = 3, .threads = 1});
+  const compiler::PccResult wide = compile_macaque({.ranks = 3, .threads = 4});
 
   RecoveryRun t1(narrow, kill_plan(2, 17), RecoveryPolicy::kMigrate, dir_1, 8);
   t1.supervisor->arm();
@@ -514,7 +507,7 @@ TEST(RecoveryDeterminism, MigrateIsByteIdenticalAcrossThreadWidths) {
 
 TEST(RecoveryCheckpoint, CountersRoundTripAndOldFilesStillLoad) {
   const std::string dir = unique_dir("counters");
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   RecoveryRun run(pcc, kill_plan(1, 15), RecoveryPolicy::kMigrate, dir, 6);
   run.supervisor->arm();
   run.sim->run(30);
@@ -533,7 +526,7 @@ TEST(RecoveryCheckpoint, CountersRoundTripAndOldFilesStillLoad) {
 
 TEST(RecoverySupervisor, MissingCheckpointIsTypedRecoveryError) {
   const std::string dir = unique_dir("no_ckpt");
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   RecoveryRun run(pcc, kill_plan(1, 5), RecoveryPolicy::kMigrate, dir, 0);
   run.supervisor->arm();
   fs::remove_all(dir);  // destroy the baseline before the kill fires
@@ -549,7 +542,7 @@ TEST(RecoverySupervisor, MissingCheckpointIsTypedRecoveryError) {
 // not by hope.
 TEST(RecoveryChaosSoak, RandomPlansCompleteOrFailTyped) {
   std::mt19937_64 rng(20120815);  // fixed seed: the soak itself is replayable
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   const int ranks = pcc.partition.ranks();
   int completed = 0;
   for (int iter = 0; iter < 10; ++iter) {

@@ -24,16 +24,17 @@
 #include <cstring>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "cocomac/macaque.h"
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
+#include "macaque_fixture.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "resilience/checkpoint.h"
@@ -45,6 +46,8 @@
 namespace compass {
 namespace {
 
+using testing::compile_macaque;
+
 namespace fs = std::filesystem;
 
 using arch::CoreId;
@@ -55,17 +58,6 @@ using resilience::CheckpointError;
 using resilience::FaultPlan;
 using resilience::FaultPolicy;
 using SpikeEvent = std::tuple<Tick, CoreId, unsigned>;
-
-/// The frozen seed-2012 network the determinism/golden suites also use.
-compiler::PccResult build_fixed_model() {
-  cocomac::MacaqueSpecOptions mopt;
-  mopt.total_cores = 77;
-  mopt.seed = 2012;
-  compiler::PccOptions popt;
-  popt.ranks = 3;
-  popt.threads_per_rank = 2;
-  return compiler::compile(cocomac::build_macaque_spec(mopt), popt);
-}
 
 struct Harness {
   arch::Model model;
@@ -133,7 +125,7 @@ std::string unique_dir(const char* tag) {
 // --- Exact-resume equivalence -----------------------------------------------
 
 TEST(CheckpointResume, SplitRunIsByteIdenticalToStraightRun) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
 
   Harness straight(pcc.model, pcc.partition);
   const runtime::RunReport full = straight.sim->run(100);
@@ -218,7 +210,7 @@ TEST(CheckpointResume, DelayStraddlingTheBoundarySurvives) {
 }
 
 TEST(CheckpointResume, RestoreThenZeroTickRunStaysWellFormed) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   Harness first(pcc.model, pcc.partition);
   first.sim->run(50);
   const std::string bytes = resilience::serialize_checkpoint(
@@ -240,7 +232,7 @@ TEST(CheckpointResume, RestoreThenZeroTickRunStaysWellFormed) {
 }
 
 TEST(CheckpointResume, FreshZeroTickRunReportsZeroesNotNans) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   Harness h(pcc.model, pcc.partition);
   const runtime::RunReport rep = h.sim->run(0);
   EXPECT_EQ(rep.ticks, 0u);
@@ -507,7 +499,7 @@ TEST(CheckpointFormat, OversizedSparseFileIsBoundedByItsSections) {
 // --- Live-state entry points -------------------------------------------------
 
 TEST(CheckpointLive, WriteIsByteIdenticalToFourStagePath) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   Harness h(pcc.model, pcc.partition);
   std::string buffer;
   for (const Tick ticks : {Tick{17}, Tick{23}}) {
@@ -549,7 +541,7 @@ TEST(CheckpointLive, InPlaceRestoreContinuesLikeFourStagePath) {
   // Save at tick 30, run on to 50, restore in place, run 40 more: the
   // served snapshot pattern, through the live entry points and through
   // the four stages. Both must continue identically.
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
 #ifdef _OPENMP
   const int saved_threads = omp_get_max_threads();
   const std::vector<int> widths = {1, 4};
@@ -593,7 +585,7 @@ TEST(CheckpointLive, InPlaceRestoreContinuesLikeFourStagePath) {
 }
 
 TEST(CheckpointLive, RejectedRestoreLeavesLiveStateUntouched) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   Harness h(pcc.model, pcc.partition);
   h.sim->run(30);
   std::string good;
@@ -657,7 +649,7 @@ TEST(CheckpointCodec, EveryRestorePathLeavesTheSameState) {
   // restore(capture), restore(parse(serialize(capture))) and
   // restore_live(serialize_live), each into a simulator that ran on from
   // a different state, must leave the same model, tick, report and ledger.
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   Harness source(pcc.model, pcc.partition);
   source.sim->run(30);
   const Checkpoint cp = resilience::capture(*source.sim, source.model);
@@ -684,7 +676,7 @@ TEST(CheckpointCodec, OneBadRecordBehindAValidCrcIsSectionCorrupt) {
   // parse_checkpoint checks every core record, as a restore would, so a
   // checkpoint whose section CRC is valid but whose last core has one
   // threshold lane at 0 never becomes a Checkpoint.
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   Harness h(pcc.model, pcc.partition);
   h.sim->run(10);
   std::string bytes;
@@ -723,7 +715,7 @@ TEST(CheckpointCodec, OneBadRecordBehindAValidCrcIsSectionCorrupt) {
 }
 
 TEST(CheckpointCodec, RestoreCoresOverwritesOnlyTheNamedCores) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   Harness h(pcc.model, pcc.partition);
   h.sim->run(20);
   const Checkpoint cp = resilience::capture(*h.sim, h.model);
@@ -753,7 +745,7 @@ TEST(CheckpointCodec, RestoreCoresOverwritesOnlyTheNamedCores) {
 }
 
 TEST(CheckpointLive, ReconfiguredRowRebuildsTheColumnMirror) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   Harness h(pcc.model, pcc.partition);
   h.sim->run(10);
   std::string bytes;
@@ -781,7 +773,7 @@ TEST(CheckpointLive, ReconfiguredRowRebuildsTheColumnMirror) {
 // --- Periodic manager ---------------------------------------------------------
 
 TEST(CheckpointManager, PeriodicWritesWithBoundedRetention) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   Harness h(pcc.model, pcc.partition);
 
   const std::string dir = unique_dir("manager");
@@ -790,8 +782,9 @@ TEST(CheckpointManager, PeriodicWritesWithBoundedRetention) {
   opt.dir = dir;
   opt.every = 4;
   opt.keep = 2;
-  resilience::CheckpointManager mgr(opt, &metrics);
+  resilience::CheckpointManager mgr(opt);
   mgr.attach(*h.sim, h.model);
+  h.sim->set_metrics(&metrics);  // the manager publishes through the sim
   h.sim->run(21);  // boundaries at 4, 8, 12, 16, 20
 
   EXPECT_EQ(mgr.stats().snapshots, 5u);
@@ -842,7 +835,7 @@ TEST(CheckpointManager, UnwritableDirectoryIsTypedIoError) {
   resilience::CheckpointOptions opt;
   opt.dir = "/proc/compass-cannot-write-here";
   resilience::CheckpointManager mgr(opt);
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   Harness h(pcc.model, pcc.partition);
   h.sim->run(1);
   try {
@@ -932,7 +925,7 @@ FaultyRun run_with_faults(const compiler::PccResult& pcc, const FaultPlan& plan,
   std::ostringstream os;
   obs::JsonlTraceWriter writer(os, obs::JsonlOptions{.include_measured = false});
   sim.add_trace_sink(&writer);
-  if (metrics != nullptr) transport.set_metrics(metrics);
+  sim.set_metrics(metrics);
   out.report = sim.run(ticks);
   out.totals = transport.totals();
   out.trace = os.str();
@@ -940,7 +933,7 @@ FaultyRun run_with_faults(const compiler::PccResult& pcc, const FaultPlan& plan,
 }
 
 TEST(FaultInjection, NoopPlanIsFullyTransparent) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   Harness plain(pcc.model, pcc.partition);
   const runtime::RunReport expect = plain.sim->run(40);
 
@@ -954,7 +947,7 @@ TEST(FaultInjection, NoopPlanIsFullyTransparent) {
 }
 
 TEST(FaultInjection, SeededFaultStreamIsDeterministic) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   FaultPlan plan;
   plan.drop = 0.2;
   plan.duplicate = 0.1;
@@ -973,7 +966,7 @@ TEST(FaultInjection, SeededFaultStreamIsDeterministic) {
 }
 
 TEST(FaultInjection, WarnAndCountCompletesAndConservesSpikes) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   FaultPlan plan;
   plan.drop = 0.3;
   plan.seed = 5;
@@ -1001,8 +994,46 @@ TEST(FaultInjection, WarnAndCountCompletesAndConservesSpikes) {
   EXPECT_NE(r.trace.find("\"lost\""), std::string::npos);
 }
 
+TEST(FaultInjection, CompassPublishesFaultCountersBetweenCommAndRun) {
+  const compiler::PccResult pcc = compile_macaque();
+  FaultPlan plan;
+  plan.drop = 0.2;
+  plan.duplicate = 0.2;
+  plan.seed = 9;
+  obs::MetricsRegistry metrics;
+  const FaultyRun r = run_with_faults(pcc, plan, 30, &metrics);
+  ASSERT_GT(r.totals.dropped_msgs, 0u);
+  ASSERT_GT(r.totals.dup_msgs, 0u);
+
+  const obs::MetricsSnapshot snap = metrics.snapshot();
+  std::vector<std::string> names;
+  std::map<std::string, std::uint64_t> count;
+  for (const obs::MetricValue& m : snap) {
+    names.push_back(m.name);
+    count[m.name] = m.count;
+  }
+  // Registered by Compass::set_metrics alone, in one order.
+  const std::vector<std::string> head = {
+      "comm.messages",      "comm.remote_spikes", "comm.wire_bytes",
+      "fault.injected",     "fault.dropped_msgs", "fault.corrupt_msgs",
+      "fault.dup_msgs",     "fault.stalled_msgs", "fault.retries",
+      "fault.lost_spikes",  "run.ticks"};
+  ASSERT_GE(names.size(), head.size());
+  EXPECT_EQ(std::vector<std::string>(names.begin(),
+                                     names.begin() + head.size()),
+            head);
+  EXPECT_EQ(count["fault.injected"], r.totals.injected);
+  EXPECT_EQ(count["fault.dropped_msgs"], r.totals.dropped_msgs);
+  EXPECT_EQ(count["fault.corrupt_msgs"], r.totals.corrupt_msgs);
+  EXPECT_EQ(count["fault.dup_msgs"], r.totals.dup_msgs);
+  EXPECT_EQ(count["fault.stalled_msgs"], r.totals.stalled_msgs);
+  EXPECT_EQ(count["fault.retries"], r.totals.retries);
+  EXPECT_EQ(count["fault.lost_spikes"], r.totals.lost_spikes);
+  EXPECT_EQ(count["comm.messages"], r.report.messages);
+}
+
 TEST(FaultInjection, CorruptionIsDetectedAndCounted) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   FaultPlan plan;
   plan.corrupt = 0.3;
   plan.seed = 5;
@@ -1015,7 +1046,7 @@ TEST(FaultInjection, CorruptionIsDetectedAndCounted) {
 }
 
 TEST(FaultInjection, FailFastThrowsOnFirstLoss) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   FaultPlan plan;
   plan.drop = 0.5;
   plan.policy = FaultPolicy::kFailFast;
@@ -1024,7 +1055,7 @@ TEST(FaultInjection, FailFastThrowsOnFirstLoss) {
 }
 
 TEST(FaultInjection, RetryPolicyRecoversMessagesAndChargesBackoff) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   FaultPlan warn;
   warn.drop = 0.3;
   warn.seed = 5;
@@ -1048,7 +1079,7 @@ TEST(FaultInjection, RetryPolicyRecoversMessagesAndChargesBackoff) {
 }
 
 TEST(FaultInjection, DuplicatesDegradeAccountingNotDynamics) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   Harness plain(pcc.model, pcc.partition);
   const runtime::RunReport baseline = plain.sim->run(40);
 
@@ -1066,7 +1097,7 @@ TEST(FaultInjection, DuplicatesDegradeAccountingNotDynamics) {
 }
 
 TEST(FaultInjection, StallChargesLatencyWithoutLosingSpikes) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   Harness plain(pcc.model, pcc.partition);
   const runtime::RunReport baseline = plain.sim->run(40);
 
@@ -1082,7 +1113,7 @@ TEST(FaultInjection, StallChargesLatencyWithoutLosingSpikes) {
 }
 
 TEST(FaultInjection, KilledRankLosesAllItsTraffic) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   FaultPlan plan;
   plan.kill_rank = 1;
   plan.kill_tick = 10;
@@ -1107,7 +1138,7 @@ TEST(FaultInjection, CheckpointRestartResumesAcrossAFaultyRun) {
   // to an uninterrupted faulty run (the decorator's PRNG stream restarts,
   // so fault history differs; the *surviving* spike dynamics must match the
   // restored state exactly — which the straight-run raster prefix verifies).
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   FaultPlan plan;
   plan.stall = 0.3;  // non-lossy faults: dynamics stay checkpoint-exact
   plan.seed = 5;

@@ -29,11 +29,11 @@
 #include <omp.h>
 #endif
 
-#include "cocomac/macaque.h"
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
 #include "json_lite.h"
+#include "macaque_fixture.h"
 #include "obs/flightrec.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -50,16 +50,7 @@
 namespace compass {
 namespace {
 
-compiler::PccResult build(std::uint64_t cores = 77, int ranks = 3,
-                          int threads = 2) {
-  cocomac::MacaqueSpecOptions mopt;
-  mopt.total_cores = cores;
-  mopt.seed = 2012;
-  compiler::PccOptions popt;
-  popt.ranks = ranks;
-  popt.threads_per_rank = threads;
-  return compiler::compile(cocomac::build_macaque_spec(mopt), popt);
-}
+using testing::compile_macaque;
 
 struct SpanRunOptions {
   bool pgas = false;
@@ -108,7 +99,7 @@ TEST(SpikeTrace, TraceIdIsPureAndSamplingFollowsIt) {
 }
 
 TEST(SpikeTrace, RankMismatchThrows) {
-  const compiler::PccResult pcc = build();
+  const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
   comm::MpiTransport transport(3, comm::CommCostModel{});
   runtime::Compass sim(model, pcc.partition, transport, {});
@@ -117,7 +108,7 @@ TEST(SpikeTrace, RankMismatchThrows) {
 }
 
 TEST(SpikeTrace, SampledSpansBitIdenticalAcrossTransports) {
-  const compiler::PccResult pcc = build();
+  const compiler::PccResult pcc = compile_macaque();
   const std::vector<obs::SpikeSpan> mpi =
       run_spans(pcc, {.pgas = false});
   const std::vector<obs::SpikeSpan> pgas =
@@ -127,7 +118,7 @@ TEST(SpikeTrace, SampledSpansBitIdenticalAcrossTransports) {
 }
 
 TEST(SpikeTrace, SampledSpansBitIdenticalAcrossThreadCounts) {
-  const compiler::PccResult pcc = build();
+  const compiler::PccResult pcc = compile_macaque();
   const std::vector<obs::SpikeSpan> serial =
       run_spans(pcc, {.parallel = false});
   ASSERT_FALSE(serial.empty());
@@ -144,7 +135,7 @@ TEST(SpikeTrace, SampledSpansBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(SpikeTrace, RestoredRunReemitsTheFullRunsTailSpans) {
-  const compiler::PccResult pcc = build();
+  const compiler::PccResult pcc = compile_macaque();
   constexpr arch::Tick kHalf = 12, kFull = 24;
   const std::vector<obs::SpikeSpan> full =
       run_spans(pcc, {.sample_every = 4, .ticks = kFull});
@@ -181,7 +172,7 @@ TEST(SpikeTrace, RestoredRunReemitsTheFullRunsTailSpans) {
 }
 
 TEST(SpikeTrace, GoldenSpanFileMatches) {
-  const compiler::PccResult pcc = build();
+  const compiler::PccResult pcc = compile_macaque();
   std::ostringstream os;
   {
     arch::Model model = pcc.model;
@@ -218,7 +209,7 @@ TEST(SpikeTrace, GoldenSpanFileMatches) {
 }
 
 TEST(SpikeTrace, AnalyzerRoundTripsWriterOutput) {
-  const compiler::PccResult pcc = build();
+  const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
   comm::MpiTransport transport(3, comm::CommCostModel{});
   runtime::Config cfg;
@@ -267,7 +258,7 @@ TEST(SpikeTrace, AnalyzerRoundTripsWriterOutput) {
 }
 
 TEST(SpikeTrace, WriterCapSurfacesAsTruncationMarkerAndWarning) {
-  const compiler::PccResult pcc = build();
+  const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
   comm::MpiTransport transport(3, comm::CommCostModel{});
   runtime::Config cfg;
@@ -295,7 +286,7 @@ TEST(SpikeTrace, WriterCapSurfacesAsTruncationMarkerAndWarning) {
 // Satellite lockdown: the per-tick trace writer's cap surfaces in
 // compass_prof's human report the same way.
 TEST(SpikeTrace, TickTraceCapSurfacesInProfileReport) {
-  const compiler::PccResult pcc = build();
+  const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
   comm::MpiTransport transport(3, comm::CommCostModel{});
   runtime::Config cfg;
@@ -323,7 +314,7 @@ TEST(SpikeTrace, TickTraceCapSurfacesInProfileReport) {
 }
 
 TEST(SpikeTrace, LatencyHistogramReachesPrometheusExposition) {
-  const compiler::PccResult pcc = build();
+  const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
   comm::MpiTransport transport(3, comm::CommCostModel{});
   runtime::Config cfg;
@@ -347,7 +338,7 @@ TEST(SpikeTrace, LatencyHistogramReachesPrometheusExposition) {
 }
 
 TEST(SpikeTrace, KillRankLeavesParseableFlightDumpAndLostChains) {
-  const compiler::PccResult pcc = build();
+  const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
   comm::MpiTransport inner(3, comm::CommCostModel{});
   resilience::FaultPlan plan;

@@ -18,22 +18,15 @@
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
+#include "macaque_fixture.h"
 #include "runtime/compass.h"
 
 namespace compass {
 namespace {
 
-constexpr arch::Tick kTicks = 40;
+using testing::compile_macaque;
 
-compiler::PccResult build_fixed_model() {
-  cocomac::MacaqueSpecOptions mopt;
-  mopt.total_cores = 77;
-  mopt.seed = 2012;
-  compiler::PccOptions popt;
-  popt.ranks = 3;
-  popt.threads_per_rank = 2;
-  return compiler::compile(cocomac::build_macaque_spec(mopt), popt);
-}
+constexpr arch::Tick kTicks = 40;
 
 using SpikeEvent = std::tuple<arch::Tick, arch::CoreId, unsigned>;
 
@@ -74,7 +67,7 @@ RunResult run_with(comm::Transport& transport, arch::Model model,
 }
 
 TEST(TransportEquivalence, MpiAndPgasAreFunctionallyIdentical) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
 
   comm::MpiTransport mpi(3, comm::CommCostModel{});
   std::vector<arch::Model> mpi_states;
@@ -104,7 +97,7 @@ TEST(TransportEquivalence, MpiAndPgasAreFunctionallyIdentical) {
 }
 
 TEST(TransportEquivalence, OnlyCostAndMessageCountsMayDiffer) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
 
   comm::MpiTransport mpi(3, comm::CommCostModel{});
   const RunResult mpi_run =

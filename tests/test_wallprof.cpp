@@ -26,17 +26,20 @@
 #include <string>
 
 #include "arch/kernels.h"
-#include "cocomac/macaque.h"
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
+#include "macaque_fixture.h"
 #include "obs/trace.h"
 #include "obs/wallprof.h"
+#include "resilience/fault.h"
 #include "runtime/compass.h"
 #include "util/stopwatch.h"
 
 namespace compass {
 namespace {
+
+using testing::compile_macaque;
 
 // --- WallPhaseStats ---------------------------------------------------------
 
@@ -292,16 +295,6 @@ TEST(WallProfiler, AnalyzerRejectsCaptureWithoutSummary) {
 
 // --- Integration with the simulator ----------------------------------------
 
-compiler::PccResult build_fixed_model() {
-  cocomac::MacaqueSpecOptions mopt;
-  mopt.total_cores = 77;
-  mopt.seed = 2012;
-  compiler::PccOptions popt;
-  popt.ranks = 3;
-  popt.threads_per_rank = 2;
-  return compiler::compile(cocomac::build_macaque_spec(mopt), popt);
-}
-
 struct TracedRun {
   runtime::RunReport report;
   std::string trace_jsonl;
@@ -350,7 +343,7 @@ TracedRun run_once(const compiler::PccResult& pcc, bool with_wallprof,
 }
 
 TEST(WallprofDeterminism, AttachedProfilerLeavesTraceByteIdentical) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   for (const bool pgas : {false, true}) {
     for (const bool parallel : {false, true}) {
       const TracedRun plain = run_once(pcc, /*with_wallprof=*/false, pgas,
@@ -371,7 +364,7 @@ TEST(WallprofDeterminism, AttachedProfilerLeavesTraceByteIdentical) {
 }
 
 TEST(WallprofIntegration, SimRunProducesAttributedSummary) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   const TracedRun run = run_once(pcc, /*with_wallprof=*/true, /*use_pgas=*/false,
                                  /*parallel=*/false);
   std::istringstream is(run.wallprof_jsonl);
@@ -402,7 +395,7 @@ TEST(WallprofIntegration, TickSharesStayWithinWallAtFourThreads) {
   const int saved = omp_get_max_threads();
   omp_set_num_threads(4);
 #endif
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   const TracedRun run = run_once(pcc, /*with_wallprof=*/true,
                                  /*use_pgas=*/false, /*parallel=*/true);
 #ifdef COMPASS_HAVE_OPENMP
@@ -438,8 +431,29 @@ TEST(WallprofIntegration, TickSharesStayWithinWallAtFourThreads) {
       << text.str();
 }
 
+TEST(WallprofIntegration, ExchangeIsTimedOncePerTickThroughAFaultDecorator) {
+  // The simulator brackets exchange() itself, so a decorated transport is
+  // timed once per tick, not once per layer.
+  const compiler::PccResult pcc = compile_macaque();
+  arch::Model model = pcc.model;
+  comm::MpiTransport inner(pcc.partition.ranks(), comm::CommCostModel{});
+  resilience::FaultInjectingTransport faulty(
+      inner, resilience::FaultPlan::parse("drop=0.1,dup=0.1,seed=3"));
+  runtime::Config cfg;
+  cfg.measure = false;
+  runtime::Compass sim(model, pcc.partition, faulty, cfg);
+  obs::WallProfiler wallprof(pcc.partition.ranks());
+  sim.set_wall_profiler(&wallprof);
+  const runtime::RunReport rep = sim.run(25);
+  ASSERT_GT(rep.faults_injected, 0u);
+  const obs::WallprofSummary s = wallprof.summary();
+  EXPECT_EQ(s.global_phase[static_cast<std::size_t>(obs::WallPhase::kExchange)]
+                .count,
+            rep.ticks);
+}
+
 TEST(WallprofIntegration, RankCountMismatchThrows) {
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
   comm::MpiTransport transport(pcc.partition.ranks(), comm::CommCostModel{});
   runtime::Compass sim(model, pcc.partition, transport, runtime::Config{});
@@ -453,7 +467,7 @@ TEST(WallprofIntegration, MeasuredOverheadStaysSmall) {
   // acceptance target is checked on bench_headline, whose ticks are long
   // enough to average) — this test exists to catch pathological regressions
   // like an unconditional clock read per neuron, not to measure precisely.
-  const compiler::PccResult pcc = build_fixed_model();
+  const compiler::PccResult pcc = compile_macaque();
   const TracedRun run = run_once(pcc, /*with_wallprof=*/true, /*use_pgas=*/false,
                                  /*parallel=*/false);
   std::istringstream is(run.wallprof_jsonl);

@@ -220,9 +220,10 @@ int cmd_run(const Args& args) {
     return 1;
   }
 
-  // Every observability output is opened up front. The metrics registry
-  // outlives the run: PCC, the transport, and the runtime all publish into
-  // it, and --metrics-out / --metrics-prom snapshot it at the end.
+  // Every observability output is opened up front (and removed again if the
+  // run fails before simulating). The metrics registry outlives the run:
+  // PCC and the simulator, with everything attached to it, publish into it,
+  // and --metrics-out / --metrics-prom snapshot it at the end.
   runtime::ObsOptions obs_options = args.obs;
   obs_options.metrics = !args.metrics_prom_file.empty();
   runtime::RunObservers observers(std::move(obs_options));
@@ -358,7 +359,8 @@ int cmd_run(const Args& args) {
   obs::TraceBuffer series;
   runtime::Compass sim(pcc.model, pcc.partition, *transport, cfg);
   // Attaches the transport too (the fault decorator forwards to its inner
-  // transport, so both layers' events land in the same window).
+  // transport, so both layers' events land in the same window); the
+  // checkpoint manager and recovery supervisor record through the simulator.
   if (flight) sim.set_flight_recorder(&*flight);
 
   // Restore before anything observes the simulator: overwrites the model
@@ -394,8 +396,7 @@ int cmd_run(const Args& args) {
     copt.dir = args.checkpoint_dir;
     copt.every = args.checkpoint_every;
     copt.keep = args.checkpoint_keep;
-    ckpt_mgr.emplace(copt, metrics);
-    if (flight) ckpt_mgr->set_flight_recorder(&*flight);
+    ckpt_mgr.emplace(copt);
     ckpt_mgr->attach(sim, pcc.model);
   }
 
@@ -405,7 +406,7 @@ int cmd_run(const Args& args) {
   // compiler's parcellation. The migrate planner wants the measured comm
   // matrix even without --profile-out, so it is collected silently then.
   observers.attach(
-      sim, *transport, *inner_transport, compiler::core_region_map(pcc),
+      sim, *inner_transport, compiler::core_region_map(pcc),
       want_recovery && rpolicy == resilience::RecoveryPolicy::kMigrate);
 
   std::optional<resilience::RecoverySupervisor> supervisor;
@@ -417,8 +418,7 @@ int cmd_run(const Args& args) {
       copt.dir = args.checkpoint_dir;
       copt.every = 0;
       copt.keep = args.checkpoint_keep;
-      ckpt_mgr.emplace(copt, metrics);
-      if (flight) ckpt_mgr->set_flight_recorder(&*flight);
+      ckpt_mgr.emplace(copt);
     }
     resilience::RecoveryOptions ropt;
     ropt.policy = rpolicy;
@@ -428,16 +428,11 @@ int cmd_run(const Args& args) {
       ropt.node_of_rank = active_placement->node_of_rank;
     }
     supervisor.emplace(ropt, sim, pcc.model, *faulty, *ckpt_mgr);
-    supervisor->set_profile(observers.profiler());
-    supervisor->set_metrics(metrics);
-    if (flight) supervisor->set_flight_recorder(&*flight);
     supervisor->arm();
     std::cout << "recovery armed: " << args.recovery << "\n";
   }
 
   if (obs::WallProfiler* wallprof = observers.wall_profiler()) {
-    if (ckpt_mgr) ckpt_mgr->set_wall_profiler(wallprof);
-    if (supervisor) supervisor->set_wall_profiler(wallprof);
     // Compilation already happened (measured by the PCC itself); charge it
     // so the summary's pcc_compile bucket reflects this invocation.
     wallprof->record_global(obs::WallPhase::kPccCompile, pcc.stats.compile_s);
