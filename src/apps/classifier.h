@@ -59,9 +59,6 @@ class PatternClassifier {
   /// the class with the most firing neurons (-1 if nothing fired).
   int classify(const Image& image, arch::Tick tick = 0) const;
 
-  unsigned num_classes() const {
-    return static_cast<unsigned>(templates_.size());
-  }
   const ClassifierOptions& options() const { return options_; }
 
  private:

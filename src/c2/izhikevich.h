@@ -27,8 +27,6 @@ struct IzhikevichParams {
   static IzhikevichParams regular_spiking() { return {0.02f, 0.2f, -65.0f, 8.0f}; }
   /// Fast-spiking (inhibitory) interneuron.
   static IzhikevichParams fast_spiking() { return {0.1f, 0.2f, -65.0f, 2.0f}; }
-  /// Intrinsically bursting cell.
-  static IzhikevichParams bursting() { return {0.02f, 0.2f, -55.0f, 4.0f}; }
 };
 
 struct IzhikevichState {

@@ -13,6 +13,15 @@ namespace {
 
 constexpr std::uint64_t kVolumeSalt = 0x564F4C00ULL;  // "VOL"
 
+// Self (gray-matter) fractions: 60/40 long-range/local for cortex, 80/20 for
+// thalamus and basal ganglia.
+constexpr double kCorticalSelf = 0.4;
+constexpr double kSubcorticalSelf = 0.2;
+
+// Reporting regions whose Paxinos volume is withheld (section V-A).
+constexpr unsigned kUnknownCortical = 5;
+constexpr unsigned kUnknownThalamic = 8;
+
 double lognormal(util::CorePrng& prng, double mu, double sigma) {
   const double u1 = std::max(prng.uniform_double(), 1e-12);
   const double u2 = prng.uniform_double();
@@ -48,8 +57,8 @@ compiler::Spec build_macaque_spec(const ReducedGraph& graph,
     compiler::RegionDecl r;
     r.name = graph.names[i];
     r.cls = graph.classes[i];
-    r.self_fraction = r.cls == RegionClass::kCortical ? options.cortical_self
-                                                      : options.subcortical_self;
+    r.self_fraction =
+        r.cls == RegionClass::kCortical ? kCorticalSelf : kSubcorticalSelf;
     r.rate_hz = options.rate_hz;
 
     // Cortical regions are larger on average than subcortical nuclei.
@@ -63,10 +72,10 @@ compiler::Spec build_macaque_spec(const ReducedGraph& graph,
     bool withhold = false;
     if (r.cls == RegionClass::kCortical) {
       ++cortical_seen;
-      withhold = cortical_seen > cortical_total - options.unknown_cortical;
+      withhold = cortical_seen > cortical_total - kUnknownCortical;
     } else if (r.cls == RegionClass::kThalamic) {
       ++thalamic_seen;
-      withhold = thalamic_seen > thalamic_total - options.unknown_thalamic;
+      withhold = thalamic_seen > thalamic_total - kUnknownThalamic;
     }
     if (!withhold) r.volume = volume;
 
@@ -100,7 +109,7 @@ compiler::Spec build_macaque_spec(const ReducedGraph& graph,
 }
 
 compiler::Spec build_macaque_spec(const MacaqueSpecOptions& options) {
-  const RawGraph raw = build_synthetic_cocomac(options.graph_seed);
+  const RawGraph raw = build_synthetic_cocomac();
   const ReducedGraph reduced = reduce(raw);
   return build_macaque_spec(reduced, options);
 }

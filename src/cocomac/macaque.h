@@ -22,21 +22,16 @@ namespace compass::cocomac {
 
 struct MacaqueSpecOptions {
   std::uint64_t total_cores = 4096;
-  std::uint64_t seed = 42;                       // model + volume seed
-  std::uint64_t graph_seed = kDefaultCocomacSeed;
-  double cortical_self = 0.4;     // 60/40 long-range/local for cortex
-  double subcortical_self = 0.2;  // 80/20 for thalamus and basal ganglia
-  double rate_hz = 8.0;           // target mean firing rate (paper: 8.1 Hz)
-  unsigned unknown_cortical = 5;  // regions with Paxinos volume withheld
-  unsigned unknown_thalamic = 8;
+  std::uint64_t seed = 42;   // model + volume seed
+  double rate_hz = 8.0;      // target mean firing rate (paper: 8.1 Hz)
 };
 
 /// Build the 77-region macaque CoreObject spec from a reduced graph.
 compiler::Spec build_macaque_spec(const ReducedGraph& graph,
                                   const MacaqueSpecOptions& options = {});
 
-/// Convenience: generate the synthetic CoCoMac database, reduce it, and
-/// build the spec in one call.
+/// Convenience: generate the synthetic CoCoMac database (default graph
+/// seed), reduce it, and build the spec in one call.
 compiler::Spec build_macaque_spec(const MacaqueSpecOptions& options = {});
 
 }  // namespace compass::cocomac

@@ -18,20 +18,9 @@ const char* band_name(Band band) {
   return "?";
 }
 
-double band_center_hz(Band band) {
-  switch (band) {
-    case Band::kDelta: return 2.0;
-    case Band::kTheta: return 6.0;
-    case Band::kAlpha: return 10.0;
-    case Band::kBeta: return 20.0;
-    case Band::kGamma: return 40.0;
-  }
-  return 0.0;
-}
-
 namespace {
 
-// Goertzel coefficients 2*cos(2*pi*f/1000) for the band centers above,
+// Goertzel coefficients 2*cos(2*pi*f/1000) at each band's center frequency,
 // hard-coded to 17 significant digits so no libm cos() — whose rounding is
 // not pinned down by IEEE 754 — can make band power differ across hosts.
 // Everything else in the pipeline is +,-,*,/ and sqrt, which are exact.

@@ -58,8 +58,6 @@ enum class Band : std::uint8_t {
 inline constexpr std::size_t kNumBands = 5;
 
 const char* band_name(Band band);
-/// Representative center frequency of a band in Hz.
-double band_center_hz(Band band);
 
 struct AnalyticsOptions {
   /// Statistics window in ticks; a window record is emitted every

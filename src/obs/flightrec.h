@@ -107,10 +107,6 @@ class FlightRecorder {
     std::atomic<std::uint64_t> next{0};  // events ever recorded in this ring
   };
 
-  const Ring& ring_of(int rank) const {
-    return rings_[static_cast<std::size_t>(rank + 1)];
-  }
-
   int ranks_;
   std::size_t capacity_;
   std::atomic<std::uint64_t> tick_{0};

@@ -1,9 +1,10 @@
 // Minimal recursive-descent JSON reader shared by the offline analyzers
-// (profile.cpp's analyze_trace and spiketrace.cpp's analyze_spike_trace).
-// tests/json_lite.h only *validates*; the analyzers need values. Integers
-// that fit uint64 keep their exact value; everything numeric also carries
-// the strtod double, which round-trips the writers' shortest-roundtrip
-// output bit-for-bit.
+// (profile.cpp's analyze_trace and spiketrace.cpp's analyze_spike_trace)
+// and the tests that check the writers emit valid JSON. Integers that fit
+// uint64 keep their exact value; everything numeric also carries the strtod
+// double, which round-trips the writers' shortest-roundtrip output
+// bit-for-bit. Strings may not hold raw control characters, and numbers
+// follow JSON's grammar (no '+' sign, no bare '.' or trailing '.').
 //
 // Header-only on purpose: the reader predates this header as a private
 // detail of profile.cpp and stays an implementation tool, not a public
@@ -165,6 +166,10 @@ class JsonParser {
       if (pos_ >= text_.size()) fail("unterminated string");
       char c = text_[pos_++];
       if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        --pos_;
+        fail("unescaped control character in string");
+      }
       if (c != '\\') {
         out += c;
         continue;
@@ -206,29 +211,42 @@ class JsonParser {
     }
   }
 
+  bool is_digit() const {
+    return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
+  }
+
+  // One or more digits; fails with `what` when there are none.
+  void digits(const char* what) {
+    if (!is_digit()) fail(what);
+    while (is_digit()) ++pos_;
+  }
+
+  // -?digits(.digits)?([eE][+-]?digits)?
   JsonValue parse_number() {
     const std::size_t start = pos_;
+    if (peek() == '-') ++pos_;
+    digits(pos_ == start ? "invalid value" : "malformed number");
     bool fractional = false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '-' || c == '+') {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E') {
-        fractional = true;
-        ++pos_;
-      } else {
-        break;
-      }
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      fractional = true;
+      ++pos_;
+      digits("malformed number");
     }
-    if (pos_ == start) fail("invalid value");
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      fractional = true;
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
+        ++pos_;
+      }
+      digits("malformed number");
+    }
     const std::string token(text_.substr(start, pos_ - start));
     JsonValue v;
     v.kind = JsonValue::Kind::kNumber;
-    char* end = nullptr;
-    v.number = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) fail("malformed number");
+    v.number = std::strtod(token.c_str(), nullptr);
     if (!fractional && token[0] != '-') {
       errno = 0;
+      char* end = nullptr;
       const std::uint64_t u = std::strtoull(token.c_str(), &end, 10);
       if (errno == 0 && end == token.c_str() + token.size()) {
         v.integer = u;

@@ -72,10 +72,4 @@ PhaseBreakdown RunLedger::commit_tick(TickAttribution* attribution) {
   return tick;
 }
 
-double RunLedger::slowdown_vs_realtime() const {
-  if (ticks_ == 0) return 0.0;
-  const double simulated_s = static_cast<double>(ticks_) * 1e-3;
-  return totals_.total() / simulated_s;
-}
-
 }  // namespace compass::perf

@@ -116,10 +116,6 @@ class RunLedger {
     ticks_ = ticks;
   }
 
-  /// Virtual seconds per simulated tick (1 tick == 1 ms of biological time);
-  /// the paper's slowdown factor is virtual_total / (ticks * 1e-3).
-  double slowdown_vs_realtime() const;
-
  private:
   std::vector<RankTickTimes> scratch_;
   PhaseBreakdown totals_{};

@@ -11,6 +11,11 @@ namespace compass::place {
 namespace {
 
 constexpr double kGainEps = 1e-9;  // strict-improvement threshold
+// greedy-refine keeps per-rank core loads within load_bounds() at this
+// tolerance.
+constexpr double kBalanceTolerance = 0.05;
+// greedy-refine / recursive-bisect sweeps.
+constexpr int kMaxRefinePasses = 8;
 
 void validate_options(const CoreGraph& graph, const PlacerOptions& options) {
   if (graph.num_cores() == 0) {
@@ -126,7 +131,7 @@ class GreedyRefinePlacer final : public Placer {
     std::vector<std::size_t> load(static_cast<std::size_t>(options.ranks), 0);
     for (int r : assign) ++load[static_cast<std::size_t>(r)];
     const LoadBounds bounds =
-        load_bounds(n, options.ranks, options.balance_tolerance);
+        load_bounds(n, options.ranks, kBalanceTolerance);
 
     // Cost of core `u` sitting on rank `s`, given its per-neighbour-rank
     // weights `nw`: every edge to a different rank pays weight * (1 + hops).
@@ -146,7 +151,7 @@ class GreedyRefinePlacer final : public Placer {
     };
 
     std::vector<std::pair<int, double>> nw;  // rank -> adjacent weight
-    for (int pass = 0; pass < options.max_refine_passes; ++pass) {
+    for (int pass = 0; pass < kMaxRefinePasses; ++pass) {
       std::size_t moved = 0;
       for (std::size_t c = 0; c < n; ++c) {
         const arch::CoreId u = static_cast<arch::CoreId>(c);
@@ -217,7 +222,7 @@ class RecursiveBisectPlacer final : public Placer {
     std::vector<int> assign(n, 0);
     std::vector<arch::CoreId> cores(n);
     std::iota(cores.begin(), cores.end(), arch::CoreId{0});
-    State state{graph, options, target, assign,
+    State state{graph, target, assign,
                 std::vector<int>(n, -1), 0,
                 std::vector<char>(n, 0), std::vector<double>(n, 0.0)};
     bisect(state, cores, 0, options.ranks);
@@ -232,7 +237,6 @@ class RecursiveBisectPlacer final : public Placer {
  private:
   struct State {
     const CoreGraph& graph;
-    const PlacerOptions& options;
     const std::vector<std::size_t>& target;
     std::vector<int>& assign;
     std::vector<int> stamp;   // membership epoch per core
@@ -290,8 +294,7 @@ class RecursiveBisectPlacer final : public Placer {
       st.dval[c] = d;
     }
     const std::size_t max_swaps =
-        cores.size() * static_cast<std::size_t>(
-                           std::max(1, st.options.max_refine_passes));
+        cores.size() * static_cast<std::size_t>(kMaxRefinePasses);
     for (std::size_t iter = 0; iter < max_swaps; ++iter) {
       arch::CoreId best_l = 0, best_r = 0;
       double dl = -1e300, dr = -1e300;

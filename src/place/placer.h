@@ -11,7 +11,8 @@
 //   greedy-refine    KL/FM-style pairwise-move refinement of the uniform
 //                    partition: repeated best-single-core moves that
 //                    strictly decrease the objective while per-rank loads
-//                    stay inside load_bounds(). Never worse than uniform.
+//                    stay inside load_bounds() at a 5% tolerance. Never
+//                    worse than uniform.
 //   recursive-bisect recursive Kernighan–Lin bisection with paired swaps
 //                    (keeps split sizes exact at every level)
 //   sfc-torus        uniform partition + space-filling-curve embedding of
@@ -40,12 +41,9 @@ namespace compass::place {
 struct PlacerOptions {
   int ranks = 1;
   int threads_per_rank = 1;
-  /// Per-rank core loads stay within load_bounds(cores, ranks, tolerance).
-  double balance_tolerance = 0.05;
   std::uint64_t seed = 0;          // random policy + tie-breaking
   const comm::TorusTopology* topology = nullptr;  // null: hop term is zero
   int ranks_per_node = 1;
-  int max_refine_passes = 8;       // greedy-refine / recursive-bisect sweeps
 };
 
 /// Inclusive per-rank core-count bounds for a balance tolerance: loads in

@@ -133,12 +133,6 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
   return plan;
 }
 
-std::optional<FaultPlan> FaultPlan::from_env() {
-  const char* spec = std::getenv("COMPASS_FAULT_PLAN");
-  if (spec == nullptr || *spec == '\0') return std::nullopt;
-  return parse(spec);
-}
-
 std::string FaultPlan::to_string() const {
   std::string out;
   auto add = [&out](const std::string& item) {

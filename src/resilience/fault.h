@@ -69,7 +69,7 @@ class FaultError : public std::runtime_error {
 };
 
 /// Declarative description of the faults to inject. Parsed from a spec
-/// string (CLI `--fault-plan` or environment `COMPASS_FAULT_PLAN`):
+/// string (CLI `--fault-plan`):
 ///
 ///   key=value[,key=value...]
 ///
@@ -112,11 +112,6 @@ struct FaultPlan {
 
   /// Parse a spec string; throws FaultPlanError naming the offending token.
   static FaultPlan parse(std::string_view spec);
-
-  /// Plan from $COMPASS_FAULT_PLAN, nullopt when unset or empty. A malformed
-  /// value still throws FaultPlanError — a typo'd plan must not silently
-  /// become a fault-free run.
-  static std::optional<FaultPlan> from_env();
 
   /// Canonical spec string (round-trips through parse()).
   std::string to_string() const;

@@ -6,14 +6,33 @@
 
 namespace compass::runtime {
 
-void RunObservers::CreatedFiles::open(std::ofstream& os,
-                                      const std::string& path) {
+namespace {
+
+// The --spike-trace-out stream keeps at most this many spans, then appends a
+// truncation marker.
+constexpr std::size_t kMaxSpikeSpans = 1'000'000;
+
+}  // namespace
+
+void RunObservers::CreatedFiles::check(std::ofstream& os,
+                                       const std::string& path) {
   if (path.empty()) return;
   std::error_code ec;
   const bool existed = std::filesystem::exists(path, ec);
-  os.open(path);
-  if (!os) throw std::runtime_error("cannot write " + path);
+  if (!std::ofstream(path, std::ios::app)) {
+    throw std::runtime_error("cannot write " + path);
+  }
   if (!existed) paths.push_back(path);
+  pending.emplace_back(&os, path);
+}
+
+void RunObservers::CreatedFiles::open() {
+  for (auto& [os, path] : pending) {
+    os->open(path);
+    if (!*os) throw std::runtime_error("cannot write " + path);
+  }
+  pending.clear();
+  keep = true;
 }
 
 RunObservers::CreatedFiles::~CreatedFiles() {
@@ -51,22 +70,25 @@ std::vector<util::Flag> ObsOptions::flags() {
 RunObservers::RunObservers(ObsOptions options)
     : options_(std::move(options)),
       metrics_on_(options_.metrics || !options_.metrics_out.empty()) {
-  created_.open(trace_os_, options_.trace_out);
-  created_.open(chrome_os_, options_.chrome_out);
-  created_.open(metrics_os_, options_.metrics_out);
-  created_.open(profile_os_, options_.profile_out);
-  created_.open(span_os_, options_.spike_trace_out);
-  created_.open(wall_os_, options_.wallprof_out);
-  created_.open(analytics_os_, options_.analytics_out);
-  if (trace_os_.is_open()) jsonl_.emplace(trace_os_);
-  if (span_os_.is_open()) span_writer_.emplace(span_os_);
-  if (analytics_os_.is_open()) analytics_writer_.emplace(analytics_os_);
+  created_.check(trace_os_, options_.trace_out);
+  created_.check(chrome_os_, options_.chrome_out);
+  created_.check(metrics_os_, options_.metrics_out);
+  created_.check(profile_os_, options_.profile_out);
+  created_.check(span_os_, options_.spike_trace_out);
+  created_.check(wall_os_, options_.wallprof_out);
+  created_.check(analytics_os_, options_.analytics_out);
+  if (!options_.trace_out.empty()) jsonl_.emplace(trace_os_);
+  if (!options_.spike_trace_out.empty()) {
+    span_writer_.emplace(span_os_,
+                         obs::JsonlOptions{.max_records = kMaxSpikeSpans});
+  }
+  if (!options_.analytics_out.empty()) analytics_writer_.emplace(analytics_os_);
 }
 
 void RunObservers::attach(Compass& sim, const comm::Transport& hops,
                           std::vector<std::uint32_t> core_region,
                           bool profile) {
-  created_.keep = true;
+  created_.open();
   const int ranks = sim.partition().ranks();
   obs::MetricsRegistry* const m = metrics();
   sim.set_metrics(m);
@@ -106,7 +128,7 @@ void RunObservers::attach(Compass& sim, const comm::Transport& hops,
   // Wall records ride their own stream, never a trace sink, so functional
   // output stays byte-identical with the profiler attached.
   wallprof_.reset();
-  if (wall_os_.is_open()) {
+  if (!options_.wallprof_out.empty()) {
     obs::WallprofOptions wopt;
     wopt.heartbeat_every_ticks = options_.wallprof_heartbeat;
     wallprof_.emplace(ranks, wopt);
@@ -129,7 +151,7 @@ void RunObservers::end_run(const RunReport& report) {
 }
 
 void RunObservers::finish() {
-  created_.keep = true;
+  created_.open();
   if (span_writer_) span_writer_->finish();
   if (chrome_os_.is_open()) chrome_.write(chrome_os_);
   if (metrics_os_.is_open()) registry_.write_json(metrics_os_);

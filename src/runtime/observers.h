@@ -9,15 +9,18 @@
 // attach() to hang its own per-run planes (profile collector, spike tracer,
 // analytics engine, wall profiler; each sized to that run's rank count) on
 // one Compass, end_run() after run(), and the process calls finish() once to
-// write the whole-process outputs. A RunObservers destroyed before any
-// attach() or finish() (the process failed before simulating) removes the
-// output files it created, so a failed run leaves no empty outputs behind.
+// write the whole-process outputs. The constructor only checks that every
+// output can be written; the first attach() or finish() truncates them. A
+// RunObservers destroyed before either (the process failed before
+// simulating) removes the output files it created and leaves the ones that
+// already existed as they were.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/analytics.h"
@@ -53,9 +56,9 @@ struct ObsOptions {
 
 class RunObservers {
  public:
-  /// Opens every requested output file; throws std::runtime_error
-  /// ("cannot write PATH") when one cannot be opened, removing the ones it
-  /// had created.
+  /// Checks that every requested output file can be written, without
+  /// truncating it; throws std::runtime_error ("cannot write PATH") when one
+  /// cannot, removing the ones it had created.
   explicit RunObservers(ObsOptions options);
   // The writers hold references to the streams beside them.
   RunObservers(const RunObservers&) = delete;
@@ -91,7 +94,7 @@ class RunObservers {
   obs::WallProfiler* wall_profiler() { return get(wallprof_); }
   // The process-wide writers (nullptr when not requested).
   const obs::JsonlTraceWriter* trace_writer() const { return get(jsonl_); }
-  const obs::JsonlSpikeSpanWriter* span_writer() const {
+  const obs::JsonlTraceWriter* span_writer() const {
     return get(span_writer_);
   }
   const obs::ChromeTraceWriter* chrome() const {
@@ -108,19 +111,24 @@ class RunObservers {
     return o ? &*o : nullptr;
   }
 
-  // The output files this object created, removed on destruction unless an
-  // attach() or finish() kept them. Declared first so it is destroyed after
-  // the streams close.
+  // The requested output files: checked up front, opened (truncated) by the
+  // first attach() or finish(). The ones this object created are removed on
+  // destruction unless they were opened. Declared first so it is destroyed
+  // after the streams close.
   struct CreatedFiles {
-    std::vector<std::string> paths;
+    std::vector<std::string> paths;  // created by check()
+    std::vector<std::pair<std::ofstream*, std::string>> pending;
     bool keep = false;
     CreatedFiles() = default;
     CreatedFiles(const CreatedFiles&) = delete;
     CreatedFiles& operator=(const CreatedFiles&) = delete;
     ~CreatedFiles();
-    /// Opens `path` when one was requested; throws std::runtime_error
-    /// ("cannot write PATH") when it cannot be opened.
-    void open(std::ofstream& os, const std::string& path);
+    /// Queues `path` for `os` when one was requested, after checking it can
+    /// be written without truncating it; throws std::runtime_error
+    /// ("cannot write PATH") when it cannot.
+    void check(std::ofstream& os, const std::string& path);
+    /// Opens every queued file (once); throws like check().
+    void open();
   };
 
   CreatedFiles created_;
@@ -130,7 +138,7 @@ class RunObservers {
   std::ofstream trace_os_, chrome_os_, metrics_os_, profile_os_, span_os_,
       wall_os_, analytics_os_;
   std::optional<obs::JsonlTraceWriter> jsonl_;
-  std::optional<obs::JsonlSpikeSpanWriter> span_writer_;
+  std::optional<obs::JsonlTraceWriter> span_writer_;
   std::optional<obs::JsonlTraceWriter> analytics_writer_;
   obs::ChromeTraceWriter chrome_;
   std::string profile_json_;  // the last run's --profile-out document

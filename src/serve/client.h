@@ -105,7 +105,6 @@ class Client {
   std::optional<ErrorFrame> take_error();
   std::optional<SteppedFrame> take_stepped();
   std::optional<AnalyticsFrame> take_analytics();
-  bool has_spikes() const { return !spikes_.empty(); }
 
   /// Pump until a stepped notification for `session` with now >= target
   /// (stream frames keep accumulating). Returns false on EOF first.

@@ -97,7 +97,6 @@ class Session {
   /// replays deterministically from the snapshot tick. Throws
   /// ProtocolError(kSnapshotMissing) when no save exists.
   void snapshot_restore();
-  bool has_snapshot() const { return !snapshot_bytes_.empty(); }
 
   /// Total spikes fired since creation (rate summaries, heartbeats).
   std::uint64_t total_spikes() const { return total_spikes_; }

@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdint>
 #include <ctime>
 
 namespace compass::util {
@@ -103,40 +102,6 @@ class Stopwatch {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Accumulating timer used for phase breakdowns: bracket regions with
-/// start()/stop() and read the running total.
-class AccumTimer {
- public:
-  void start() noexcept { begin_ = clock::now(); }
-  void stop() noexcept {
-    total_ += std::chrono::duration<double>(clock::now() - begin_).count();
-    ++laps_;
-  }
-  void add_seconds(double s) noexcept { total_ += s; }
-  void reset() noexcept { total_ = 0.0; laps_ = 0; }
-
-  double seconds() const noexcept { return total_; }
-  std::uint64_t laps() const noexcept { return laps_; }
-
- private:
-  using clock = std::chrono::steady_clock;
-  clock::time_point begin_{};
-  double total_ = 0.0;
-  std::uint64_t laps_ = 0;
-};
-
-/// RAII lap: adds the scope's duration to an AccumTimer.
-class ScopedLap {
- public:
-  explicit ScopedLap(AccumTimer& t) noexcept : timer_(t) { timer_.start(); }
-  ~ScopedLap() { timer_.stop(); }
-  ScopedLap(const ScopedLap&) = delete;
-  ScopedLap& operator=(const ScopedLap&) = delete;
-
- private:
-  AccumTimer& timer_;
 };
 
 }  // namespace compass::util

@@ -110,15 +110,5 @@ TEST(ForEachSetBit, FullVisitsAll256) {
   EXPECT_EQ(expect, 256u);
 }
 
-TEST(ForEachSetBitAnd, IntersectionOnly) {
-  Bits256 a, b;
-  for (unsigned i = 0; i < 256; i += 2) a.set(i);   // evens
-  for (unsigned i = 0; i < 256; i += 3) b.set(i);   // multiples of 3
-  std::vector<unsigned> got;
-  for_each_set_bit_and(a, b, [&](unsigned i) { got.push_back(i); });
-  for (unsigned i : got) EXPECT_EQ(i % 6, 0u);
-  EXPECT_EQ(got.size(), 43u);  // 0, 6, ..., 252
-}
-
 }  // namespace
 }  // namespace compass::util

@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "comm/machine.h"
-
 namespace compass::comm {
 namespace {
 
@@ -69,31 +67,6 @@ TEST(CostModel, CustomParamsAreHonoured) {
   p.mpi_bytes_per_s = 10.0;
   CommCostModel m(p);
   EXPECT_DOUBLE_EQ(m.mpi_send_cost(20), 1.0 + 2.0);
-}
-
-TEST(Machine, BlueGeneQPreset) {
-  const MachineDesc m = MachineDesc::blue_gene_q(1024);
-  EXPECT_EQ(m.num_ranks, 1024);
-  EXPECT_EQ(m.threads_per_rank, 32);
-  EXPECT_EQ(m.ranks_per_node, 1);
-  EXPECT_EQ(m.num_nodes(), 1024);
-  EXPECT_EQ(m.cpus(), 1024 * 32);
-}
-
-TEST(Machine, BlueGenePPreset) {
-  const MachineDesc m = MachineDesc::blue_gene_p(1024);
-  EXPECT_EQ(m.num_ranks, 4096);
-  EXPECT_EQ(m.num_nodes(), 1024);
-  EXPECT_EQ(m.node_of_rank(0), 0);
-  EXPECT_EQ(m.node_of_rank(3), 0);
-  EXPECT_EQ(m.node_of_rank(4), 1);
-}
-
-TEST(Machine, NodeOfRankPartitionsEvenly) {
-  const MachineDesc m = MachineDesc::blue_gene_p(4, 4, 1);
-  int counts[4] = {0, 0, 0, 0};
-  for (int r = 0; r < m.num_ranks; ++r) ++counts[m.node_of_rank(r)];
-  for (int c : counts) EXPECT_EQ(c, 4);
 }
 
 }  // namespace

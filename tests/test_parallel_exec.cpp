@@ -155,13 +155,13 @@ ObservedRun run_observed(const compiler::PccResult& pcc, bool pgas,
   if (attach.analytics) sim.set_analytics(&engine);
   obs::SpikeTracer tracer(pcc.partition.ranks(),
                           obs::SpikeTraceOptions{.sample_every = 4});
-  obs::SpikeSpanBuffer spans;
+  obs::TraceBuffer spans;
   tracer.add_sink(&spans);
   if (attach.tracer) sim.set_spike_tracer(&tracer);
 
   sim.run(40);
   for (const auto& rec : windows.analytics()) run.analytics += rec.json + "\n";
-  run.spans = spans.spans();
+  run.spans = spans.spike_spans();
   return run;
 }
 

@@ -249,7 +249,7 @@ TEST_P(PolicySweep, CoverageBalanceNodeMapDeterminism) {
   for (int s : seen) EXPECT_EQ(s, 1);
 
   // Load-balance bounded.
-  const LoadBounds bounds = load_bounds(96, 8, opt.balance_tolerance);
+  const LoadBounds bounds = load_bounds(96, 8, 0.05);  // greedy-refine's tolerance
   for (int r = 0; r < 8; ++r) {
     EXPECT_GE(a.partition.cores_of(r).size(), bounds.min_load) << r;
     EXPECT_LE(a.partition.cores_of(r).size(), bounds.max_load) << r;

@@ -887,19 +887,6 @@ TEST(FaultPlan, MalformedSpecsThrowTyped) {
                FaultPlanError);
 }
 
-TEST(FaultPlan, EnvironmentIsHonouredAndValidated) {
-  ::setenv("COMPASS_FAULT_PLAN", "drop=0.5,seed=3", 1);
-  const auto plan = FaultPlan::from_env();
-  ASSERT_TRUE(plan.has_value());
-  EXPECT_DOUBLE_EQ(plan->drop, 0.5);
-
-  ::setenv("COMPASS_FAULT_PLAN", "drop=oops", 1);
-  EXPECT_THROW(FaultPlan::from_env(), resilience::FaultPlanError);
-
-  ::unsetenv("COMPASS_FAULT_PLAN");
-  EXPECT_FALSE(FaultPlan::from_env().has_value());
-}
-
 // --- Fault injection ----------------------------------------------------------
 
 struct FaultyRun {

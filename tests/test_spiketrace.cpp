@@ -32,9 +32,9 @@
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
-#include "json_lite.h"
 #include "macaque_fixture.h"
 #include "obs/flightrec.h"
+#include "obs/jsonv.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/spiketrace.h"
@@ -78,11 +78,11 @@ std::vector<obs::SpikeSpan> run_spans(const compiler::PccResult& pcc,
   obs::SpikeTracer tracer(pcc.partition.ranks(),
                           obs::SpikeTraceOptions{.sample_every =
                                                      opt.sample_every});
-  obs::SpikeSpanBuffer buffer;
+  obs::TraceBuffer buffer;
   tracer.add_sink(&buffer);
   sim.set_spike_tracer(&tracer);
   sim.run(opt.ticks);
-  return buffer.spans();
+  return buffer.spike_spans();
 }
 
 TEST(SpikeTrace, TraceIdIsPureAndSamplingFollowsIt) {
@@ -155,7 +155,7 @@ TEST(SpikeTrace, RestoredRunReemitsTheFullRunsTailSpans) {
   runtime::Compass sim2(model2, pcc.partition, t2, cfg);
   resilience::restore(cp, sim2, model2);
   obs::SpikeTracer tracer(3, obs::SpikeTraceOptions{.sample_every = 4});
-  obs::SpikeSpanBuffer buffer;
+  obs::TraceBuffer buffer;
   tracer.add_sink(&buffer);
   sim2.set_spike_tracer(&tracer);
   sim2.run(kFull - kHalf);
@@ -168,7 +168,7 @@ TEST(SpikeTrace, RestoredRunReemitsTheFullRunsTailSpans) {
     if (s.fire_tick >= kHalf) tail.push_back(s);
   }
   ASSERT_FALSE(tail.empty());
-  EXPECT_EQ(tail, buffer.spans());
+  EXPECT_EQ(tail, buffer.spike_spans());
 }
 
 TEST(SpikeTrace, GoldenSpanFileMatches) {
@@ -181,7 +181,7 @@ TEST(SpikeTrace, GoldenSpanFileMatches) {
     cfg.measure = false;
     runtime::Compass sim(model, pcc.partition, transport, cfg);
     obs::SpikeTracer tracer(3, obs::SpikeTraceOptions{.sample_every = 4});
-    obs::JsonlSpikeSpanWriter writer(os);
+    obs::JsonlTraceWriter writer(os);
     tracer.add_sink(&writer);
     sim.set_spike_tracer(&tracer);
     sim.run(12);
@@ -217,7 +217,7 @@ TEST(SpikeTrace, AnalyzerRoundTripsWriterOutput) {
   runtime::Compass sim(model, pcc.partition, transport, cfg);
   obs::SpikeTracer tracer(3, obs::SpikeTraceOptions{.sample_every = 4});
   std::ostringstream os;
-  obs::JsonlSpikeSpanWriter writer(os);
+  obs::JsonlTraceWriter writer(os);
   tracer.add_sink(&writer);
   sim.set_spike_tracer(&tracer);
   sim.run(16);
@@ -247,12 +247,12 @@ TEST(SpikeTrace, AnalyzerRoundTripsWriterOutput) {
 
   std::ostringstream json;
   obs::write_span_report_json(json, analysis);
-  EXPECT_TRUE(testing::json_valid(json.str())) << json.str();
+  EXPECT_NO_THROW(obs::jsonv::JsonParser(json.str()).parse()) << json.str();
 
   std::ostringstream flow;
   const std::uint64_t clipped = obs::write_span_flow_trace(flow, analysis);
   EXPECT_EQ(clipped, 0u);
-  EXPECT_TRUE(testing::json_valid(flow.str()));
+  EXPECT_NO_THROW(obs::jsonv::JsonParser(flow.str()).parse());
   EXPECT_NE(flow.str().find("\"ph\":\"s\""), std::string::npos);
   EXPECT_NE(flow.str().find("\"ph\":\"f\""), std::string::npos);
 }
@@ -266,8 +266,7 @@ TEST(SpikeTrace, WriterCapSurfacesAsTruncationMarkerAndWarning) {
   runtime::Compass sim(model, pcc.partition, transport, cfg);
   obs::SpikeTracer tracer(3, obs::SpikeTraceOptions{.sample_every = 4});
   std::ostringstream os;
-  obs::JsonlSpikeSpanWriter writer(os,
-                                   obs::SpikeJsonlOptions{.max_records = 5});
+  obs::JsonlTraceWriter writer(os, obs::JsonlOptions{.max_records = 5});
   tracer.add_sink(&writer);
   sim.set_spike_tracer(&tracer);
   sim.run(16);
@@ -310,7 +309,7 @@ TEST(SpikeTrace, TickTraceCapSurfacesInProfileReport) {
   std::ostringstream json;
   obs::write_trace_report_json(json, profile);
   EXPECT_NE(json.str().find("\"dropped\":"), std::string::npos);
-  EXPECT_TRUE(testing::json_valid(json.str()));
+  EXPECT_NO_THROW(obs::jsonv::JsonParser(json.str()).parse());
 }
 
 TEST(SpikeTrace, LatencyHistogramReachesPrometheusExposition) {
@@ -360,7 +359,7 @@ TEST(SpikeTrace, KillRankLeavesParseableFlightDumpAndLostChains) {
   runtime::Compass sim(model, pcc.partition, transport, cfg);
   sim.set_flight_recorder(&flight);
   obs::SpikeTracer tracer(3, obs::SpikeTraceOptions{.sample_every = 2});
-  obs::SpikeSpanBuffer buffer;
+  obs::TraceBuffer buffer;
   tracer.add_sink(&buffer);
   sim.set_spike_tracer(&tracer);
   sim.run(16);
@@ -373,7 +372,8 @@ TEST(SpikeTrace, KillRankLeavesParseableFlightDumpAndLostChains) {
   std::size_t lines = 0;
   bool saw_fault = false;
   while (std::getline(in, line)) {
-    EXPECT_TRUE(testing::json_valid(line)) << "line " << lines << ": " << line;
+    EXPECT_NO_THROW(obs::jsonv::JsonParser(line).parse())
+        << "line " << lines << ": " << line;
     if (lines == 0) {
       EXPECT_NE(line.find("\"type\":\"flight_dump\""), std::string::npos);
       EXPECT_NE(line.find("fault-kill-rank"), std::string::npos);
@@ -388,7 +388,7 @@ TEST(SpikeTrace, KillRankLeavesParseableFlightDumpAndLostChains) {
   // Spikes the dead rank ate surface as lost chains, not silent holes.
   EXPECT_GT(tracer.lost_spikes(), 0u);
   bool saw_lost_span = false;
-  for (const obs::SpikeSpan& s : buffer.spans()) {
+  for (const obs::SpikeSpan& s : buffer.spike_spans()) {
     if (s.stage == obs::SpikeStage::kLost) saw_lost_span = true;
   }
   EXPECT_TRUE(saw_lost_span);
@@ -410,7 +410,7 @@ TEST(SpikeTrace, FlightRecorderRingKeepsOnlyNewestEvents) {
   std::istringstream is(text);
   std::string line;
   while (std::getline(is, line)) {
-    EXPECT_TRUE(testing::json_valid(line)) << line;
+    EXPECT_NO_THROW(obs::jsonv::JsonParser(line).parse()) << line;
   }
 }
 

@@ -142,7 +142,7 @@ util::Flags make_flags(Args& a) {
       Flag::text("--restore", a.restore_path, "PATH",
                  "resume from a checkpoint file (or a directory's newest)"),
       Flag::text("--fault-plan", a.fault_plan, "SPEC",
-                 "inject transport faults (else $COMPASS_FAULT_PLAN)"),
+                 "inject transport faults"),
       Flag::choice("--recovery", a.recovery,
                    {"abort", "restart-rank", "migrate"},
                    "what a kill-rank fault does to the run"),
@@ -326,14 +326,11 @@ int cmd_run(const Args& args) {
     inner_transport->set_hop_model(&*topo, active_placement->node_of_rank);
   }
 
-  // Fault injection: explicit --fault-plan wins; otherwise the environment
-  // ($COMPASS_FAULT_PLAN) can arm a plan for any run. A no-op plan is not
-  // wrapped at all, so fault-free runs pay nothing.
+  // Fault injection (--fault-plan). A no-op plan is not wrapped at all, so
+  // fault-free runs pay nothing.
   std::optional<resilience::FaultPlan> plan;
   if (!args.fault_plan.empty()) {
     plan = resilience::FaultPlan::parse(args.fault_plan);
-  } else {
-    plan = resilience::FaultPlan::from_env();
   }
   std::unique_ptr<resilience::FaultInjectingTransport> faulty;
   comm::Transport* transport = inner_transport.get();
