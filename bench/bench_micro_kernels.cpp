@@ -397,7 +397,7 @@ void compass_step(benchmark::State& state, bool observed, bool measure) {
   popt.threads_per_rank = static_cast<int>(state.range(0));
   compiler::PccResult pcc =
       compiler::compile(cocomac::build_macaque_spec(mopt), popt);
-  comm::MpiTransport transport(pcc.partition.ranks(), comm::CommCostModel{});
+  comm::MpiTransport transport(pcc.partition.ranks());
   runtime::Config cfg;
   cfg.measure = measure;
   runtime::Compass sim(pcc.model, pcc.partition, transport, cfg);
@@ -487,7 +487,7 @@ void BM_CheckpointStage(benchmark::State& state, Stage stage) {
   popt.ranks = 16;
   compiler::PccResult pcc =
       compiler::compile(cocomac::build_macaque_spec(mopt), popt);
-  comm::MpiTransport transport(pcc.partition.ranks(), comm::CommCostModel{});
+  comm::MpiTransport transport(pcc.partition.ranks());
   runtime::Compass sim(pcc.model, pcc.partition, transport);
   sim.run(20);
   resilience::Checkpoint cp = resilience::capture(sim, pcc.model);

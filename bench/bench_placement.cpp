@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common.h"
+#include "comm/mpi_transport.h"
 #include "comm/torus.h"
 #include "obs/profile.h"
 #include "place/comm_graph.h"
@@ -59,7 +60,7 @@ int main(int argc, char** argv) {
         place::make_placer(policy)->place(graph, popt);
 
     arch::Model model = pcc.model;  // bit-identical for every policy
-    comm::MpiTransport transport(ranks, comm::CommCostModel{});
+    comm::MpiTransport transport(ranks);
     transport.set_hop_model(&topo, placement.node_of_rank);
     runtime::Compass sim(model, placement.partition, transport);
     obs::ProfileCollector profiler(ranks);

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common.h"
+#include "comm/mpi_transport.h"
 #include "obs/profile.h"
 #include "resilience/checkpoint.h"
 #include "resilience/checkpoint_manager.h"
@@ -102,7 +103,7 @@ int main(int argc, char** argv) {
        {resilience::RecoveryPolicy::kMigrate,
         resilience::RecoveryPolicy::kRestartRank}) {
     arch::Model model = pcc.model;
-    comm::MpiTransport inner(ranks, comm::CommCostModel{});
+    comm::MpiTransport inner(ranks);
     resilience::FaultInjectingTransport faulty(inner, plan);
     runtime::Config cfg;
     runtime::Compass sim(model, pcc.partition, faulty, cfg);
@@ -117,9 +118,7 @@ int main(int argc, char** argv) {
     resilience::CheckpointManager manager(copt);
     manager.attach(sim, model);
 
-    resilience::RecoveryOptions ropt;
-    ropt.policy = policy;
-    resilience::RecoverySupervisor supervisor(ropt, sim, model, faulty,
+    resilience::RecoverySupervisor supervisor(policy, sim, model, faulty,
                                               manager);
     supervisor.arm();
 
@@ -141,7 +140,7 @@ int main(int argc, char** argv) {
   // --- Baseline: abort, restore everyone, re-run the lost window ------------
   {
     arch::Model model = pcc.model;
-    comm::MpiTransport inner(ranks, comm::CommCostModel{});
+    comm::MpiTransport inner(ranks);
     resilience::FaultInjectingTransport faulty(inner, plan);
     runtime::Config cfg;
     runtime::Compass sim(model, pcc.partition, faulty, cfg);
@@ -166,7 +165,7 @@ int main(int argc, char** argv) {
       // Fresh fault-free job from the snapshot (the dead node is replaced
       // before the restart); every core re-executes the lost window.
       arch::Model restored = pcc.model;
-      comm::MpiTransport inner2(ranks, comm::CommCostModel{});
+      comm::MpiTransport inner2(ranks);
       runtime::Compass resumed(restored, pcc.partition, inner2, cfg);
       const arch::Tick at = resilience::restore_live(
           resilience::read_checkpoint_file(snapshot), resumed, restored);

@@ -94,20 +94,12 @@ compiler::PccResult compile_macaque(std::uint64_t total_cores, int ranks,
   return compiler::compile(spec, popt);
 }
 
-std::unique_ptr<comm::Transport> make_transport(TransportKind kind, int ranks) {
-  comm::CommCostModel cost;
-  if (kind == TransportKind::kMpi) {
-    return std::make_unique<comm::MpiTransport>(ranks, cost);
-  }
-  return std::make_unique<comm::PgasTransport>(ranks, cost);
-}
-
 runtime::RunReport run_model(const arch::Model& model,
                              const runtime::Partition& partition,
-                             TransportKind kind, arch::Tick ticks,
+                             comm::TransportKind kind, arch::Tick ticks,
                              runtime::Config config, bool profile) {
   arch::Model copy = model;
-  auto transport = make_transport(kind, partition.ranks());
+  auto transport = comm::make_transport(kind, partition.ranks());
   runtime::Compass sim(copy, partition, *transport, config);
   std::optional<runtime::RunObservers>& obs = bench_obs();
   if (!obs) obs.emplace(runtime::ObsOptions{});

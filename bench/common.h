@@ -8,14 +8,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "arch/model.h"
 #include "cocomac/macaque.h"
-#include "comm/mpi_transport.h"
-#include "comm/pgas_transport.h"
+#include "comm/transport.h"
 #include "compiler/pcc.h"
 #include "runtime/compass.h"
 #include "util/flags.h"
@@ -54,9 +52,8 @@ compiler::PccResult compile_macaque(std::uint64_t total_cores, int ranks,
                                     int threads_per_rank = 1,
                                     double rate_hz = 8.0);
 
-enum class TransportKind { kMpi, kPgas };
-
-std::unique_ptr<comm::Transport> make_transport(TransportKind kind, int ranks);
+using comm::make_transport;
+using comm::TransportKind;
 
 /// Run `ticks` ticks of `model` (copied) under the given machine shape and
 /// transport; returns the report. With `profile` true (or whenever a
@@ -65,7 +62,7 @@ std::unique_ptr<comm::Transport> make_transport(TransportKind kind, int ranks);
 /// critical-rank / overlap summary the scaling benches tabulate.
 runtime::RunReport run_model(const arch::Model& model,
                              const runtime::Partition& partition,
-                             TransportKind kind, arch::Tick ticks,
+                             comm::TransportKind kind, arch::Tick ticks,
                              runtime::Config config = {},
                              bool profile = false);
 

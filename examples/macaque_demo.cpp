@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
             << pcc.stats.gray_connections << " gray connections)\n\n";
 
   // --- 2. Simulate with per-region spike accounting -------------------------
-  comm::MpiTransport transport(ranks, comm::CommCostModel{});
+  comm::MpiTransport transport(ranks);
   runtime::Compass sim(pcc.model, pcc.partition, transport);
   std::vector<std::uint64_t> region_spikes(pcc.regions.size(), 0);
   io::Raster raster;

@@ -64,7 +64,7 @@ int main() {
 
   // --- Simulate over PGAS with 4 virtual ranks -------------------------------
   const runtime::Partition part = runtime::Partition::uniform(7, 4, 2);
-  comm::PgasTransport transport(4, comm::CommCostModel{});
+  comm::PgasTransport transport(4);
   runtime::Compass sim(model, part, transport);
 
   std::array<std::uint64_t, 4> wta_wins{};

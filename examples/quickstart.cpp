@@ -57,7 +57,7 @@ int main() {
   const runtime::Partition partition =
       runtime::Partition::uniform(model.num_cores(), /*ranks=*/3,
                                   /*threads_per_rank=*/2);
-  comm::MpiTransport transport(partition.ranks(), comm::CommCostModel{});
+  comm::MpiTransport transport(partition.ranks());
 
   // --- 3. Simulate 40 ticks with a raster hook ------------------------------
   runtime::Compass sim(model, partition, transport);

@@ -66,7 +66,7 @@ void motion_detection() {
     apps::MotionDetector det(model, 0, 1, 2, opt);
 
     const runtime::Partition part = runtime::Partition::uniform(3, 3, 1);
-    comm::MpiTransport transport(3, comm::CommCostModel{});
+    comm::MpiTransport transport(3);
     runtime::Compass sim(model, part, transport);
     std::uint64_t right = 0, left = 0;
     sim.set_spike_hook([&](arch::Tick, arch::CoreId c, unsigned j) {

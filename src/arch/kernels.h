@@ -80,6 +80,15 @@ struct DispatchCounters {
   std::uint64_t neuron_fast = 0;
   std::uint64_t neuron_stoch_soa = 0;
   std::uint64_t neuron_scalar = 0;  // always 0 (see kNeuronScalar)
+
+  /// Per-path counts between two snapshots (`*this` the later one).
+  DispatchCounters operator-(const DispatchCounters& base) const {
+    return {synapse_bitparallel - base.synapse_bitparallel,
+            synapse_scalar - base.synapse_scalar,
+            neuron_fast - base.neuron_fast,
+            neuron_stoch_soa - base.neuron_stoch_soa,
+            neuron_scalar - base.neuron_scalar};
+  }
 };
 
 namespace detail {

@@ -21,7 +21,7 @@ namespace compass::comm {
 
 class MpiTransport final : public Transport {
  public:
-  MpiTransport(int ranks, CommCostModel model,
+  explicit MpiTransport(int ranks, CommCostModel model = {},
                unsigned spike_wire_bytes = arch::kPaperSpikeWireBytes);
 
   const char* name() const override { return "MPI"; }

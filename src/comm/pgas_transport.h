@@ -21,7 +21,7 @@ namespace compass::comm {
 
 class PgasTransport final : public Transport {
  public:
-  PgasTransport(int ranks, CommCostModel model,
+  explicit PgasTransport(int ranks, CommCostModel model = {},
                 unsigned spike_wire_bytes = arch::kPaperSpikeWireBytes);
 
   const char* name() const override { return "PGAS"; }

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
+
+#include "comm/mpi_transport.h"
+#include "comm/pgas_transport.h"
 
 namespace compass::comm {
 
@@ -19,7 +23,7 @@ Transport::Transport(int ranks, CommCostModel model, unsigned spike_wire_bytes)
 
 void Transport::set_hop_model(const TorusTopology* topology,
                               std::vector<int> node_of_rank) {
-  if (topology != nullptr && !node_of_rank.empty()) {
+  if (topology != nullptr) {
     if (static_cast<int>(node_of_rank.size()) != ranks_) {
       throw std::invalid_argument(
           "Transport: node map must have one entry per rank");
@@ -31,7 +35,6 @@ void Transport::set_hop_model(const TorusTopology* topology,
     }
   }
   topology_ = topology;
-  ranks_per_node_ = 1;
   node_of_rank_ =
       topology != nullptr ? std::move(node_of_rank) : std::vector<int>{};
 }
@@ -55,6 +58,27 @@ void Transport::begin_tick() {
   std::fill(send_s_.begin(), send_s_.end(), 0.0);
   std::fill(sync_s_.begin(), sync_s_.end(), 0.0);
   std::fill(recv_s_.begin(), recv_s_.end(), 0.0);
+}
+
+const char* to_string(TransportKind kind) {
+  return kind == TransportKind::kPgas ? "pgas" : "mpi";
+}
+
+TransportKind parse_transport_kind(std::string_view name) {
+  for (const TransportKind kind : {TransportKind::kMpi, TransportKind::kPgas}) {
+    if (name == to_string(kind)) return kind;
+  }
+  throw std::invalid_argument("unknown transport '" + std::string(name) + "'");
+}
+
+std::unique_ptr<Transport> make_transport(TransportKind kind, int ranks,
+                                          unsigned spike_wire_bytes) {
+  if (kind == TransportKind::kPgas) {
+    return std::make_unique<PgasTransport>(ranks, CommCostModel{},
+                                           spike_wire_bytes);
+  }
+  return std::make_unique<MpiTransport>(ranks, CommCostModel{},
+                                        spike_wire_bytes);
 }
 
 }  // namespace compass::comm

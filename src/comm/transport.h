@@ -13,6 +13,9 @@
 // Both move real spike data between real per-rank structures; the physical
 // wire is replaced by in-process copies plus a calibrated cost model whose
 // per-rank virtual times the runtime folds into the scaling figures.
+// make_transport() is the one place that picks between the two: the CLI's
+// --transport, the benches and the transport x width contract tests all
+// go through it.
 //
 // A transport only moves spikes and accounts for them. runtime::Compass is
 // the one place observability attaches: it reads tick_stats()/tick_faults()
@@ -27,7 +30,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "arch/spike.h"
@@ -148,22 +153,13 @@ class Transport {
     flight_ = flight;
   }
 
-  /// Attach a torus topology: point-to-point sends are then charged
-  /// hops(node(src), node(dst)) x hop_latency on top of the flat overheads
+  /// Attach a torus topology with a rank -> torus-node map (a placement's
+  /// node_of_rank): point-to-point send src -> dst is then charged
+  /// hops(map[src], map[dst]) x hop_latency on top of the flat overheads
   /// (section I use case (c): benchmarking communication topologies). The
-  /// topology must outlive the transport; `ranks_per_node` maps ranks onto
-  /// torus nodes. Pass nullptr to detach.
-  void set_hop_model(const TorusTopology* topology, int ranks_per_node = 1) {
-    topology_ = topology;
-    ranks_per_node_ = ranks_per_node > 0 ? ranks_per_node : 1;
-    node_of_rank_.clear();
-  }
-
-  /// Same, with an explicit rank -> torus-node map (a placement's
-  /// node_of_rank): send src -> dst is charged hops(map[src], map[dst]) x
-  /// hop_latency. The map must have one entry per rank, each a valid node of
-  /// `topology` (std::invalid_argument otherwise). An empty map falls back
-  /// to the block convention above.
+  /// map must have one entry per rank, each a valid node of `topology`
+  /// (std::invalid_argument otherwise). The topology must outlive the
+  /// transport; pass nullptr to detach.
   void set_hop_model(const TorusTopology* topology,
                      std::vector<int> node_of_rank);
 
@@ -172,16 +168,9 @@ class Transport {
   /// half of hop_latency(); what the spike tracer's wire spans report.
   int hops_between(int src, int dst) const {
     if (topology_ == nullptr) return 0;
-    if (!node_of_rank_.empty()) {
-      const int a = node_of_rank_[static_cast<std::size_t>(src)];
-      const int b = node_of_rank_[static_cast<std::size_t>(dst)];
-      return a == b ? 0 : topology_->hops(a, b);
-    }
-    const int a = src / ranks_per_node_;
-    const int b = dst / ranks_per_node_;
-    return a == b ? 0
-                  : topology_->hops(a % topology_->nodes(),
-                                    b % topology_->nodes());
+    const int a = node_of_rank_[static_cast<std::size_t>(src)];
+    const int b = node_of_rank_[static_cast<std::size_t>(dst)];
+    return a == b ? 0 : topology_->hops(a, b);
   }
 
   /// Dense ranks x ranks hops_between matrix, row-major — the form
@@ -245,9 +234,24 @@ class Transport {
 
  private:
   const TorusTopology* topology_ = nullptr;
-  int ranks_per_node_ = 1;
-  std::vector<int> node_of_rank_;  // explicit rank -> node map (may be empty)
+  std::vector<int> node_of_rank_;  // one torus node per rank
   obs::CommMatrix* comm_matrix_ = nullptr;
 };
+
+/// The paper's two communication models: two-sided messaging with a
+/// Reduce-Scatter (MpiTransport) and one-sided puts with a barrier
+/// (PgasTransport).
+enum class TransportKind : std::uint8_t { kMpi, kPgas };
+
+/// "mpi" | "pgas", the CLI's --transport spelling.
+const char* to_string(TransportKind kind);
+
+/// The kind to_string() spells `name`; std::invalid_argument otherwise.
+TransportKind parse_transport_kind(std::string_view name);
+
+/// The transport of `kind` over `ranks` ranks, with the default cost model.
+std::unique_ptr<Transport> make_transport(
+    TransportKind kind, int ranks,
+    unsigned spike_wire_bytes = arch::kPaperSpikeWireBytes);
 
 }  // namespace compass::comm

@@ -119,8 +119,8 @@ PccResult compile(const Spec& spec, const PccOptions& options = {},
 /// CLI and served sessions attach, so their records name cortical regions.
 std::vector<std::uint32_t> core_region_map(const PccResult& pcc);
 
-/// True if neuron j is inhibitory under `excitatory_fraction` (evenly
-/// interleaved); PCC's neurons are 80% excitatory.
-bool is_inhibitory_neuron(unsigned j, double excitatory_fraction);
+/// True if neuron j of a PCC core is inhibitory: PCC's neurons are 80%
+/// excitatory, the inhibitory ones evenly interleaved.
+bool is_inhibitory_neuron(unsigned j);
 
 }  // namespace compass::compiler

@@ -695,7 +695,7 @@ void write_wall_report(std::ostream& os, const WallReport& rep) {
               s.phase_wall_s(WallPhase::kNetwork));
   }
 
-  const KernelDispatchCounts& k = s.kernels;
+  const arch::kernels::DispatchCounters& k = s.kernels;
   if (k.synapse_bitparallel + k.synapse_scalar + k.neuron_fast +
           k.neuron_stoch_soa + k.neuron_scalar >
       0) {

@@ -41,6 +41,7 @@
 
 #include <atomic>
 
+#include "arch/kernels.h"
 #include "obs/metrics.h"
 
 namespace compass::obs {
@@ -126,21 +127,6 @@ struct HostResources {
 
 HostResources sample_host_resources();
 
-// --- Kernel dispatch attribution --------------------------------------------
-
-/// How many phase executions took each hot-loop path while the profiler was
-/// attached (snapshot deltas of arch::kernels' dispatch counters). Makes the
-/// bit-parallel vs reference wall cost attributable: a synapse wall total
-/// with synapse_scalar dominant means the dispatcher, not the kernel, owns
-/// the time.
-struct KernelDispatchCounts {
-  std::uint64_t synapse_bitparallel = 0;
-  std::uint64_t synapse_scalar = 0;
-  std::uint64_t neuron_fast = 0;
-  std::uint64_t neuron_stoch_soa = 0;
-  std::uint64_t neuron_scalar = 0;
-};
-
 // --- The profiler -----------------------------------------------------------
 
 struct WallprofOptions {
@@ -162,7 +148,12 @@ struct WallprofSummary {
   double wall_s = 0.0;             // first begin_tick() to last end_tick()
   double ticks_per_second = 0.0;   // ticks / wall_s (whole run, not window)
   HostResources resources;
-  KernelDispatchCounts kernels;
+  /// How many phase executions took each hot-loop path while the profiler
+  /// was attached (a delta of arch::kernels' dispatch counters). Makes the
+  /// bit-parallel vs reference wall cost attributable: a synapse wall total
+  /// with synapse_scalar dominant means the dispatcher, not the kernel, owns
+  /// the time.
+  arch::kernels::DispatchCounters kernels;
   double overhead_s = 0.0;         // estimated instrumentation cost
   std::uint64_t timer_ops = 0;     // record()/end_tick() operations
   /// rank_phase[rank][p] for p in [0, kRankWallPhases).
@@ -240,7 +231,7 @@ class WallProfiler {
   void end_tick(std::uint64_t tick);
 
   /// Overwrite the kernel-dispatch delta reported by summary().
-  void note_kernel_counts(const KernelDispatchCounts& counts) {
+  void note_kernel_counts(const arch::kernels::DispatchCounters& counts) {
     kernels_ = counts;
   }
 
@@ -275,7 +266,7 @@ class WallProfiler {
 
   std::vector<std::array<WallRankPhase, kRankWallPhases>> rank_;
   std::array<WallPhaseStats, kWallPhaseCount> global_{};
-  KernelDispatchCounts kernels_;
+  arch::kernels::DispatchCounters kernels_;
   double compute_loop_s_ = 0.0;
   double network_loop_s_ = 0.0;
   int team_threads_ = 0;

@@ -25,19 +25,19 @@ RecoveryPolicy parse_recovery_policy(std::string_view name) {
                       "' (expected abort, restart-rank, or migrate)");
 }
 
-RecoverySupervisor::RecoverySupervisor(RecoveryOptions options,
+RecoverySupervisor::RecoverySupervisor(RecoveryPolicy policy,
                                        runtime::Compass& sim,
                                        arch::Model& model,
                                        FaultInjectingTransport& transport,
                                        CheckpointManager& checkpoints)
-    : options_(std::move(options)),
+    : policy_(policy),
       sim_(sim),
       model_(model),
       transport_(transport),
       checkpoints_(checkpoints) {}
 
 void RecoverySupervisor::arm() {
-  if (options_.policy == RecoveryPolicy::kAbort || armed_) return;
+  if (policy_ == RecoveryPolicy::kAbort || armed_) return;
   armed_ = true;
   // A rank can die before the first periodic snapshot lands; a baseline
   // snapshot of the current state makes even a kill at tick 0 survivable.
@@ -80,7 +80,7 @@ void RecoverySupervisor::recover(int dead, arch::Tick tick) {
   restore_cores(cp, orphans, model_);
 
   std::size_t migrated = 0;
-  if (options_.policy == RecoveryPolicy::kMigrate) {
+  if (policy_ == RecoveryPolicy::kMigrate) {
     // Re-place the orphans across survivors, preferring the ranks that
     // measurably exchanged the most spikes with the dead one.
     const obs::ProfileCollector* profiler = sim_.profile();
@@ -92,13 +92,6 @@ void RecoverySupervisor::recover(int dead, arch::Tick tick) {
     sim_.migrate_partition(runtime::Partition::from_rank_assignment(
         std::move(rank_of), sim_.partition().ranks(),
         sim_.partition().threads_per_rank()));
-    // The rank→node embedding did not change, but the transport's hop model
-    // may have been detached or replaced since construction; re-apply it so
-    // post-recovery hop charges stay aligned with the placement.
-    if (options_.hop_transport != nullptr && options_.topology != nullptr) {
-      options_.hop_transport->set_hop_model(options_.topology,
-                                            options_.node_of_rank);
-    }
   } else {
     // restart-rank: the rank comes back in place with its restored cores
     // (hot-spare respawn); its traffic flows again from the next send.
@@ -112,7 +105,7 @@ void RecoverySupervisor::recover(int dead, arch::Tick tick) {
   event.ticks_lost = tick - cp.tick;
   event.cores_recovered = orphans.size();
   event.cores_migrated = migrated;
-  event.policy = options_.policy;
+  event.policy = policy_;
   event.checkpoint_path = path;
   event.wall_s = sw.elapsed_s();
   if (obs::WallProfiler* wall = sim_.wall_profiler()) {
@@ -122,7 +115,7 @@ void RecoverySupervisor::recover(int dead, arch::Tick tick) {
   obs::RecoveryRecord rec;
   rec.tick = tick;
   rec.dead_rank = dead;
-  rec.policy = resilience::to_string(options_.policy);
+  rec.policy = resilience::to_string(policy_);
   rec.checkpoint_tick = cp.tick;
   rec.ticks_lost = event.ticks_lost;
   rec.cores_recovered = event.cores_recovered;
@@ -138,12 +131,12 @@ void RecoverySupervisor::recover(int dead, arch::Tick tick) {
   }
   if (obs::FlightRecorder* flight = sim_.flight_recorder()) {
     flight->record(-1, obs::FlightEventKind::kRecovery,
-                   resilience::to_string(options_.policy), dead, tick,
+                   resilience::to_string(policy_), dead, tick,
                    cp.tick);
   }
 
   std::cerr << "compass: recovery: rank " << dead << " died; "
-            << resilience::to_string(options_.policy) << " from " << path
+            << resilience::to_string(policy_) << " from " << path
             << " (tick " << cp.tick << ", " << event.ticks_lost
             << " tick(s) lost on " << event.cores_recovered
             << " core(s)); continuing degraded\n";

@@ -21,8 +21,9 @@
 //                 serialization state — no new wire format.
 //   re-place      policy "migrate": the orphaned cores move to surviving
 //                 ranks via place::replace_dead_rank, fed by the measured
-//                 CommMatrix so the redistribution is traffic-aware, and
-//                 the transport's rank→node hop model is re-applied.
+//                 CommMatrix so the redistribution is traffic-aware. The
+//                 rank→node embedding, and with it the transport's hop
+//                 model, is unchanged.
 //                 policy "restart-rank": the rank is revive()d in place and
 //                 keeps its cores (models a hot-spare respawn).
 //   resume        the tick loop continues in declared degraded mode; the
@@ -51,8 +52,6 @@
 
 #include "arch/model.h"
 #include "arch/types.h"
-#include "comm/torus.h"
-#include "comm/transport.h"
 #include "resilience/checkpoint_manager.h"
 #include "resilience/fault.h"
 #include "runtime/compass.h"
@@ -92,17 +91,6 @@ struct RecoveryEvent {
   double wall_s = 0.0;             // host time the recovery action took
 };
 
-struct RecoveryOptions {
-  RecoveryPolicy policy = RecoveryPolicy::kAbort;
-  /// Re-applied to `hop_transport` after a migration so hop charges stay
-  /// aligned with the (unchanged) rank→node embedding. All three optional;
-  /// `hop_transport` is the transport the hop model lives on — the *inner*
-  /// transport when a fault decorator wraps it.
-  comm::Transport* hop_transport = nullptr;
-  const comm::TorusTopology* topology = nullptr;
-  std::vector<int> node_of_rank;
-};
-
 /// Watches a FaultInjectingTransport for rank death at tick boundaries and
 /// repairs the run per the configured policy. All referenced objects must
 /// outlive the supervisor; `model` must be the model `sim` runs and
@@ -119,7 +107,7 @@ struct RecoveryOptions {
 /// lowest-rank-first).
 class RecoverySupervisor {
  public:
-  RecoverySupervisor(RecoveryOptions options, runtime::Compass& sim,
+  RecoverySupervisor(RecoveryPolicy policy, runtime::Compass& sim,
                      arch::Model& model, FaultInjectingTransport& transport,
                      CheckpointManager& checkpoints);
 
@@ -132,13 +120,12 @@ class RecoverySupervisor {
 
   /// Completed recoveries, oldest first (at most one per killed rank today).
   const std::vector<RecoveryEvent>& events() const { return events_; }
-  const RecoveryOptions& options() const { return options_; }
 
  private:
   void on_tick(arch::Tick tick);
   void recover(int dead, arch::Tick tick);
 
-  RecoveryOptions options_;
+  RecoveryPolicy policy_;
   runtime::Compass& sim_;
   arch::Model& model_;
   FaultInjectingTransport& transport_;

@@ -421,17 +421,8 @@ RunReport Compass::run(arch::Tick ticks) {
   if (wall_ != nullptr) {
     // Delta since the profiler attached (overwrite, not accumulate — the
     // baseline is fixed, so repeated run() calls stay correct).
-    const arch::kernels::DispatchCounters now =
-        arch::kernels::dispatch_counters();
-    obs::KernelDispatchCounts delta;
-    delta.synapse_bitparallel =
-        now.synapse_bitparallel - wall_kernel_base_.synapse_bitparallel;
-    delta.synapse_scalar = now.synapse_scalar - wall_kernel_base_.synapse_scalar;
-    delta.neuron_fast = now.neuron_fast - wall_kernel_base_.neuron_fast;
-    delta.neuron_stoch_soa =
-        now.neuron_stoch_soa - wall_kernel_base_.neuron_stoch_soa;
-    delta.neuron_scalar = now.neuron_scalar - wall_kernel_base_.neuron_scalar;
-    wall_->note_kernel_counts(delta);
+    wall_->note_kernel_counts(arch::kernels::dispatch_counters() -
+                              wall_kernel_base_);
   }
   // Close a trailing partial analytics window before the metrics snapshot,
   // so its gauges land in RunReport::metrics.

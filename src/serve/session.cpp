@@ -95,8 +95,7 @@ Session::Session(const Scenario& scenario, std::uint64_t seed,
   if (analytics_window > 0) core_region = compiler::core_region_map(pcc);
   model_ = std::move(pcc.model);
   partition_ = std::move(pcc.partition);
-  transport_ = std::make_unique<comm::MpiTransport>(partition_.ranks(),
-                                                    comm::CommCostModel{});
+  transport_ = std::make_unique<comm::MpiTransport>(partition_.ranks());
   runtime::Config cfg;
   cfg.measure = false;  // served streams must be reproducible byte-for-byte
   cfg.parallel_execution = false;  // dispatcher thread owns every session

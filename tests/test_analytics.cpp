@@ -25,10 +25,6 @@
 //      and commit the rewritten file together with the change that
 //      intentionally moved it.
 #include <gtest/gtest.h>
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -42,7 +38,6 @@
 #include <vector>
 
 #include "comm/mpi_transport.h"
-#include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
 #include "macaque_fixture.h"
 #include "obs/analytics.h"
@@ -57,6 +52,7 @@
 namespace compass {
 namespace {
 
+using comm::TransportKind;
 using testing::compile_macaque;
 
 using obs::AnalyticsEngine;
@@ -278,17 +274,10 @@ struct ModelRun {
   std::string trace_jsonl;      // the main span/tick trace
 };
 
-ModelRun run_model(const compiler::PccResult& pcc, bool use_pgas,
+ModelRun run_model(const compiler::PccResult& pcc, TransportKind kind,
                    bool parallel, bool with_analytics) {
   arch::Model model = pcc.model;
-  std::unique_ptr<comm::Transport> transport;
-  if (use_pgas) {
-    transport = std::make_unique<comm::PgasTransport>(pcc.partition.ranks(),
-                                                      comm::CommCostModel{});
-  } else {
-    transport = std::make_unique<comm::MpiTransport>(pcc.partition.ranks(),
-                                                     comm::CommCostModel{});
-  }
+  const auto transport = comm::make_transport(kind, pcc.partition.ranks());
   runtime::Config cfg;
   cfg.parallel_execution = parallel;
   cfg.measure = false;
@@ -322,11 +311,12 @@ TEST(AnalyticsModel, AttachedEngineLeavesMainTraceByteIdentical) {
   // tick records, and run report of an instrumented run are byte-for-byte
   // the bytes of a bare run.
   const compiler::PccResult pcc = compile_macaque();
-  const ModelRun bare = run_model(pcc, false, false, false);
-  const ModelRun instrumented = run_model(pcc, false, false, true);
+  const ModelRun bare = run_model(pcc, TransportKind::kMpi, false, false);
+  const ModelRun instrumented =
+      run_model(pcc, TransportKind::kMpi, false, true);
   EXPECT_EQ(bare.trace_jsonl, instrumented.trace_jsonl);
-  EXPECT_EQ(bare.report.fired_spikes, instrumented.report.fired_spikes);
-  EXPECT_EQ(bare.report.routed_spikes, instrumented.report.routed_spikes);
+  testing::expect_reports_equal(bare.report, instrumented.report,
+                                /*virtual_time=*/true);
   EXPECT_TRUE(bare.analytics_jsonl.empty());
   EXPECT_FALSE(instrumented.analytics_jsonl.empty());
 }
@@ -337,7 +327,7 @@ TEST(AnalyticsModel, AttachRequiresTheModelsCoreCount) {
   // The rank count does not matter: the engine keeps no per-rank state.
   const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
-  comm::MpiTransport transport(pcc.partition.ranks(), comm::CommCostModel{});
+  comm::MpiTransport transport(pcc.partition.ranks());
   runtime::Compass sim(model, pcc.partition, transport);
   const auto cores = static_cast<std::uint32_t>(pcc.model.num_cores());
   AnalyticsEngine fewer(pcc.partition.ranks(), cores - 1, {});
@@ -350,7 +340,7 @@ TEST(AnalyticsModel, AttachRequiresTheModelsCoreCount) {
 
 TEST(AnalyticsModel, ByteIdenticalAcrossTransportsAndParallelism) {
   const compiler::PccResult pcc = compile_macaque();
-  const ModelRun baseline = run_model(pcc, false, false, true);
+  const ModelRun baseline = run_model(pcc, TransportKind::kMpi, false, true);
   ASSERT_FALSE(baseline.analytics_jsonl.empty());
   // Header + 3 full windows + the flushed partial.
   EXPECT_EQ(std::count(baseline.analytics_jsonl.begin(),
@@ -358,39 +348,38 @@ TEST(AnalyticsModel, ByteIdenticalAcrossTransportsAndParallelism) {
             5);
   {
     SCOPED_TRACE("MPI parallel");
-    EXPECT_EQ(run_model(pcc, false, true, true).analytics_jsonl,
+    EXPECT_EQ(run_model(pcc, TransportKind::kMpi, true, true).analytics_jsonl,
               baseline.analytics_jsonl);
   }
   {
     SCOPED_TRACE("PGAS serial");
-    EXPECT_EQ(run_model(pcc, true, false, true).analytics_jsonl,
+    EXPECT_EQ(run_model(pcc, TransportKind::kPgas, false, true).analytics_jsonl,
               baseline.analytics_jsonl);
   }
   {
     SCOPED_TRACE("PGAS parallel");
-    EXPECT_EQ(run_model(pcc, true, true, true).analytics_jsonl,
+    EXPECT_EQ(run_model(pcc, TransportKind::kPgas, true, true).analytics_jsonl,
               baseline.analytics_jsonl);
   }
 }
 
 TEST(AnalyticsModel, ByteIdenticalAcrossOmpThreadWidths) {
-#ifdef _OPENMP
-  const compiler::PccResult pcc = compile_macaque();
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
-  const ModelRun baseline = run_model(pcc, false, true, true);
-  for (const int threads : {2, 4}) {
-    omp_set_num_threads(threads);
-    SCOPED_TRACE("OMP threads = " + std::to_string(threads));
-    EXPECT_EQ(run_model(pcc, false, true, true).analytics_jsonl,
-              baseline.analytics_jsonl);
-    EXPECT_EQ(run_model(pcc, true, true, true).analytics_jsonl,
-              baseline.analytics_jsonl);
-  }
-  omp_set_num_threads(saved);
-#else
+#ifndef COMPASS_HAVE_OPENMP
   GTEST_SKIP() << "built without OpenMP; thread-width sweep not applicable";
 #endif
+  const compiler::PccResult pcc = compile_macaque();
+  const ModelRun baseline = [&] {
+    const testing::OmpWidth width(1);
+    return run_model(pcc, TransportKind::kMpi, true, true);
+  }();
+  for (const int threads : {2, 4}) {
+    const testing::OmpWidth width(threads);
+    SCOPED_TRACE("OMP threads = " + std::to_string(threads));
+    for (const TransportKind kind : testing::kTransports) {
+      EXPECT_EQ(run_model(pcc, kind, true, true).analytics_jsonl,
+                baseline.analytics_jsonl);
+    }
+  }
 }
 
 TEST(AnalyticsModel, OfflineReplayRederivesEveryWindowExactly) {
@@ -402,7 +391,7 @@ TEST(AnalyticsModel, OfflineReplayRederivesEveryWindowExactly) {
   const compiler::PccResult pcc = compile_macaque();
 
   arch::Model model = pcc.model;
-  comm::MpiTransport transport(pcc.partition.ranks(), comm::CommCostModel{});
+  comm::MpiTransport transport(pcc.partition.ranks());
   runtime::Config cfg;
   cfg.measure = false;
   cfg.parallel_execution = false;
@@ -452,7 +441,8 @@ std::string golden_path() {
 
 TEST(AnalyticsGolden, WindowsMatchCommittedJsonl) {
   const compiler::PccResult pcc = compile_macaque();
-  const std::string actual = run_model(pcc, false, false, true).analytics_jsonl;
+  const std::string actual =
+      run_model(pcc, TransportKind::kMpi, false, true).analytics_jsonl;
 
   if (std::getenv("COMPASS_REGOLDEN") != nullptr) {
     std::ofstream out(golden_path(), std::ios::binary);

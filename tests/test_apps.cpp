@@ -113,7 +113,7 @@ struct MotionHarness {
   arch::Model model{3, 0};
   std::unique_ptr<MotionDetector> det;
   runtime::Partition part = runtime::Partition::uniform(3, 3, 1);
-  comm::MpiTransport transport{3, comm::CommCostModel{}};
+  comm::MpiTransport transport{3};
   std::unique_ptr<runtime::Compass> sim;
   std::uint64_t right_spikes = 0, left_spikes = 0;
 

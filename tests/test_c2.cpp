@@ -154,8 +154,7 @@ struct C2Harness {
   C2Harness(Network n, int ranks, SimulatorConfig cfg = {})
       : net(std::move(n)),
         part(runtime::Partition::uniform(net.num_neurons(), ranks, 1)),
-        transport(std::make_unique<comm::MpiTransport>(ranks,
-                                                       comm::CommCostModel{})) {
+        transport(std::make_unique<comm::MpiTransport>(ranks)) {
     sim = std::make_unique<Simulator>(net, part, *transport, cfg);
   }
 };
@@ -189,7 +188,7 @@ TEST(C2Simulator, NoiseDrivesActivity) {
 TEST(C2Simulator, RequiresFlatMpi) {
   Network net = small_net(64);
   const runtime::Partition part = runtime::Partition::uniform(64, 2, 4);
-  comm::MpiTransport transport(2, comm::CommCostModel{});
+  comm::MpiTransport transport(2);
   EXPECT_THROW(Simulator(net, part, transport), std::invalid_argument);
 }
 
@@ -197,7 +196,7 @@ TEST(C2Simulator, RequiresFinalizedNetwork) {
   Network net;
   net.add_neuron(IzhikevichParams::regular_spiking());
   const runtime::Partition part = runtime::Partition::uniform(1, 1, 1);
-  comm::MpiTransport transport(1, comm::CommCostModel{});
+  comm::MpiTransport transport(1);
   EXPECT_THROW(Simulator(net, part, transport), std::invalid_argument);
 }
 
@@ -246,7 +245,7 @@ TEST(C2Simulator, RemoteSpikesCarryWeights) {
 struct StdpPair {
   Network net;
   runtime::Partition part{runtime::Partition::uniform(2, 1, 1)};
-  comm::MpiTransport transport{1, comm::CommCostModel{}};
+  comm::MpiTransport transport{1};
   std::unique_ptr<Simulator> sim;
 
   explicit StdpPair(SimulatorConfig cfg = make_config()) {
@@ -328,7 +327,7 @@ TEST(Stdp, ReportCountsPairings) {
 TEST(Stdp, RequiresPlasticityIndex) {
   Network net = small_net(64);  // finalized, but no plasticity index
   const runtime::Partition part = runtime::Partition::uniform(64, 1, 1);
-  comm::MpiTransport transport(1, comm::CommCostModel{});
+  comm::MpiTransport transport(1);
   SimulatorConfig cfg;
   cfg.stdp_enabled = true;
   EXPECT_THROW(Simulator(net, part, transport, cfg), std::invalid_argument);
@@ -339,7 +338,7 @@ TEST(Stdp, DeterministicAcrossRankCounts) {
     Network net = small_net(256);
     net.enable_plasticity();
     const runtime::Partition part = runtime::Partition::uniform(256, ranks, 1);
-    comm::MpiTransport transport(ranks, comm::CommCostModel{});
+    comm::MpiTransport transport(ranks);
     SimulatorConfig cfg;
     cfg.stdp_enabled = true;
     Simulator sim(net, part, transport, cfg);

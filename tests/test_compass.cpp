@@ -14,8 +14,7 @@
 #include <vector>
 
 #include "arch/model.h"
-#include "comm/mpi_transport.h"
-#include "comm/pgas_transport.h"
+#include "comm/transport.h"
 #include "obs/trace.h"
 #include "primitives/primitives.h"
 
@@ -25,15 +24,10 @@ namespace {
 using arch::CoreId;
 using arch::Model;
 using arch::Tick;
+using comm::make_transport;
+using comm::TransportKind;
 
 using TraceEvent = std::tuple<Tick, CoreId, unsigned>;
-
-std::unique_ptr<comm::Transport> make_transport(const std::string& kind,
-                                                int ranks) {
-  comm::CommCostModel cost;
-  if (kind == "mpi") return std::make_unique<comm::MpiTransport>(ranks, cost);
-  return std::make_unique<comm::PgasTransport>(ranks, cost);
-}
 
 /// Build a ring model: N relay cores, core i feeding core i+1, plus a spike
 /// packet injected into core 0. Deterministic, communication-heavy when
@@ -49,11 +43,11 @@ Model ring_model(std::size_t cores, std::uint8_t delay = 1) {
 
 /// Run a model copy and collect the full spike trace.
 std::vector<TraceEvent> run_trace(const Model& model, int ranks, int threads,
-                                  const std::string& transport_kind,
-                                  Tick ticks, Config cfg = {}) {
+                                  TransportKind kind, Tick ticks,
+                                  Config cfg = {}) {
   Model copy = model;
   const Partition part = Partition::uniform(copy.num_cores(), ranks, threads);
-  auto transport = make_transport(transport_kind, ranks);
+  auto transport = make_transport(kind, ranks);
   Compass sim(copy, part, *transport, cfg);
   std::vector<TraceEvent> trace;
   sim.set_spike_hook([&](Tick t, CoreId c, unsigned j) {
@@ -66,21 +60,21 @@ std::vector<TraceEvent> run_trace(const Model& model, int ranks, int threads,
 TEST(Compass, ConstructorValidatesPartitionSize) {
   Model m(4, 1);
   const Partition bad = Partition::uniform(3, 1, 1);
-  auto transport = make_transport("mpi", 1);
+  auto transport = make_transport(TransportKind::kMpi, 1);
   EXPECT_THROW(Compass(m, bad, *transport), std::invalid_argument);
 }
 
 TEST(Compass, ConstructorValidatesTransportRanks) {
   Model m(4, 1);
   const Partition part = Partition::uniform(4, 2, 1);
-  auto transport = make_transport("mpi", 3);
+  auto transport = make_transport(TransportKind::kMpi, 3);
   EXPECT_THROW(Compass(m, part, *transport), std::invalid_argument);
 }
 
 TEST(Compass, SilentModelProducesNoSpikes) {
   Model m(4, 1);  // blank cores: thresholds 1, no input, no drive
   const Partition part = Partition::uniform(4, 2, 1);
-  auto transport = make_transport("mpi", 2);
+  auto transport = make_transport(TransportKind::kMpi, 2);
   Compass sim(m, part, *transport);
   const RunReport r = sim.run(10);
   EXPECT_EQ(r.fired_spikes, 0u);
@@ -93,7 +87,7 @@ TEST(Compass, RingPacketCirculatesForever) {
   // exactly 64 neurons.
   Model m = ring_model(8);
   const Partition part = Partition::uniform(8, 2, 1);
-  auto transport = make_transport("mpi", 2);
+  auto transport = make_transport(TransportKind::kMpi, 2);
   Compass sim(m, part, *transport);
   EXPECT_EQ(sim.step(), 0u);  // tick 0: packet not yet visible
   for (Tick t = 1; t <= 40; ++t) {
@@ -104,7 +98,7 @@ TEST(Compass, RingPacketCirculatesForever) {
 TEST(Compass, SpikeConservationLocalPlusRemote) {
   Model m = ring_model(8);
   const Partition part = Partition::uniform(8, 4, 1);
-  auto transport = make_transport("mpi", 4);
+  auto transport = make_transport(TransportKind::kMpi, 4);
   Compass sim(m, part, *transport);
   const RunReport r = sim.run(50);
   EXPECT_EQ(r.routed_spikes, r.local_spikes + r.remote_spikes);
@@ -115,7 +109,7 @@ TEST(Compass, SpikeConservationLocalPlusRemote) {
 TEST(Compass, SingleRankHasNoMessages) {
   Model m = ring_model(8);
   const Partition part = Partition::uniform(8, 1, 4);
-  auto transport = make_transport("mpi", 1);
+  auto transport = make_transport(TransportKind::kMpi, 1);
   Compass sim(m, part, *transport);
   const RunReport r = sim.run(20);
   EXPECT_EQ(r.messages, 0u);
@@ -128,7 +122,7 @@ TEST(Compass, MessagesAreAggregatedPerDestinationPair) {
   // at most ranks*(ranks-1) messages per tick with aggregation on.
   Model m = ring_model(8);
   const Partition part = Partition::uniform(8, 2, 1);
-  auto transport = make_transport("mpi", 2);
+  auto transport = make_transport(TransportKind::kMpi, 2);
   Compass sim(m, part, *transport);
   sim.run(20);
   // 19 ticks with traffic (tick 0 silent), <= 2 messages per tick.
@@ -141,7 +135,7 @@ TEST(Compass, NonAggregatedSendsOneMessagePerSpike) {
   Config cfg;
   cfg.aggregate_sends = false;
   const Partition part = Partition::uniform(4, 4, 1);
-  auto transport = make_transport("mpi", 4);
+  auto transport = make_transport(TransportKind::kMpi, 4);
   Compass sim(m, part, *transport, cfg);
   const RunReport r = sim.run(10);
   EXPECT_EQ(r.messages, r.remote_spikes);  // ablation A1 baseline
@@ -150,7 +144,7 @@ TEST(Compass, NonAggregatedSendsOneMessagePerSpike) {
 TEST(Compass, TickSeriesMatchesAggregates) {
   Model m = ring_model(8);
   const Partition part = Partition::uniform(8, 2, 1);
-  auto transport = make_transport("mpi", 2);
+  auto transport = make_transport(TransportKind::kMpi, 2);
   obs::TraceBuffer trace;
   Compass sim(m, part, *transport);
   sim.add_trace_sink(&trace);
@@ -170,7 +164,7 @@ TEST(Compass, TickSeriesMatchesAggregates) {
 TEST(Compass, VirtualTimeIsPositiveAndDecomposed) {
   Model m = ring_model(8);
   const Partition part = Partition::uniform(8, 2, 2);
-  auto transport = make_transport("mpi", 2);
+  auto transport = make_transport(TransportKind::kMpi, 2);
   Compass sim(m, part, *transport);
   const RunReport r = sim.run(20);
   EXPECT_GT(r.virtual_time.synapse, 0.0);
@@ -188,7 +182,7 @@ TEST(Compass, MeasureOffStillSimulatesCorrectly) {
   Config cfg;
   cfg.measure = false;
   const Partition part = Partition::uniform(8, 2, 1);
-  auto transport = make_transport("mpi", 2);
+  auto transport = make_transport(TransportKind::kMpi, 2);
   Compass sim(m, part, *transport, cfg);
   sim.step();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(sim.step(), 64u);
@@ -235,9 +229,11 @@ TEST_P(DeterminismSweep, TraceMatchesReferenceConfiguration) {
   const auto [ranks, threads, kind] = GetParam();
   const Model m = stochastic_model();
   const std::vector<TraceEvent> reference =
-      run_trace(m, /*ranks=*/1, /*threads=*/1, "mpi", /*ticks=*/30);
+      run_trace(m, /*ranks=*/1, /*threads=*/1, TransportKind::kMpi,
+                /*ticks=*/30);
   EXPECT_FALSE(reference.empty());
-  const std::vector<TraceEvent> got = run_trace(m, ranks, threads, kind, 30);
+  const std::vector<TraceEvent> got =
+      run_trace(m, ranks, threads, comm::parse_transport_kind(kind), 30);
   EXPECT_EQ(got, reference)
       << "ranks=" << ranks << " threads=" << threads << " kind=" << kind;
 }
@@ -253,15 +249,15 @@ TEST(Compass, AggregationDoesNotChangeTrace) {
   const Model m = stochastic_model();
   Config agg, noagg;
   noagg.aggregate_sends = false;
-  const auto a = run_trace(m, 4, 2, "mpi", 20, agg);
-  const auto b = run_trace(m, 4, 2, "mpi", 20, noagg);
+  const auto a = run_trace(m, 4, 2, TransportKind::kMpi, 20, agg);
+  const auto b = run_trace(m, 4, 2, TransportKind::kMpi, 20, noagg);
   EXPECT_EQ(a, b);
 }
 
 TEST(Compass, RepeatedRunsAreIdentical) {
   const Model m = stochastic_model();
-  const auto a = run_trace(m, 2, 2, "mpi", 25);
-  const auto b = run_trace(m, 2, 2, "mpi", 25);
+  const auto a = run_trace(m, 2, 2, TransportKind::kMpi, 25);
+  const auto b = run_trace(m, 2, 2, TransportKind::kMpi, 25);
   EXPECT_EQ(a, b);
 }
 
@@ -272,8 +268,8 @@ TEST(Compass, DifferentSeedsProduceDifferentTraces) {
     primitives::configure_poisson_source(b.core(static_cast<CoreId>(i)), 50.0);
   }
   b.reseed_cores();
-  const auto ta = run_trace(a, 1, 1, "mpi", 20);
-  const auto tb = run_trace(b, 1, 1, "mpi", 20);
+  const auto ta = run_trace(a, 1, 1, TransportKind::kMpi, 20);
+  const auto tb = run_trace(b, 1, 1, TransportKind::kMpi, 20);
   EXPECT_NE(ta, tb);
 }
 

@@ -11,10 +11,6 @@
 // reproduce exactly.
 #include <gtest/gtest.h>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <algorithm>
 #include <memory>
 #include <sstream>
@@ -24,7 +20,6 @@
 
 #include "arch/spike.h"
 #include "comm/mpi_transport.h"
-#include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
 #include "macaque_fixture.h"
 #include "obs/profile.h"
@@ -34,7 +29,9 @@
 namespace compass {
 namespace {
 
+using comm::TransportKind;
 using testing::compile_macaque;
+using testing::expect_reports_equal;
 
 struct DeterministicRun {
   runtime::RunReport report;
@@ -42,16 +39,9 @@ struct DeterministicRun {
 };
 
 DeterministicRun run_once(const compiler::PccResult& pcc, bool parallel,
-                          bool use_pgas = false) {
+                          TransportKind kind = TransportKind::kMpi) {
   arch::Model model = pcc.model;
-  std::unique_ptr<comm::Transport> transport;
-  if (use_pgas) {
-    transport = std::make_unique<comm::PgasTransport>(pcc.partition.ranks(),
-                                                      comm::CommCostModel{});
-  } else {
-    transport = std::make_unique<comm::MpiTransport>(pcc.partition.ranks(),
-                                                     comm::CommCostModel{});
-  }
+  const auto transport = comm::make_transport(kind, pcc.partition.ranks());
   runtime::Config cfg;
   cfg.parallel_execution = parallel;
   cfg.measure = false;  // modelled times only: the whole trace is reproducible
@@ -73,56 +63,49 @@ DeterministicRun run_once(const compiler::PccResult& pcc, bool parallel,
   return out;
 }
 
-void expect_equivalent(const DeterministicRun& a, const DeterministicRun& b) {
-  EXPECT_EQ(a.report.ticks, b.report.ticks);
-  EXPECT_EQ(a.report.fired_spikes, b.report.fired_spikes);
-  EXPECT_EQ(a.report.routed_spikes, b.report.routed_spikes);
-  EXPECT_EQ(a.report.local_spikes, b.report.local_spikes);
-  EXPECT_EQ(a.report.remote_spikes, b.report.remote_spikes);
-  EXPECT_EQ(a.report.synaptic_events, b.report.synaptic_events);
-  EXPECT_EQ(a.report.messages, b.report.messages);
-  EXPECT_EQ(a.report.wire_bytes, b.report.wire_bytes);
-  EXPECT_EQ(a.trace_jsonl, b.trace_jsonl);
-}
-
 TEST(Determinism, RepeatedRunsAreByteIdentical) {
   const compiler::PccResult pcc = compile_macaque();
   const DeterministicRun first = run_once(pcc, /*parallel=*/false);
   const DeterministicRun second = run_once(pcc, /*parallel=*/false);
   ASSERT_FALSE(first.trace_jsonl.empty());
-  expect_equivalent(first, second);
+  expect_reports_equal(first.report, second.report, /*virtual_time=*/true);
+  EXPECT_EQ(first.trace_jsonl, second.trace_jsonl);
 }
 
 TEST(Determinism, ParallelExecutionMatchesSerial) {
   const compiler::PccResult pcc = compile_macaque();
   const DeterministicRun serial = run_once(pcc, /*parallel=*/false);
   const DeterministicRun parallel = run_once(pcc, /*parallel=*/true);
-  expect_equivalent(serial, parallel);
+  expect_reports_equal(serial.report, parallel.report, /*virtual_time=*/true);
+  EXPECT_EQ(serial.trace_jsonl, parallel.trace_jsonl);
 }
 
 TEST(Determinism, PgasRepeatedRunsAreByteIdentical) {
   const compiler::PccResult pcc = compile_macaque();
-  const DeterministicRun first = run_once(pcc, /*parallel=*/false, true);
-  const DeterministicRun second = run_once(pcc, /*parallel=*/true, true);
-  expect_equivalent(first, second);
+  const DeterministicRun first =
+      run_once(pcc, /*parallel=*/false, TransportKind::kPgas);
+  const DeterministicRun second =
+      run_once(pcc, /*parallel=*/true, TransportKind::kPgas);
+  expect_reports_equal(first.report, second.report, /*virtual_time=*/true);
+  EXPECT_EQ(first.trace_jsonl, second.trace_jsonl);
 }
 
 TEST(Determinism, IndependentOfOmpThreadCount) {
-#ifdef _OPENMP
-  const compiler::PccResult pcc = compile_macaque();
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
-  const DeterministicRun baseline = run_once(pcc, /*parallel=*/true);
-  for (const int threads : {2, 8}) {
-    omp_set_num_threads(threads);
-    const DeterministicRun run = run_once(pcc, /*parallel=*/true);
-    SCOPED_TRACE("OMP threads = " + std::to_string(threads));
-    expect_equivalent(baseline, run);
-  }
-  omp_set_num_threads(saved);
-#else
+#ifndef COMPASS_HAVE_OPENMP
   GTEST_SKIP() << "built without OpenMP; thread-count sweep not applicable";
 #endif
+  const compiler::PccResult pcc = compile_macaque();
+  const DeterministicRun baseline = [&] {
+    const testing::OmpWidth width(1);
+    return run_once(pcc, /*parallel=*/true);
+  }();
+  for (const int threads : {2, 8}) {
+    const testing::OmpWidth width(threads);
+    const DeterministicRun run = run_once(pcc, /*parallel=*/true);
+    SCOPED_TRACE("OMP threads = " + std::to_string(threads));
+    expect_reports_equal(baseline.report, run.report, /*virtual_time=*/true);
+    EXPECT_EQ(baseline.trace_jsonl, run.trace_jsonl);
+  }
 }
 
 using FireEvent = std::tuple<arch::Tick, arch::CoreId, unsigned>;
@@ -169,7 +152,7 @@ TEST(Determinism, ProductionKernelsMatchSerialOracleStepper) {
   for (const bool parallel : {false, true}) {
     SCOPED_TRACE(parallel ? "parallel_execution on" : "parallel_execution off");
     arch::Model model = pcc.model;
-    comm::MpiTransport transport(pcc.partition.ranks(), comm::CommCostModel{});
+    comm::MpiTransport transport(pcc.partition.ranks());
     runtime::Config cfg;
     cfg.parallel_execution = parallel;
     cfg.measure = false;
@@ -197,32 +180,20 @@ TEST(Determinism, MeasuredRunsKeepFunctionalCountersStable) {
   // With host timers ON the time fields wobble, but the functional counters
   // must not, on either transport.
   const compiler::PccResult pcc = compile_macaque();
-  auto run_measured = [&](bool pgas, bool parallel) {
+  auto run_measured = [&](TransportKind kind, bool parallel) {
     arch::Model model = pcc.model;
-    std::unique_ptr<comm::Transport> transport;
-    if (pgas) {
-      transport =
-          std::make_unique<comm::PgasTransport>(3, comm::CommCostModel{});
-    } else {
-      transport =
-          std::make_unique<comm::MpiTransport>(3, comm::CommCostModel{});
-    }
+    const auto transport = comm::make_transport(kind, 3);
     runtime::Config cfg;
     cfg.parallel_execution = parallel;
     runtime::Compass sim(model, pcc.partition, *transport, cfg);
     return sim.run(30);
   };
-  for (const bool pgas : {false, true}) {
-    SCOPED_TRACE(pgas ? "pgas" : "mpi");
-    const runtime::RunReport a = run_measured(pgas, false);
-    const runtime::RunReport b = run_measured(pgas, true);
+  for (const TransportKind kind : testing::kTransports) {
+    SCOPED_TRACE(comm::to_string(kind));
+    const runtime::RunReport a = run_measured(kind, false);
+    const runtime::RunReport b = run_measured(kind, true);
     EXPECT_GT(a.fired_spikes, 0u);
-    EXPECT_EQ(a.fired_spikes, b.fired_spikes);
-    EXPECT_EQ(a.routed_spikes, b.routed_spikes);
-    EXPECT_EQ(a.local_spikes, b.local_spikes);
-    EXPECT_EQ(a.remote_spikes, b.remote_spikes);
-    EXPECT_EQ(a.messages, b.messages);
-    EXPECT_EQ(a.wire_bytes, b.wire_bytes);
+    expect_reports_equal(a, b);
   }
 }
 

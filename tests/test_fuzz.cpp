@@ -15,7 +15,6 @@
 #include "arch/crossbar.h"
 #include "arch/model.h"
 #include "comm/mpi_transport.h"
-#include "comm/pgas_transport.h"
 #include "resilience/checkpoint.h"
 #include "runtime/compass.h"
 #include "serve/client.h"
@@ -28,6 +27,7 @@ namespace {
 
 using arch::CoreId;
 using arch::Tick;
+using comm::TransportKind;
 using TraceEvent = std::tuple<Tick, CoreId, unsigned>;
 
 /// Generate a random, fully valid model: random crossbar density, random
@@ -81,16 +81,11 @@ struct RunResult {
 };
 
 RunResult run(const arch::Model& model, int ranks, int threads,
-              bool pgas, Tick ticks) {
+              TransportKind kind, Tick ticks) {
   arch::Model copy = model;
   const runtime::Partition part =
       runtime::Partition::uniform(copy.num_cores(), ranks, threads);
-  std::unique_ptr<comm::Transport> transport;
-  if (pgas) {
-    transport = std::make_unique<comm::PgasTransport>(ranks, comm::CommCostModel{});
-  } else {
-    transport = std::make_unique<comm::MpiTransport>(ranks, comm::CommCostModel{});
-  }
+  const auto transport = comm::make_transport(kind, ranks);
   runtime::Compass sim(copy, part, *transport);
   RunResult out;
   sim.set_spike_hook([&](Tick t, CoreId c, unsigned j) {
@@ -104,17 +99,19 @@ class FuzzSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FuzzSweep, DeterminismAcrossShapesAndTransports) {
   const arch::Model model = random_model(GetParam());
-  const RunResult reference = run(model, 1, 1, /*pgas=*/false, 25);
+  const RunResult reference = run(model, 1, 1, TransportKind::kMpi, 25);
   ASSERT_FALSE(reference.trace.empty())
       << "fuzz model should be active (drive-biased leak)";
 
-  for (const auto& [ranks, threads, pgas] :
-       {std::tuple{2, 1, false}, std::tuple{5, 3, false},
-        std::tuple{2, 1, true}, std::tuple{12, 2, true}}) {
-    const RunResult got = run(model, ranks, threads, pgas, 25);
+  constexpr TransportKind kMpi = TransportKind::kMpi;
+  constexpr TransportKind kPgas = TransportKind::kPgas;
+  for (const auto& [ranks, threads, kind] :
+       {std::tuple{2, 1, kMpi}, std::tuple{5, 3, kMpi},
+        std::tuple{2, 1, kPgas}, std::tuple{12, 2, kPgas}}) {
+    const RunResult got = run(model, ranks, threads, kind, 25);
     ASSERT_EQ(got.trace, reference.trace)
         << "seed=" << GetParam() << " ranks=" << ranks
-        << " threads=" << threads << " pgas=" << pgas;
+        << " threads=" << threads << " " << comm::to_string(kind);
     EXPECT_EQ(got.report.fired_spikes, reference.report.fired_spikes);
     EXPECT_EQ(got.report.routed_spikes, reference.report.routed_spikes);
   }
@@ -122,7 +119,7 @@ TEST_P(FuzzSweep, DeterminismAcrossShapesAndTransports) {
 
 TEST_P(FuzzSweep, SpikeConservation) {
   const arch::Model model = random_model(GetParam());
-  const RunResult r = run(model, 4, 2, /*pgas=*/false, 25);
+  const RunResult r = run(model, 4, 2, TransportKind::kMpi, 25);
   EXPECT_EQ(r.report.routed_spikes,
             r.report.local_spikes + r.report.remote_spikes);
   // Every fired neuron in a fuzz model has a target.
@@ -131,18 +128,18 @@ TEST_P(FuzzSweep, SpikeConservation) {
 
 TEST_P(FuzzSweep, RepeatRunsIdentical) {
   const arch::Model model = random_model(GetParam());
-  const RunResult a = run(model, 3, 2, /*pgas=*/true, 20);
-  const RunResult b = run(model, 3, 2, /*pgas=*/true, 20);
+  const RunResult a = run(model, 3, 2, TransportKind::kPgas, 20);
+  const RunResult b = run(model, 3, 2, TransportKind::kPgas, 20);
   EXPECT_EQ(a.trace, b.trace);
 }
 
 TEST_P(FuzzSweep, CheckpointMidRunResumesExactly) {
   const arch::Model model = random_model(GetParam());
-  const RunResult full = run(model, 2, 1, false, 30);
+  const RunResult full = run(model, 2, 1, TransportKind::kMpi, 30);
 
   arch::Model first = model;
   const runtime::Partition part = runtime::Partition::uniform(first.num_cores(), 2, 1);
-  comm::MpiTransport t1(2, comm::CommCostModel{});
+  comm::MpiTransport t1(2);
   runtime::Compass sim1(first, part, t1);
   std::vector<TraceEvent> trace;
   sim1.set_spike_hook([&](Tick t, CoreId c, unsigned j) {
@@ -153,7 +150,7 @@ TEST_P(FuzzSweep, CheckpointMidRunResumesExactly) {
   std::stringstream snapshot;
   first.save(snapshot);
   arch::Model resumed = arch::Model::load(snapshot);
-  comm::MpiTransport t2(2, comm::CommCostModel{});
+  comm::MpiTransport t2(2);
   runtime::Compass sim2(resumed, part, t2);
   sim2.set_start_tick(13);
   sim2.set_spike_hook([&](Tick t, CoreId c, unsigned j) {
@@ -172,7 +169,7 @@ TEST_P(FuzzSweep, MangledCheckpointBytesAreAlwaysRejectedTyped) {
   arch::Model model = random_model(GetParam(), /*cores=*/4);
   const runtime::Partition part =
       runtime::Partition::uniform(model.num_cores(), 2, 1);
-  comm::MpiTransport transport(2, comm::CommCostModel{});
+  comm::MpiTransport transport(2);
   runtime::Compass sim(model, part, transport);
   sim.run(7);
   const std::string good =

@@ -45,7 +45,7 @@ TEST(Golden, ModelConstructionIsFrozen) {
 
 TEST(Golden, SimulationTraceIsFrozen) {
   compiler::PccResult pcc = compile_macaque();
-  comm::MpiTransport transport(3, comm::CommCostModel{});
+  comm::MpiTransport transport(3);
   obs::TraceBuffer trace;
   runtime::Compass sim(pcc.model, pcc.partition, transport);
   sim.add_trace_sink(&trace);

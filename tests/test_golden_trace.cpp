@@ -50,7 +50,7 @@ std::string render_trace() {
   compiler::PccResult pcc =
       compiler::compile(cocomac::build_macaque_spec(mopt), popt);
 
-  comm::MpiTransport transport(3, comm::CommCostModel{});
+  comm::MpiTransport transport(3);
   runtime::Config cfg;
   cfg.measure = false;  // modelled times only: deterministic everywhere
   runtime::Compass sim(pcc.model, pcc.partition, transport, cfg);

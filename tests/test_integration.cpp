@@ -2,15 +2,12 @@
 // transport equivalence on the full pipeline, and checkpoint/restart.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <sstream>
-#include <string>
 #include <tuple>
 #include <vector>
 
 #include "cocomac/macaque.h"
 #include "comm/mpi_transport.h"
-#include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
 #include "obs/trace.h"
 #include "runtime/compass.h"
@@ -44,7 +41,7 @@ TEST(MacaquePipeline, CompilesAndValidates) {
 
 TEST(MacaquePipeline, FiringRateLandsNearTarget) {
   compiler::PccResult r = compile_macaque(96, 1, /*rate_hz=*/8.0);
-  comm::MpiTransport transport(1, comm::CommCostModel{});
+  comm::MpiTransport transport(1);
   runtime::Compass sim(r.model, r.partition, transport);
   const runtime::RunReport rep = sim.run(500);
   const double rate = rep.mean_rate_hz(96 * 256);
@@ -69,7 +66,7 @@ TEST(MacaquePipeline, WhiteMatterSplitIsMajorityRemoteFriendly) {
 
 TEST(MacaquePipeline, RemoteTrafficFlowsBetweenRegions) {
   compiler::PccResult r = compile_macaque(96, 4);
-  comm::MpiTransport transport(4, comm::CommCostModel{});
+  comm::MpiTransport transport(4);
   runtime::Compass sim(r.model, r.partition, transport);
   const runtime::RunReport rep = sim.run(100);
   EXPECT_GT(rep.fired_spikes, 0u);
@@ -81,14 +78,9 @@ TEST(MacaquePipeline, RemoteTrafficFlowsBetweenRegions) {
 TEST(MacaquePipeline, TransportEquivalenceOnFullModel) {
   const compiler::PccResult base = compile_macaque(96, 4);
 
-  auto run_with = [&](const char* kind) {
+  auto run_with = [&](comm::TransportKind kind) {
     arch::Model model = base.model;  // fresh copy
-    std::unique_ptr<comm::Transport> transport;
-    if (std::string(kind) == "mpi") {
-      transport = std::make_unique<comm::MpiTransport>(4, comm::CommCostModel{});
-    } else {
-      transport = std::make_unique<comm::PgasTransport>(4, comm::CommCostModel{});
-    }
+    const auto transport = comm::make_transport(kind, 4);
     runtime::Compass sim(model, base.partition, *transport);
     std::vector<TraceEvent> trace;
     sim.set_spike_hook(
@@ -97,8 +89,8 @@ TEST(MacaquePipeline, TransportEquivalenceOnFullModel) {
     return trace;
   };
 
-  const auto mpi_trace = run_with("mpi");
-  const auto pgas_trace = run_with("pgas");
+  const auto mpi_trace = run_with(comm::TransportKind::kMpi);
+  const auto pgas_trace = run_with(comm::TransportKind::kPgas);
   EXPECT_FALSE(mpi_trace.empty());
   EXPECT_EQ(mpi_trace, pgas_trace);
 }
@@ -113,7 +105,7 @@ TEST(MacaquePipeline, RankCountInvariance) {
     arch::Model model = four.model;
     const runtime::Partition part =
         runtime::Partition::uniform(model.num_cores(), ranks, 2);
-    comm::MpiTransport transport(ranks, comm::CommCostModel{});
+    comm::MpiTransport transport(ranks);
     runtime::Compass sim(model, part, transport);
     std::vector<TraceEvent> trace;
     sim.set_spike_hook(
@@ -131,7 +123,7 @@ TEST(MacaquePipeline, CheckpointRestartContinuesIdentically) {
 
   // Reference: run 40 ticks straight through.
   arch::Model ref_model = r.model;
-  comm::MpiTransport t1(2, comm::CommCostModel{});
+  comm::MpiTransport t1(2);
   runtime::Compass ref(ref_model, r.partition, t1);
   std::vector<TraceEvent> ref_trace;
   ref.set_spike_hook(
@@ -140,7 +132,7 @@ TEST(MacaquePipeline, CheckpointRestartContinuesIdentically) {
 
   // Checkpointed: run 20, save, load, run 20 more.
   arch::Model half_model = r.model;
-  comm::MpiTransport t2(2, comm::CommCostModel{});
+  comm::MpiTransport t2(2);
   runtime::Compass first(half_model, r.partition, t2);
   std::vector<TraceEvent> trace;
   first.set_spike_hook(
@@ -150,7 +142,7 @@ TEST(MacaquePipeline, CheckpointRestartContinuesIdentically) {
   std::stringstream checkpoint;
   half_model.save(checkpoint);
   arch::Model resumed = arch::Model::load(checkpoint);
-  comm::MpiTransport t3(2, comm::CommCostModel{});
+  comm::MpiTransport t3(2);
   runtime::Compass second(resumed, r.partition, t3);
   second.set_start_tick(20);  // resume at the checkpointed absolute tick
   second.set_spike_hook(
@@ -174,7 +166,7 @@ TEST(MacaquePipeline, InventoryScalesWithCores) {
 
 TEST(MacaquePipeline, TickSeriesShowsSustainedActivity) {
   compiler::PccResult r = compile_macaque(96, 2);
-  comm::MpiTransport transport(2, comm::CommCostModel{});
+  comm::MpiTransport transport(2);
   obs::TraceBuffer trace;
   runtime::Compass sim(r.model, r.partition, transport);
   sim.add_trace_sink(&trace);
@@ -210,7 +202,7 @@ edge SINK SRC 0.1
   popt.ranks = 3;
   compiler::PccResult pcc = compiler::compile(spec, popt);
 
-  comm::MpiTransport transport(3, comm::CommCostModel{});
+  comm::MpiTransport transport(3);
   runtime::Compass sim(pcc.model, pcc.partition, transport);
   std::vector<std::uint64_t> region_spikes(3, 0);
   sim.set_spike_hook([&](Tick, CoreId c, unsigned) {
@@ -227,7 +219,7 @@ edge SINK SRC 0.1
   // in the pipeline is propagated source activity.
   spec.regions[0].rate_hz = 0.0;
   compiler::PccResult quiet = compiler::compile(spec, popt);
-  comm::MpiTransport t2(3, comm::CommCostModel{});
+  comm::MpiTransport t2(3);
   runtime::Compass quiet_sim(quiet.model, quiet.partition, t2);
   EXPECT_EQ(quiet_sim.run(300).fired_spikes, 0u);
 }
@@ -240,7 +232,7 @@ cores 8
 region A class generic volume 1 self 1.0 rate 0
 )");
   compiler::PccResult pcc = compiler::compile(spec);
-  comm::MpiTransport transport(1, comm::CommCostModel{});
+  comm::MpiTransport transport(1);
   runtime::Compass sim(pcc.model, pcc.partition, transport);
   EXPECT_EQ(sim.run(100).fired_spikes, 0u);
 }

@@ -321,7 +321,7 @@ TEST(Model, CheckpointRejectsOutOfRangeFieldsBehindAValidCrc) {
   // a typed section-corrupt error.
   Model model = tiny_model(3);
   const runtime::Partition part = runtime::Partition::uniform(3, 1, 1);
-  comm::MpiTransport transport(1, comm::CommCostModel{});
+  comm::MpiTransport transport(1);
   const runtime::Compass sim(model, part, transport);
   const std::string good =
       resilience::serialize_checkpoint(resilience::capture(sim, model));
@@ -409,7 +409,7 @@ TEST(Model, RecordCheckRejectsEveryLaneNeuronParamsRejects) {
           << err.what();
     }
     const runtime::Partition part = runtime::Partition::uniform(3, 1, 1);
-    comm::MpiTransport transport(1, comm::CommCostModel{});
+    comm::MpiTransport transport(1);
     const runtime::Compass sim(m, part, transport);
     const std::string bytes =
         resilience::serialize_checkpoint(resilience::capture(sim, m));

@@ -311,7 +311,7 @@ TEST(ChromeTraceWriter, DefaultCapKeepsEverythingForShortRuns) {
 
 TEST(CompassTrace, SpanAndTickRecordShapes) {
   compiler::PccResult pcc = compile_macaque();
-  comm::MpiTransport transport(3, comm::CommCostModel{});
+  comm::MpiTransport transport(3);
   runtime::Compass sim(pcc.model, pcc.partition, transport);
   obs::TraceBuffer buf;
   sim.add_trace_sink(&buf);
@@ -339,7 +339,7 @@ TEST(CompassTrace, SpanAndTickRecordShapes) {
 
 TEST(CompassTrace, TracedPhaseTimesMatchPhaseBreakdownTotals) {
   compiler::PccResult pcc = compile_macaque();
-  comm::MpiTransport transport(3, comm::CommCostModel{});
+  comm::MpiTransport transport(3);
   runtime::Compass sim(pcc.model, pcc.partition, transport);
   obs::TraceBuffer buf;
   sim.add_trace_sink(&buf);
@@ -358,7 +358,7 @@ TEST(CompassTrace, TracedPhaseTimesMatchPhaseBreakdownTotals) {
 
 TEST(CompassTrace, NeuronSpansSumToFiredSpikes) {
   compiler::PccResult pcc = compile_macaque();
-  comm::MpiTransport transport(3, comm::CommCostModel{});
+  comm::MpiTransport transport(3);
   runtime::Compass sim(pcc.model, pcc.partition, transport);
   obs::TraceBuffer buf;
   sim.add_trace_sink(&buf);
@@ -379,7 +379,7 @@ TEST(CompassTrace, NeuronSpansSumToFiredSpikes) {
 
 TEST(CompassTrace, MultipleSinksAllReceiveRecords) {
   compiler::PccResult pcc = compile_macaque();
-  comm::MpiTransport transport(3, comm::CommCostModel{});
+  comm::MpiTransport transport(3);
   runtime::Compass sim(pcc.model, pcc.partition, transport);
   obs::TraceBuffer a, b;
   sim.add_trace_sink(&a);
@@ -393,7 +393,7 @@ TEST(CompassTrace, MultipleSinksAllReceiveRecords) {
 TEST(CompassMetrics, RuntimeTransportAndPccPublish) {
   obs::MetricsRegistry reg;
   compiler::PccResult pcc = compile_macaque({.metrics = &reg});
-  comm::MpiTransport transport(3, comm::CommCostModel{});
+  comm::MpiTransport transport(3);
   runtime::Compass sim(pcc.model, pcc.partition, transport);
   sim.set_metrics(&reg);
   const runtime::RunReport rep = sim.run(18);
@@ -424,7 +424,7 @@ TEST(CompassMetrics, RuntimeTransportAndPccPublish) {
 
 TEST(CompassMetrics, EveryStepPublishesItsCommCounters) {
   compiler::PccResult pcc = compile_macaque();
-  comm::MpiTransport transport(3, comm::CommCostModel{});
+  comm::MpiTransport transport(3);
   runtime::Compass sim(pcc.model, pcc.partition, transport);
   obs::MetricsRegistry reg;
   sim.set_metrics(&reg);
@@ -449,7 +449,7 @@ TEST(CompassMetrics, EveryStepPublishesItsCommCounters) {
 
 TEST(CompassMetrics, DisabledRunCarriesNoSnapshot) {
   compiler::PccResult pcc = compile_macaque();
-  comm::MpiTransport transport(3, comm::CommCostModel{});
+  comm::MpiTransport transport(3);
   runtime::Compass sim(pcc.model, pcc.partition, transport);
   const runtime::RunReport rep = sim.run(3);
   EXPECT_TRUE(rep.metrics.empty());

@@ -71,7 +71,7 @@ struct Outcome {
 Outcome run_with(const runtime::ObsOptions& options, bool profile = false) {
   runtime::RunObservers obs(options);
   arch::Model model = pcc().model;
-  comm::MpiTransport transport(kRanks, comm::CommCostModel{});
+  comm::MpiTransport transport(kRanks);
   runtime::Config cfg;
   cfg.measure = false;
   runtime::Compass sim(model, pcc().partition, transport, cfg);

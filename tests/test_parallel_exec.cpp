@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "comm/mpi_transport.h"
-#include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
 #include "macaque_fixture.h"
 #include "obs/analytics.h"
@@ -29,12 +28,15 @@
 namespace compass::runtime {
 namespace {
 
+using comm::TransportKind;
 using testing::compile_macaque;
+using testing::expect_reports_equal;
+using testing::OmpWidth;
 
 RunReport run_mode(const compiler::PccResult& pcc, bool parallel,
                    arch::Model* final_model = nullptr) {
   arch::Model model = pcc.model;
-  comm::MpiTransport transport(pcc.partition.ranks(), comm::CommCostModel{});
+  comm::MpiTransport transport(pcc.partition.ranks());
   Config cfg;
   cfg.parallel_execution = parallel;
   Compass sim(model, pcc.partition, transport, cfg);
@@ -50,12 +52,7 @@ TEST(ParallelExecution, FunctionalResultsMatchSerial) {
   const RunReport serial = run_mode(pcc, false, &serial_model);
   const RunReport parallel = run_mode(pcc, true, &parallel_model);
 
-  EXPECT_EQ(serial.fired_spikes, parallel.fired_spikes);
-  EXPECT_EQ(serial.routed_spikes, parallel.routed_spikes);
-  EXPECT_EQ(serial.local_spikes, parallel.local_spikes);
-  EXPECT_EQ(serial.remote_spikes, parallel.remote_spikes);
-  EXPECT_EQ(serial.synaptic_events, parallel.synaptic_events);
-  EXPECT_EQ(serial.messages, parallel.messages);
+  expect_reports_equal(serial, parallel);
   // The entire final machine state — membranes, delay buffers, PRNGs —
   // must be bit-identical.
   EXPECT_TRUE(serial_model == parallel_model);
@@ -71,7 +68,7 @@ struct HookedRun {
 
 HookedRun run_hooked(const compiler::PccResult& pcc, bool parallel) {
   arch::Model model = pcc.model;
-  comm::MpiTransport transport(pcc.partition.ranks(), comm::CommCostModel{});
+  comm::MpiTransport transport(pcc.partition.ranks());
   Config cfg;
   cfg.parallel_execution = parallel;
   Compass sim(model, pcc.partition, transport, cfg);
@@ -94,23 +91,15 @@ TEST(ParallelExecution, StagedHookMatchesSerialAtEveryWidth) {
       compile_macaque({.cores = 80, .seed = 42, .ranks = 3});
   const HookedRun serial = run_hooked(pcc, false);
   ASSERT_GT(serial.fired.size(), 0u);
-#ifdef COMPASS_HAVE_OPENMP
-  const int saved = omp_get_max_threads();
-#endif
   for (const int width : {1, 2, 4}) {
     SCOPED_TRACE("OMP threads = " + std::to_string(width));
-#ifdef COMPASS_HAVE_OPENMP
-    omp_set_num_threads(width);
-#endif
+    const OmpWidth team_width(width);
     const HookedRun team = run_hooked(pcc, true);
     EXPECT_TRUE(team.fired == serial.fired);
     EXPECT_EQ(team.fired.size(), team.report.fired_spikes);
     EXPECT_FALSE(team.hook_in_parallel)
         << "a spike hook ran inside an OpenMP team";
   }
-#ifdef COMPASS_HAVE_OPENMP
-  omp_set_num_threads(saved);
-#endif
 }
 
 struct FireObservers {
@@ -125,17 +114,10 @@ struct ObservedRun {
   std::vector<obs::SpikeSpan> spans;
 };
 
-ObservedRun run_observed(const compiler::PccResult& pcc, bool pgas,
+ObservedRun run_observed(const compiler::PccResult& pcc, TransportKind kind,
                          bool parallel, FireObservers attach) {
   arch::Model model = pcc.model;
-  std::unique_ptr<comm::Transport> transport;
-  if (pgas) {
-    transport = std::make_unique<comm::PgasTransport>(pcc.partition.ranks(),
-                                                      comm::CommCostModel{});
-  } else {
-    transport = std::make_unique<comm::MpiTransport>(pcc.partition.ranks(),
-                                                     comm::CommCostModel{});
-  }
+  const auto transport = comm::make_transport(kind, pcc.partition.ranks());
   Config cfg;
   cfg.measure = false;
   cfg.parallel_execution = parallel;
@@ -170,87 +152,61 @@ TEST(ParallelExecution, FireObserversTogetherMatchTheirSoloSerialRuns) {
   // team, each must see exactly what it sees attached alone to a serial run.
   const compiler::PccResult pcc =
       compile_macaque({.cores = 80, .seed = 42, .ranks = 3});
-#ifdef COMPASS_HAVE_OPENMP
-  const int saved = omp_get_max_threads();
-#endif
-  for (const bool pgas : {false, true}) {
-    SCOPED_TRACE(pgas ? "pgas" : "mpi");
-    const ObservedRun hook = run_observed(pcc, pgas, false, {.hook = true});
+  for (const TransportKind kind : testing::kTransports) {
+    SCOPED_TRACE(comm::to_string(kind));
+    const ObservedRun hook = run_observed(pcc, kind, false, {.hook = true});
     const ObservedRun analytics =
-        run_observed(pcc, pgas, false, {.analytics = true});
-    const ObservedRun tracer = run_observed(pcc, pgas, false, {.tracer = true});
+        run_observed(pcc, kind, false, {.analytics = true});
+    const ObservedRun tracer = run_observed(pcc, kind, false, {.tracer = true});
     ASSERT_FALSE(hook.fired.empty());
     ASSERT_FALSE(analytics.analytics.empty());
     ASSERT_FALSE(tracer.spans.empty());
     for (const int width : {1, 2, 4}) {
       SCOPED_TRACE("OMP threads = " + std::to_string(width));
-#ifdef COMPASS_HAVE_OPENMP
-      omp_set_num_threads(width);
-#endif
+      const OmpWidth team_width(width);
       const ObservedRun all =
-          run_observed(pcc, pgas, true, {true, true, true});
+          run_observed(pcc, kind, true, {true, true, true});
       EXPECT_TRUE(all.fired == hook.fired);
       EXPECT_EQ(all.analytics, analytics.analytics);
       EXPECT_TRUE(all.spans == tracer.spans);
     }
   }
-#ifdef COMPASS_HAVE_OPENMP
-  omp_set_num_threads(saved);
-#endif
 }
 
 // The default Config runs the ranks on an OpenMP team; its results must not
 // depend on the team's width, on either transport.
-RunReport run_default(const compiler::PccResult& pcc, bool pgas,
-                      arch::Model& final_model) {
+RunReport run_default(const compiler::PccResult& pcc, TransportKind kind,
+                      int width, arch::Model& final_model) {
+  const OmpWidth team_width(width);
   final_model = pcc.model;
-  std::unique_ptr<comm::Transport> transport;
-  if (pgas) {
-    transport = std::make_unique<comm::PgasTransport>(pcc.partition.ranks(),
-                                                      comm::CommCostModel{});
-  } else {
-    transport = std::make_unique<comm::MpiTransport>(pcc.partition.ranks(),
-                                                     comm::CommCostModel{});
-  }
+  const auto transport = comm::make_transport(kind, pcc.partition.ranks());
   Compass sim(final_model, pcc.partition, *transport, Config{});
   return sim.run(60);
 }
 
 TEST(ParallelExecution, DefaultConfigIsWidthIndependent) {
   ASSERT_TRUE(Config{}.parallel_execution);
-#ifdef COMPASS_HAVE_OPENMP
-  const compiler::PccResult pcc =
-      compile_macaque({.cores = 96, .seed = 42, .ranks = 5});
-  const int saved = omp_get_max_threads();
-  for (const bool pgas : {false, true}) {
-    SCOPED_TRACE(pgas ? "pgas" : "mpi");
-    arch::Model narrow_model, wide_model;
-    omp_set_num_threads(1);
-    const RunReport narrow = run_default(pcc, pgas, narrow_model);
-    omp_set_num_threads(4);
-    const RunReport wide = run_default(pcc, pgas, wide_model);
-    EXPECT_GT(narrow.fired_spikes, 0u);
-    EXPECT_EQ(narrow.ticks, wide.ticks);
-    EXPECT_EQ(narrow.fired_spikes, wide.fired_spikes);
-    EXPECT_EQ(narrow.routed_spikes, wide.routed_spikes);
-    EXPECT_EQ(narrow.local_spikes, wide.local_spikes);
-    EXPECT_EQ(narrow.remote_spikes, wide.remote_spikes);
-    EXPECT_EQ(narrow.synaptic_events, wide.synaptic_events);
-    EXPECT_EQ(narrow.messages, wide.messages);
-    EXPECT_EQ(narrow.wire_bytes, wide.wire_bytes);
-    EXPECT_TRUE(narrow_model == wide_model);
-  }
-  omp_set_num_threads(saved);
-#else
+#ifndef COMPASS_HAVE_OPENMP
   GTEST_SKIP() << "built without OpenMP; width sweep not applicable";
 #endif
+  const compiler::PccResult pcc =
+      compile_macaque({.cores = 96, .seed = 42, .ranks = 5});
+  for (const TransportKind kind : testing::kTransports) {
+    SCOPED_TRACE(comm::to_string(kind));
+    arch::Model narrow_model, wide_model;
+    const RunReport narrow = run_default(pcc, kind, 1, narrow_model);
+    const RunReport wide = run_default(pcc, kind, 4, wide_model);
+    EXPECT_GT(narrow.fired_spikes, 0u);
+    expect_reports_equal(narrow, wide);
+    EXPECT_TRUE(narrow_model == wide_model);
+  }
 }
 
 TEST(ParallelExecution, CountersSurviveManySmallTicks) {
   const compiler::PccResult pcc =
       compile_macaque({.cores = 77, .seed = 42, .ranks = 2});
   arch::Model model = pcc.model;
-  comm::MpiTransport transport(2, comm::CommCostModel{});
+  comm::MpiTransport transport(2);
   Config cfg;
   cfg.parallel_execution = true;
   Compass sim(model, pcc.partition, transport, cfg);
@@ -315,14 +271,10 @@ enum class SendPath { kMpiAggregated, kPgasOneSided, kMpiPerSpike };
 SendLog record_sends(const compiler::PccResult& pcc, SendPath path,
                      bool parallel) {
   arch::Model model = pcc.model;
-  std::unique_ptr<comm::Transport> inner;
-  if (path == SendPath::kPgasOneSided) {
-    inner = std::make_unique<comm::PgasTransport>(pcc.partition.ranks(),
-                                                  comm::CommCostModel{});
-  } else {
-    inner = std::make_unique<comm::MpiTransport>(pcc.partition.ranks(),
-                                                 comm::CommCostModel{});
-  }
+  const auto inner = comm::make_transport(path == SendPath::kPgasOneSided
+                                              ? TransportKind::kPgas
+                                              : TransportKind::kMpi,
+                                          pcc.partition.ranks());
   RecordingTransport transport(*inner);
   Config cfg;
   cfg.parallel_execution = parallel;
@@ -374,17 +326,11 @@ TEST(ParallelExecution, SendSequenceMatchesSerialOnEveryPath) {
     SCOPED_TRACE("path " + std::to_string(static_cast<int>(path)));
     serial.push_back(record_sends(pcc, path, false));
     ASSERT_GT(count_sends(serial.back()), 0u);
-#ifdef COMPASS_HAVE_OPENMP
-    const int saved = omp_get_max_threads();
     for (const int width : {1, 2, 4}) {
       SCOPED_TRACE("OMP threads = " + std::to_string(width));
-      omp_set_num_threads(width);
+      const OmpWidth team_width(width);
       EXPECT_TRUE(record_sends(pcc, path, true) == serial.back());
     }
-    omp_set_num_threads(saved);
-#else
-    EXPECT_TRUE(record_sends(pcc, path, true) == serial.back());
-#endif
   }
   // The paths are one functional run, so they carry the same spikes: the
   // aggregated path posts one message per (src, dst) pair, ascending, whose
@@ -429,18 +375,11 @@ struct MeasuredRun {
   PhaseTimeCheck check;
 };
 
-MeasuredRun run_measured(const compiler::PccResult& pcc, bool pgas,
+MeasuredRun run_measured(const compiler::PccResult& pcc, TransportKind kind,
                          bool parallel) {
   MeasuredRun run;
   run.model = pcc.model;
-  std::unique_ptr<comm::Transport> transport;
-  if (pgas) {
-    transport = std::make_unique<comm::PgasTransport>(pcc.partition.ranks(),
-                                                      comm::CommCostModel{});
-  } else {
-    transport = std::make_unique<comm::MpiTransport>(pcc.partition.ranks(),
-                                                     comm::CommCostModel{});
-  }
+  const auto transport = comm::make_transport(kind, pcc.partition.ranks());
   Config cfg;
   cfg.measure = true;
   cfg.parallel_execution = parallel;
@@ -456,40 +395,26 @@ TEST(ParallelExecution, MeasuredPhaseTimesAreFiniteAtEveryWidth) {
   const compiler::PccResult pcc =
       compile_macaque({.cores = 80, .seed = 42, .ranks = 3});
   const std::uint64_t spans_per_run = 30u * 3u * 3u;  // ticks x ranks x phases
-  for (const bool pgas : {false, true}) {
-    SCOPED_TRACE(pgas ? "pgas" : "mpi");
-    const MeasuredRun serial = run_measured(pcc, pgas, false);
+  for (const TransportKind kind : testing::kTransports) {
+    SCOPED_TRACE(comm::to_string(kind));
+    const MeasuredRun serial = run_measured(pcc, kind, false);
     ASSERT_GT(serial.report.fired_spikes, 0u);
     EXPECT_EQ(serial.check.spans, spans_per_run);
     EXPECT_EQ(serial.check.bad, 0u);
     EXPECT_EQ(serial.check.empty_compute, 0u);
-#ifdef COMPASS_HAVE_OPENMP
-    const int saved = omp_get_max_threads();
-#endif
     for (const int width : {1, 2, 4}) {
       SCOPED_TRACE("OMP threads = " + std::to_string(width));
-#ifdef COMPASS_HAVE_OPENMP
-      omp_set_num_threads(width);
-#endif
-      const MeasuredRun team = run_measured(pcc, pgas, true);
+      const OmpWidth team_width(width);
+      const MeasuredRun team = run_measured(pcc, kind, true);
       EXPECT_EQ(team.check.spans, spans_per_run);
       EXPECT_EQ(team.check.bad, 0u);
       EXPECT_EQ(team.check.empty_compute, 0u);
       const perf::PhaseBreakdown& v = team.report.virtual_time;
       EXPECT_TRUE(std::isfinite(v.total()) && v.synapse > 0.0 &&
                   v.neuron > 0.0 && v.network > 0.0);
-      EXPECT_EQ(team.report.fired_spikes, serial.report.fired_spikes);
-      EXPECT_EQ(team.report.routed_spikes, serial.report.routed_spikes);
-      EXPECT_EQ(team.report.local_spikes, serial.report.local_spikes);
-      EXPECT_EQ(team.report.remote_spikes, serial.report.remote_spikes);
-      EXPECT_EQ(team.report.synaptic_events, serial.report.synaptic_events);
-      EXPECT_EQ(team.report.messages, serial.report.messages);
-      EXPECT_EQ(team.report.wire_bytes, serial.report.wire_bytes);
+      expect_reports_equal(team.report, serial.report);
       EXPECT_TRUE(team.model == serial.model);
     }
-#ifdef COMPASS_HAVE_OPENMP
-    omp_set_num_threads(saved);
-#endif
   }
 }
 

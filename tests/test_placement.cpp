@@ -583,7 +583,7 @@ TEST(MeasuredExactness, PredictedBytesEqualCommMatrixBytes) {
   popt.placement_topology = &topo;
   compiler::PccResult pcc = compiler::compile(spec, popt);
 
-  comm::MpiTransport transport(popt.ranks, comm::CommCostModel{});
+  comm::MpiTransport transport(popt.ranks);
   transport.set_hop_model(&topo, pcc.placement->node_of_rank);
   runtime::Compass sim(pcc.model, pcc.partition, transport);
   obs::ProfileCollector collector(popt.ranks);

@@ -27,8 +27,7 @@ struct Harness {
   explicit Harness(Model m, int ranks = 1)
       : model(std::move(m)),
         partition(runtime::Partition::uniform(model.num_cores(), ranks, 1)),
-        transport(std::make_unique<comm::MpiTransport>(ranks,
-                                                       comm::CommCostModel{})) {
+        transport(std::make_unique<comm::MpiTransport>(ranks)) {
     sim = std::make_unique<runtime::Compass>(model, partition, *transport);
     sim->set_spike_hook([this](Tick t, CoreId c, unsigned j) {
       trace.emplace_back(t, c, j);

@@ -5,17 +5,12 @@
 // writers' validity.
 #include <gtest/gtest.h>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "comm/mpi_transport.h"
-#include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
 #include "macaque_fixture.h"
 #include "obs/jsonv.h"
@@ -26,6 +21,7 @@
 namespace compass {
 namespace {
 
+using comm::TransportKind;
 using testing::compile_macaque;
 
 
@@ -92,18 +88,12 @@ struct ProfiledRun {
   std::string trace_jsonl;
 };
 
-ProfiledRun run_profiled(const compiler::PccResult& pcc, bool use_pgas = false,
+ProfiledRun run_profiled(const compiler::PccResult& pcc,
+                         TransportKind kind = TransportKind::kMpi,
                          bool measure = true, bool with_trace = false,
                          arch::Tick ticks = 25) {
   arch::Model model = pcc.model;
-  std::unique_ptr<comm::Transport> transport;
-  if (use_pgas) {
-    transport = std::make_unique<comm::PgasTransport>(pcc.partition.ranks(),
-                                                      comm::CommCostModel{});
-  } else {
-    transport = std::make_unique<comm::MpiTransport>(pcc.partition.ranks(),
-                                                     comm::CommCostModel{});
-  }
+  const auto transport = comm::make_transport(kind, pcc.partition.ranks());
   runtime::Config cfg;
   cfg.measure = measure;
   runtime::Compass sim(model, pcc.partition, *transport, cfg);
@@ -163,7 +153,8 @@ TEST(ProfileCollector, ImbalanceAndOverlapInvariants) {
 TEST(ProfileCollector, CriticalCountsSumToTicksPerPhase) {
   const compiler::PccResult pcc = compile_macaque();
   const arch::Tick ticks = 30;
-  const ProfiledRun run = run_profiled(pcc, false, true, false, ticks);
+  const ProfiledRun run =
+      run_profiled(pcc, TransportKind::kMpi, true, false, ticks);
   const obs::ProfileSummary& prof = *run.report.profile;
 
   std::uint64_t syn = 0, neu = 0, net = 0;
@@ -208,21 +199,21 @@ TEST(CommMatrixConservation, TotalsMatchRunReport) {
 }
 
 TEST(CommMatrixConservation, ByteIdenticalAcrossOmpThreadCounts) {
-#ifdef _OPENMP
+#ifndef COMPASS_HAVE_OPENMP
+  GTEST_SKIP() << "built without OpenMP; thread-count sweep not applicable";
+#endif
   const compiler::PccResult pcc = compile_macaque();
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
-  const ProfiledRun baseline = run_profiled(pcc, false, /*measure=*/false);
+  const ProfiledRun baseline = [&] {
+    const testing::OmpWidth width(1);
+    return run_profiled(pcc, TransportKind::kMpi, /*measure=*/false);
+  }();
   for (const int threads : {2, 8}) {
-    omp_set_num_threads(threads);
-    const ProfiledRun run = run_profiled(pcc, false, /*measure=*/false);
+    const testing::OmpWidth width(threads);
+    const ProfiledRun run =
+        run_profiled(pcc, TransportKind::kMpi, /*measure=*/false);
     SCOPED_TRACE("OMP threads = " + std::to_string(threads));
     EXPECT_TRUE(run.matrix == baseline.matrix);
   }
-  omp_set_num_threads(saved);
-#else
-  GTEST_SKIP() << "built without OpenMP; thread-count sweep not applicable";
-#endif
 }
 
 TEST(CommMatrixConservation, MpiAndPgasAgree) {
@@ -230,8 +221,8 @@ TEST(CommMatrixConservation, MpiAndPgasAgree) {
   // message per (src, dst) per tick), so the full matrix — message counts
   // included — is equal.
   const compiler::PccResult one = compile_macaque({.ranks = 3, .threads = 1});
-  const ProfiledRun mpi1 = run_profiled(one, /*use_pgas=*/false, false);
-  const ProfiledRun pgas1 = run_profiled(one, /*use_pgas=*/true, false);
+  const ProfiledRun mpi1 = run_profiled(one, TransportKind::kMpi, false);
+  const ProfiledRun pgas1 = run_profiled(one, TransportKind::kPgas, false);
   EXPECT_TRUE(mpi1.matrix == pgas1.matrix);
 
   // With several threads per rank PGAS issues one put per (thread, dst) while
@@ -239,8 +230,8 @@ TEST(CommMatrixConservation, MpiAndPgasAgree) {
   // functional traffic (spikes, and bytes = spikes x wire-size) must agree
   // cell by cell.
   const compiler::PccResult two = compile_macaque({.ranks = 3, .threads = 2});
-  const ProfiledRun mpi2 = run_profiled(two, /*use_pgas=*/false, false);
-  const ProfiledRun pgas2 = run_profiled(two, /*use_pgas=*/true, false);
+  const ProfiledRun mpi2 = run_profiled(two, TransportKind::kMpi, false);
+  const ProfiledRun pgas2 = run_profiled(two, TransportKind::kPgas, false);
   for (int src = 0; src < 3; ++src) {
     for (int dst = 0; dst < 3; ++dst) {
       SCOPED_TRACE("cell " + std::to_string(src) + "->" + std::to_string(dst));
@@ -256,7 +247,7 @@ TEST(CommMatrixConservation, MpiAndPgasAgree) {
 TEST(ProfileCollector, DetachedRunCarriesNoProfile) {
   const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
-  comm::MpiTransport transport(3, comm::CommCostModel{});
+  comm::MpiTransport transport(3);
   runtime::Compass sim(model, pcc.partition, transport);
   const runtime::RunReport rep = sim.run(5);
   EXPECT_FALSE(rep.profile.has_value());
@@ -265,7 +256,7 @@ TEST(ProfileCollector, DetachedRunCarriesNoProfile) {
 TEST(ProfileCollector, RankCountMismatchIsRejected) {
   const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
-  comm::MpiTransport transport(3, comm::CommCostModel{});
+  comm::MpiTransport transport(3);
   runtime::Compass sim(model, pcc.partition, transport);
   obs::ProfileCollector wrong(2);
   EXPECT_THROW(sim.set_profile(&wrong), std::invalid_argument);
@@ -286,8 +277,8 @@ TEST(ProfileJson, DocumentIsValidJson) {
 
 TEST(ProfileJsonl, TraceCarriesOneProfileRecordAndStaysValid) {
   const compiler::PccResult pcc = compile_macaque();
-  const ProfiledRun run =
-      run_profiled(pcc, false, /*measure=*/false, /*with_trace=*/true);
+  const ProfiledRun run = run_profiled(pcc, TransportKind::kMpi,
+                                       /*measure=*/false, /*with_trace=*/true);
 
   std::istringstream is(run.trace_jsonl);
   std::string line;
@@ -306,8 +297,9 @@ TEST(ProfileJsonl, TraceCarriesOneProfileRecordAndStaysValid) {
 TEST(AnalyzeTrace, RoundTripReproducesRunReportExactly) {
   const compiler::PccResult pcc = compile_macaque();
   const arch::Tick ticks = 25;
-  const ProfiledRun run =
-      run_profiled(pcc, false, /*measure=*/false, /*with_trace=*/true, ticks);
+  const ProfiledRun run = run_profiled(pcc, TransportKind::kMpi,
+                                       /*measure=*/false, /*with_trace=*/true,
+                                       ticks);
 
   std::istringstream is(run.trace_jsonl);
   const obs::TraceProfile tp = obs::analyze_trace(is);
@@ -358,8 +350,8 @@ TEST(AnalyzeTrace, SpanDerivedRankTimesMatchOnlineCollector) {
   // span-derived per-rank phase seconds equal the online collector's — the
   // two implement the same accounting independently.
   const compiler::PccResult pcc = compile_macaque();
-  const ProfiledRun run =
-      run_profiled(pcc, false, /*measure=*/false, /*with_trace=*/true);
+  const ProfiledRun run = run_profiled(pcc, TransportKind::kMpi,
+                                       /*measure=*/false, /*with_trace=*/true);
 
   std::istringstream is(run.trace_jsonl);
   const obs::TraceProfile tp = obs::analyze_trace(is);
@@ -383,7 +375,7 @@ TEST(AnalyzeTrace, SpanDerivedRankTimesMatchOnlineCollector) {
 TEST(AnalyzeTrace, TraceWithoutProfileRecordStillAnalyzes) {
   const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
-  comm::MpiTransport transport(3, comm::CommCostModel{});
+  comm::MpiTransport transport(3);
   runtime::Config cfg;
   cfg.measure = false;
   runtime::Compass sim(model, pcc.partition, transport, cfg);
@@ -429,8 +421,8 @@ TEST(AnalyzeTrace, UnknownRecordTypesAreSkipped) {
 
 TEST(TraceReport, HumanReportNamesEveryPhaseAndTheMatrix) {
   const compiler::PccResult pcc = compile_macaque();
-  const ProfiledRun run =
-      run_profiled(pcc, false, /*measure=*/false, /*with_trace=*/true);
+  const ProfiledRun run = run_profiled(pcc, TransportKind::kMpi,
+                                       /*measure=*/false, /*with_trace=*/true);
   std::istringstream is(run.trace_jsonl);
   const obs::TraceProfile tp = obs::analyze_trace(is);
 
@@ -446,8 +438,8 @@ TEST(TraceReport, HumanReportNamesEveryPhaseAndTheMatrix) {
 
 TEST(TraceReport, JsonReportIsValidJson) {
   const compiler::PccResult pcc = compile_macaque();
-  const ProfiledRun run =
-      run_profiled(pcc, false, /*measure=*/false, /*with_trace=*/true);
+  const ProfiledRun run = run_profiled(pcc, TransportKind::kMpi,
+                                       /*measure=*/false, /*with_trace=*/true);
   std::istringstream is(run.trace_jsonl);
   const obs::TraceProfile tp = obs::analyze_trace(is);
 

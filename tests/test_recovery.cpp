@@ -31,8 +31,7 @@
 #include <tuple>
 #include <vector>
 
-#include "comm/mpi_transport.h"
-#include "comm/pgas_transport.h"
+#include "comm/transport.h"
 #include "compiler/pcc.h"
 #include "macaque_fixture.h"
 #include "obs/flightrec.h"
@@ -49,7 +48,9 @@
 namespace compass {
 namespace {
 
+using comm::TransportKind;
 using testing::compile_macaque;
+using testing::expect_reports_equal;
 
 namespace fs = std::filesystem;
 
@@ -61,7 +62,6 @@ using resilience::CheckpointOptions;
 using resilience::FaultPlan;
 using resilience::FaultPlanError;
 using resilience::RecoveryError;
-using resilience::RecoveryOptions;
 using resilience::RecoveryPolicy;
 using resilience::RecoverySupervisor;
 using SpikeEvent = std::tuple<Tick, CoreId, unsigned>;
@@ -86,16 +86,6 @@ std::string model_bytes(const arch::Model& model) {
   return os.str();
 }
 
-enum class TransportKind { kMpi, kPgas };
-
-std::unique_ptr<comm::Transport> make_transport(TransportKind kind,
-                                                int ranks) {
-  if (kind == TransportKind::kPgas) {
-    return std::make_unique<comm::PgasTransport>(ranks, comm::CommCostModel{});
-  }
-  return std::make_unique<comm::MpiTransport>(ranks, comm::CommCostModel{});
-}
-
 /// A full faulty-run fixture: model + fault decorator + simulator + the
 /// supervisor wiring the CLI performs, so tests drive exactly the
 /// production recovery path.
@@ -115,7 +105,7 @@ struct RecoveryRun {
               RecoveryPolicy policy, const std::string& ckpt_dir,
               std::uint64_t ckpt_every, TransportKind kind = TransportKind::kMpi)
       : model(pcc.model), partition(pcc.partition) {
-    inner = make_transport(kind, partition.ranks());
+    inner = comm::make_transport(kind, partition.ranks());
     faulty =
         std::make_unique<resilience::FaultInjectingTransport>(*inner, plan);
     runtime::Config cfg;
@@ -135,9 +125,7 @@ struct RecoveryRun {
     manager = std::make_unique<CheckpointManager>(copt);
     manager->attach(*sim, model);
 
-    RecoveryOptions ropt;
-    ropt.policy = policy;
-    supervisor = std::make_unique<RecoverySupervisor>(ropt, *sim, model,
+    supervisor = std::make_unique<RecoverySupervisor>(policy, *sim, model,
                                                       *faulty, *manager);
   }
 };
@@ -436,8 +424,7 @@ TEST(RecoverySupervisor, AbortPolicyIsBitForBitInert) {
   EXPECT_EQ(model_bytes(plain.model), model_bytes(armed.model));
   EXPECT_EQ(plain.spikes, armed.spikes);
   EXPECT_EQ(plain.trace_os.str(), armed.trace_os.str());
-  EXPECT_EQ(rep_plain.fired_spikes, rep_armed.fired_spikes);
-  EXPECT_EQ(rep_plain.spikes_lost, rep_armed.spikes_lost);
+  expect_reports_equal(rep_plain, rep_armed, /*virtual_time=*/true);
   // No baseline snapshot was written either.
   EXPECT_EQ(CheckpointManager::latest_in(dir_b), "");
   fs::remove_all(dir_a);
@@ -497,8 +484,7 @@ TEST(RecoveryDeterminism, MigrateIsByteIdenticalAcrossThreadWidths) {
   EXPECT_EQ(rep4.recoveries, 1u);
   EXPECT_EQ(model_bytes(t1.model), model_bytes(t4.model));
   EXPECT_EQ(t1.spikes, t4.spikes);
-  EXPECT_EQ(rep1.fired_spikes, rep4.fired_spikes);
-  EXPECT_EQ(rep1.spikes_lost, rep4.spikes_lost);
+  expect_reports_equal(rep1, rep4);
   fs::remove_all(dir_1);
   fs::remove_all(dir_4);
 }

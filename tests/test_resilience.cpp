@@ -15,10 +15,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -32,7 +28,6 @@
 #include <vector>
 
 #include "comm/mpi_transport.h"
-#include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
 #include "macaque_fixture.h"
 #include "obs/metrics.h"
@@ -47,6 +42,7 @@ namespace compass {
 namespace {
 
 using testing::compile_macaque;
+using testing::expect_reports_equal;
 
 namespace fs = std::filesystem;
 
@@ -68,18 +64,13 @@ struct Harness {
   std::ostringstream trace_os;
   std::unique_ptr<obs::JsonlTraceWriter> trace;
 
-  /// `spike_hook` records every spike, but a hooked run is always serial;
-  /// without it the ranks run on the OpenMP team.
+  /// `spike_hook` records every spike into `spikes`.
   Harness(const arch::Model& m, const runtime::Partition& part,
-          bool pgas = false, bool spike_hook = true)
-      : model(m), partition(part) {
-    if (pgas) {
-      transport = std::make_unique<comm::PgasTransport>(part.ranks(),
-                                                        comm::CommCostModel{});
-    } else {
-      transport = std::make_unique<comm::MpiTransport>(part.ranks(),
-                                                       comm::CommCostModel{});
-    }
+          comm::TransportKind kind = comm::TransportKind::kMpi,
+          bool spike_hook = true)
+      : model(m),
+        partition(part),
+        transport(comm::make_transport(kind, part.ranks())) {
     runtime::Config cfg;
     cfg.measure = false;  // modelled times only: traces compare byte-for-byte
     sim = std::make_unique<runtime::Compass>(model, partition, *transport, cfg);
@@ -93,24 +84,6 @@ struct Harness {
     sim->add_trace_sink(trace.get());
   }
 };
-
-void expect_reports_equal(const runtime::RunReport& a,
-                          const runtime::RunReport& b) {
-  EXPECT_EQ(a.ticks, b.ticks);
-  EXPECT_EQ(a.fired_spikes, b.fired_spikes);
-  EXPECT_EQ(a.routed_spikes, b.routed_spikes);
-  EXPECT_EQ(a.local_spikes, b.local_spikes);
-  EXPECT_EQ(a.remote_spikes, b.remote_spikes);
-  EXPECT_EQ(a.synaptic_events, b.synaptic_events);
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.wire_bytes, b.wire_bytes);
-  EXPECT_EQ(a.faults_injected, b.faults_injected);
-  EXPECT_EQ(a.spikes_lost, b.spikes_lost);
-  // Modelled-only virtual time (measure=false) is deterministic too.
-  EXPECT_DOUBLE_EQ(a.virtual_time.synapse, b.virtual_time.synapse);
-  EXPECT_DOUBLE_EQ(a.virtual_time.neuron, b.virtual_time.neuron);
-  EXPECT_DOUBLE_EQ(a.virtual_time.network, b.virtual_time.network);
-}
 
 std::string unique_dir(const char* tag) {
   static int counter = 0;
@@ -156,7 +129,7 @@ TEST(CheckpointResume, SplitRunIsByteIdenticalToStraightRun) {
             straight.trace_os.str());
 
   // Functional counters and modelled virtual time compose exactly.
-  expect_reports_equal(resumed, full);
+  expect_reports_equal(resumed, full, /*virtual_time=*/true);
   fs::remove_all(dir);
 }
 
@@ -246,7 +219,7 @@ Checkpoint small_checkpoint(Tick ticks = 5) {
   arch::Model model(2, 3);
   model.reseed_cores();
   const runtime::Partition part = runtime::Partition::uniform(2, 1, 1);
-  comm::MpiTransport transport(1, comm::CommCostModel{});
+  comm::MpiTransport transport(1);
   runtime::Config cfg;
   cfg.measure = false;
   runtime::Compass sim(model, part, transport, cfg);
@@ -331,7 +304,7 @@ TEST(CheckpointFormat, ByteFormatIsLocked) {
   arch::Model model = format_lock_model();
   ASSERT_EQ(model.validate(), "");
   const runtime::Partition part = runtime::Partition::uniform(3, 2, 1);
-  comm::MpiTransport transport(2, comm::CommCostModel{});
+  comm::MpiTransport transport(2);
   runtime::Config cfg;
   cfg.measure = false;
   runtime::Compass sim(model, part, transport, cfg);
@@ -426,7 +399,7 @@ TEST(CheckpointFormat, ShapeMismatchIsRejected) {
   const Checkpoint cp = small_checkpoint();  // 2 cores
   arch::Model other(3, 3);
   const runtime::Partition part = runtime::Partition::uniform(3, 1, 1);
-  comm::MpiTransport transport(1, comm::CommCostModel{});
+  comm::MpiTransport transport(1);
   runtime::Compass sim(other, part, transport);
   try {
     resilience::restore(cp, sim, other);
@@ -523,7 +496,7 @@ struct LiveState {
   void expect_unchanged(const Harness& h) const {
     EXPECT_TRUE(h.model == model);
     EXPECT_EQ(h.sim->now(), now);
-    expect_reports_equal(h.sim->report(), report);
+    expect_reports_equal(h.sim->report(), report, /*virtual_time=*/true);
     EXPECT_EQ(h.sim->ledger().totals().synapse, ledger.synapse);
     EXPECT_EQ(h.sim->ledger().totals().neuron, ledger.neuron);
     EXPECT_EQ(h.sim->ledger().totals().network, ledger.network);
@@ -542,21 +515,13 @@ TEST(CheckpointLive, InPlaceRestoreContinuesLikeFourStagePath) {
   // served snapshot pattern, through the live entry points and through
   // the four stages. Both must continue identically.
   const compiler::PccResult pcc = compile_macaque();
-#ifdef _OPENMP
-  const int saved_threads = omp_get_max_threads();
-  const std::vector<int> widths = {1, 4};
-#else
-  const std::vector<int> widths = {1};
-#endif
-  for (const bool pgas : {false, true}) {
-    for (const int width : widths) {
-      SCOPED_TRACE(std::string(pgas ? "PGAS" : "MPI") + " width " +
+  for (const comm::TransportKind kind : testing::kTransports) {
+    for (const int width : {1, 4}) {
+      SCOPED_TRACE(std::string(comm::to_string(kind)) + " width " +
                    std::to_string(width));
-#ifdef _OPENMP
-      omp_set_num_threads(width);
-#endif
-      Harness staged(pcc.model, pcc.partition, pgas, /*spike_hook=*/false);
-      Harness live(pcc.model, pcc.partition, pgas, /*spike_hook=*/false);
+      const testing::OmpWidth team_width(width);
+      Harness staged(pcc.model, pcc.partition, kind, /*spike_hook=*/false);
+      Harness live(pcc.model, pcc.partition, kind, /*spike_hook=*/false);
       staged.sim->run(30);
       live.sim->run(30);
       const std::string staged_bytes = resilience::serialize_checkpoint(
@@ -574,14 +539,11 @@ TEST(CheckpointLive, InPlaceRestoreContinuesLikeFourStagePath) {
 
       const runtime::RunReport a = staged.sim->run(40);
       const runtime::RunReport b = live.sim->run(40);
-      expect_reports_equal(b, a);
+      expect_reports_equal(b, a, /*virtual_time=*/true);
       EXPECT_TRUE(live.model == staged.model);
       EXPECT_EQ(live.trace_os.str(), staged.trace_os.str());
     }
   }
-#ifdef _OPENMP
-  omp_set_num_threads(saved_threads);
-#endif
 }
 
 TEST(CheckpointLive, RejectedRestoreLeavesLiveStateUntouched) {
@@ -615,7 +577,7 @@ TEST(CheckpointLive, RejectedRestoreLeavesLiveStateUntouched) {
   {
     arch::Model small(2, 3);
     const runtime::Partition part = runtime::Partition::uniform(2, 1, 1);
-    comm::MpiTransport transport(1, comm::CommCostModel{});
+    comm::MpiTransport transport(1);
     runtime::Compass sim(small, part, transport);
     resilience::serialize_live(sim, small, other_shape);
   }
@@ -811,7 +773,8 @@ TEST(CheckpointManager, PeriodicWritesWithBoundedRetention) {
                           resilience::CheckpointManager::latest_in(dir)),
                       *resumed.sim, resumed.model);
   resumed.sim->run(10);
-  expect_reports_equal(resumed.sim->report(), straight.sim->report());
+  expect_reports_equal(resumed.sim->report(), straight.sim->report(),
+                       /*virtual_time=*/true);
 
   bool saw_metric = false;
   for (const obs::MetricValue& m : metrics.snapshot()) {
@@ -900,7 +863,7 @@ FaultyRun run_with_faults(const compiler::PccResult& pcc, const FaultPlan& plan,
                           Tick ticks = 40,
                           obs::MetricsRegistry* metrics = nullptr) {
   arch::Model model = pcc.model;
-  comm::MpiTransport inner(pcc.partition.ranks(), comm::CommCostModel{});
+  comm::MpiTransport inner(pcc.partition.ranks());
   resilience::FaultInjectingTransport transport(inner, plan);
   runtime::Config cfg;
   cfg.measure = false;
@@ -925,7 +888,7 @@ TEST(FaultInjection, NoopPlanIsFullyTransparent) {
   const runtime::RunReport expect = plain.sim->run(40);
 
   const FaultyRun wrapped = run_with_faults(pcc, FaultPlan{});
-  expect_reports_equal(wrapped.report, expect);
+  expect_reports_equal(wrapped.report, expect, /*virtual_time=*/true);
   EXPECT_EQ(wrapped.spikes, plain.spikes);
   // Zero fault counters: the JSONL writer must omit the fault fields, so the
   // wrapped trace is byte-identical to the pre-resilience layer's output.
@@ -943,7 +906,7 @@ TEST(FaultInjection, SeededFaultStreamIsDeterministic) {
   const FaultyRun a = run_with_faults(pcc, plan);
   const FaultyRun b = run_with_faults(pcc, plan);
   EXPECT_GT(a.report.faults_injected, 0u);
-  expect_reports_equal(a.report, b.report);
+  expect_reports_equal(a.report, b.report, /*virtual_time=*/true);
   EXPECT_EQ(a.spikes, b.spikes);
   EXPECT_EQ(a.trace, b.trace);
 
@@ -1112,7 +1075,7 @@ TEST(FaultInjection, KilledRankLosesAllItsTraffic) {
                 r.report.spikes_lost);
 
   // Killing a rank that does not exist is a plan error, not a silent no-op.
-  comm::MpiTransport inner(3, comm::CommCostModel{});
+  comm::MpiTransport inner(3);
   FaultPlan bad;
   bad.kill_rank = 7;
   EXPECT_THROW(resilience::FaultInjectingTransport(inner, bad),
@@ -1131,7 +1094,7 @@ TEST(FaultInjection, CheckpointRestartResumesAcrossAFaultyRun) {
   plan.seed = 5;
 
   arch::Model model = pcc.model;
-  comm::MpiTransport inner(3, comm::CommCostModel{});
+  comm::MpiTransport inner(3);
   resilience::FaultInjectingTransport transport(inner, plan);
   runtime::Config cfg;
   cfg.measure = false;
@@ -1140,7 +1103,7 @@ TEST(FaultInjection, CheckpointRestartResumesAcrossAFaultyRun) {
   const Checkpoint cp = resilience::capture(sim, model);
 
   arch::Model model2 = pcc.model;
-  comm::MpiTransport inner2(3, comm::CommCostModel{});
+  comm::MpiTransport inner2(3);
   resilience::FaultInjectingTransport transport2(inner2, plan);
   runtime::Compass sim2(model2, pcc.partition, transport2, cfg);
   resilience::restore(cp, sim2, model2);

@@ -282,7 +282,7 @@ std::vector<std::vector<SpikeEvent>> local_reference_run(
   popt.threads_per_rank = 1;
   compiler::PccResult pcc =
       compiler::compile(cocomac::build_macaque_spec(mopt), popt);
-  comm::MpiTransport transport(pcc.partition.ranks(), comm::CommCostModel{});
+  comm::MpiTransport transport(pcc.partition.ranks());
   runtime::Config cfg;
   cfg.measure = false;
   cfg.parallel_execution = false;
@@ -396,7 +396,7 @@ TEST(ServeAnalytics, ServedFramesAreByteIdenticalToLocalEngine) {
             static_cast<std::uint32_t>(g);
       }
     }
-    comm::MpiTransport transport(pcc.partition.ranks(), comm::CommCostModel{});
+    comm::MpiTransport transport(pcc.partition.ranks());
     runtime::Config cfg;
     cfg.measure = false;
     cfg.parallel_execution = false;

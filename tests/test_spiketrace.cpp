@@ -25,12 +25,7 @@
 #include <string>
 #include <vector>
 
-#ifdef COMPASS_HAVE_OPENMP
-#include <omp.h>
-#endif
-
 #include "comm/mpi_transport.h"
-#include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
 #include "macaque_fixture.h"
 #include "obs/flightrec.h"
@@ -53,7 +48,7 @@ namespace {
 using testing::compile_macaque;
 
 struct SpanRunOptions {
-  bool pgas = false;
+  comm::TransportKind transport = comm::TransportKind::kMpi;
   bool parallel = false;
   std::uint64_t sample_every = 4;
   arch::Tick ticks = 16;
@@ -62,14 +57,8 @@ struct SpanRunOptions {
 std::vector<obs::SpikeSpan> run_spans(const compiler::PccResult& pcc,
                                       const SpanRunOptions& opt) {
   arch::Model model = pcc.model;
-  std::unique_ptr<comm::Transport> transport;
-  if (opt.pgas) {
-    transport = std::make_unique<comm::PgasTransport>(pcc.partition.ranks(),
-                                                      comm::CommCostModel{});
-  } else {
-    transport = std::make_unique<comm::MpiTransport>(pcc.partition.ranks(),
-                                                     comm::CommCostModel{});
-  }
+  const auto transport =
+      comm::make_transport(opt.transport, pcc.partition.ranks());
   runtime::Config cfg;
   cfg.measure = false;
   cfg.parallel_execution = opt.parallel;
@@ -101,7 +90,7 @@ TEST(SpikeTrace, TraceIdIsPureAndSamplingFollowsIt) {
 TEST(SpikeTrace, RankMismatchThrows) {
   const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
-  comm::MpiTransport transport(3, comm::CommCostModel{});
+  comm::MpiTransport transport(3);
   runtime::Compass sim(model, pcc.partition, transport, {});
   obs::SpikeTracer wrong(4);
   EXPECT_THROW(sim.set_spike_tracer(&wrong), std::invalid_argument);
@@ -110,9 +99,9 @@ TEST(SpikeTrace, RankMismatchThrows) {
 TEST(SpikeTrace, SampledSpansBitIdenticalAcrossTransports) {
   const compiler::PccResult pcc = compile_macaque();
   const std::vector<obs::SpikeSpan> mpi =
-      run_spans(pcc, {.pgas = false});
+      run_spans(pcc, {.transport = comm::TransportKind::kMpi});
   const std::vector<obs::SpikeSpan> pgas =
-      run_spans(pcc, {.pgas = true});
+      run_spans(pcc, {.transport = comm::TransportKind::kPgas});
   ASSERT_FALSE(mpi.empty());
   EXPECT_EQ(mpi, pgas);
 }
@@ -122,16 +111,11 @@ TEST(SpikeTrace, SampledSpansBitIdenticalAcrossThreadCounts) {
   const std::vector<obs::SpikeSpan> serial =
       run_spans(pcc, {.parallel = false});
   ASSERT_FALSE(serial.empty());
-#ifdef COMPASS_HAVE_OPENMP
   for (int threads : {1, 2, 8}) {
-    omp_set_num_threads(threads);
+    const testing::OmpWidth width(threads);
     EXPECT_EQ(serial, run_spans(pcc, {.parallel = true}))
         << "span set diverged at " << threads << " OpenMP thread(s)";
   }
-  omp_set_num_threads(omp_get_num_procs());
-#else
-  EXPECT_EQ(serial, run_spans(pcc, {.parallel = true}));
-#endif
 }
 
 TEST(SpikeTrace, RestoredRunReemitsTheFullRunsTailSpans) {
@@ -143,7 +127,7 @@ TEST(SpikeTrace, RestoredRunReemitsTheFullRunsTailSpans) {
   // First half (untraced), snapshot, restore into a fresh model + simulator,
   // then trace the second half.
   arch::Model model1 = pcc.model;
-  comm::MpiTransport t1(3, comm::CommCostModel{});
+  comm::MpiTransport t1(3);
   runtime::Config cfg;
   cfg.measure = false;
   runtime::Compass sim1(model1, pcc.partition, t1, cfg);
@@ -151,7 +135,7 @@ TEST(SpikeTrace, RestoredRunReemitsTheFullRunsTailSpans) {
   const resilience::Checkpoint cp = resilience::capture(sim1, model1);
 
   arch::Model model2 = pcc.model;
-  comm::MpiTransport t2(3, comm::CommCostModel{});
+  comm::MpiTransport t2(3);
   runtime::Compass sim2(model2, pcc.partition, t2, cfg);
   resilience::restore(cp, sim2, model2);
   obs::SpikeTracer tracer(3, obs::SpikeTraceOptions{.sample_every = 4});
@@ -176,7 +160,7 @@ TEST(SpikeTrace, GoldenSpanFileMatches) {
   std::ostringstream os;
   {
     arch::Model model = pcc.model;
-    comm::MpiTransport transport(3, comm::CommCostModel{});
+    comm::MpiTransport transport(3);
     runtime::Config cfg;
     cfg.measure = false;
     runtime::Compass sim(model, pcc.partition, transport, cfg);
@@ -211,7 +195,7 @@ TEST(SpikeTrace, GoldenSpanFileMatches) {
 TEST(SpikeTrace, AnalyzerRoundTripsWriterOutput) {
   const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
-  comm::MpiTransport transport(3, comm::CommCostModel{});
+  comm::MpiTransport transport(3);
   runtime::Config cfg;
   cfg.measure = false;
   runtime::Compass sim(model, pcc.partition, transport, cfg);
@@ -260,7 +244,7 @@ TEST(SpikeTrace, AnalyzerRoundTripsWriterOutput) {
 TEST(SpikeTrace, WriterCapSurfacesAsTruncationMarkerAndWarning) {
   const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
-  comm::MpiTransport transport(3, comm::CommCostModel{});
+  comm::MpiTransport transport(3);
   runtime::Config cfg;
   cfg.measure = false;
   runtime::Compass sim(model, pcc.partition, transport, cfg);
@@ -287,7 +271,7 @@ TEST(SpikeTrace, WriterCapSurfacesAsTruncationMarkerAndWarning) {
 TEST(SpikeTrace, TickTraceCapSurfacesInProfileReport) {
   const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
-  comm::MpiTransport transport(3, comm::CommCostModel{});
+  comm::MpiTransport transport(3);
   runtime::Config cfg;
   cfg.measure = false;
   runtime::Compass sim(model, pcc.partition, transport, cfg);
@@ -315,7 +299,7 @@ TEST(SpikeTrace, TickTraceCapSurfacesInProfileReport) {
 TEST(SpikeTrace, LatencyHistogramReachesPrometheusExposition) {
   const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
-  comm::MpiTransport transport(3, comm::CommCostModel{});
+  comm::MpiTransport transport(3);
   runtime::Config cfg;
   cfg.measure = false;
   runtime::Compass sim(model, pcc.partition, transport, cfg);
@@ -339,7 +323,7 @@ TEST(SpikeTrace, LatencyHistogramReachesPrometheusExposition) {
 TEST(SpikeTrace, KillRankLeavesParseableFlightDumpAndLostChains) {
   const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
-  comm::MpiTransport inner(3, comm::CommCostModel{});
+  comm::MpiTransport inner(3);
   resilience::FaultPlan plan;
   plan.kill_rank = 1;
   plan.kill_tick = 4;

@@ -59,14 +59,14 @@ TEST(Torus, FactorisationHandlesAwkwardNodeCounts) {
 
 TEST(TorusTransport, ExplicitNodeMapOverridesBlockEmbedding) {
   // 4 ranks on a ring of 4 nodes. The explicit map pins ranks 0 and 1 to
-  // antipodal nodes (2 hops); the default block embedding puts them 1 hop
-  // apart; a map sharing one node makes the same send hop-free.
+  // antipodal nodes (2 hops); the block embedding (rank r on node r) puts
+  // them 1 hop apart; a map sharing one node makes the same send hop-free.
   const TorusTopology topo({4, 1, 1, 1, 1});
   CommCostModel cost;
   MpiTransport mapped(4, cost), blocked(4, cost), shared(4, cost),
       flat(4, cost);
   mapped.set_hop_model(&topo, std::vector<int>{0, 2, 1, 3});
-  blocked.set_hop_model(&topo, /*ranks_per_node=*/1);
+  blocked.set_hop_model(&topo, std::vector<int>{0, 1, 2, 3});
   shared.set_hop_model(&topo, std::vector<int>{0, 0, 2, 2});
 
   const std::vector<arch::WireSpike> payload = {{1, 0, 0}};
@@ -82,6 +82,8 @@ TEST(TorusTransport, ExplicitNodeMapOverridesBlockEmbedding) {
 
   // Validation: the map must cover every rank with an in-range node id.
   MpiTransport bad(4, cost);
+  EXPECT_THROW(bad.set_hop_model(&topo, std::vector<int>{}),
+               std::invalid_argument);
   EXPECT_THROW(bad.set_hop_model(&topo, std::vector<int>{0, 1}),
                std::invalid_argument);
   EXPECT_THROW(bad.set_hop_model(&topo, std::vector<int>{0, 1, 2, 9}),
@@ -161,7 +163,7 @@ TEST(TorusTransport, HopLatencyChargedOnSends) {
   const TorusTopology topo({4, 1, 1, 1, 1});
   CommCostModel cost;
   MpiTransport with(4, cost), without(4, cost);
-  with.set_hop_model(&topo, /*ranks_per_node=*/1);
+  with.set_hop_model(&topo, std::vector<int>{0, 1, 2, 3});
 
   const std::vector<arch::WireSpike> payload = {{1, 0, 0}};
   for (Transport* t : {static_cast<Transport*>(&with),
@@ -178,7 +180,7 @@ TEST(TorusTransport, NodeLocalTrafficIsHopFree) {
   const TorusTopology topo({2, 1, 1, 1, 1});
   CommCostModel cost;
   PgasTransport t(4, cost);
-  t.set_hop_model(&topo, /*ranks_per_node=*/2);  // ranks 0,1 on node 0
+  t.set_hop_model(&topo, std::vector<int>{0, 0, 1, 1});  // 0,1 on node 0
   t.begin_tick();
   t.send(0, 1, std::vector<arch::WireSpike>{{1, 0, 0}});
   t.exchange();

@@ -20,15 +20,6 @@ namespace {
 
 using arch::WireSpike;
 
-std::unique_ptr<Transport> make_transport(const std::string& kind, int ranks,
-                                          unsigned wire_bytes = 20) {
-  CommCostModel model;
-  if (kind == "mpi") {
-    return std::make_unique<MpiTransport>(ranks, model, wire_bytes);
-  }
-  return std::make_unique<PgasTransport>(ranks, model, wire_bytes);
-}
-
 /// Flatten everything `rank` received this tick into a sorted multiset.
 std::vector<WireSpike> all_received(const Transport& t, int rank) {
   std::vector<WireSpike> out;
@@ -41,10 +32,13 @@ std::vector<WireSpike> all_received(const Transport& t, int rank) {
   return out;
 }
 
-class TransportContract : public ::testing::TestWithParam<std::string> {};
+class TransportContract : public ::testing::TestWithParam<std::string> {
+ protected:
+  TransportKind kind() const { return parse_transport_kind(GetParam()); }
+};
 
 TEST_P(TransportContract, DeliversToTheRightRank) {
-  auto t = make_transport(GetParam(), 3);
+  auto t = make_transport(kind(), 3);
   t->begin_tick();
   const std::vector<WireSpike> to1 = {{10, 1, 2}, {11, 3, 4}};
   const std::vector<WireSpike> to2 = {{20, 5, 6}};
@@ -57,7 +51,7 @@ TEST_P(TransportContract, DeliversToTheRightRank) {
 }
 
 TEST_P(TransportContract, MultipleSourcesMergeAtReceiver) {
-  auto t = make_transport(GetParam(), 4);
+  auto t = make_transport(kind(), 4);
   t->begin_tick();
   t->send(0, 3, std::vector<WireSpike>{{1, 0, 0}});
   t->send(1, 3, std::vector<WireSpike>{{2, 0, 0}});
@@ -76,7 +70,7 @@ TEST_P(TransportContract, MultipleSourcesMergeAtReceiver) {
 }
 
 TEST_P(TransportContract, EmptySendIsDropped) {
-  auto t = make_transport(GetParam(), 2);
+  auto t = make_transport(kind(), 2);
   t->begin_tick();
   t->send(0, 1, {});
   t->exchange();
@@ -85,7 +79,7 @@ TEST_P(TransportContract, EmptySendIsDropped) {
 }
 
 TEST_P(TransportContract, StatsCountMessagesSpikesBytes) {
-  auto t = make_transport(GetParam(), 3, /*wire_bytes=*/20);
+  auto t = make_transport(kind(), 3, /*spike_wire_bytes=*/20);
   t->begin_tick();
   t->send(0, 1, std::vector<WireSpike>{{1, 0, 0}, {2, 0, 0}});
   t->send(2, 1, std::vector<WireSpike>{{3, 0, 0}});
@@ -97,7 +91,7 @@ TEST_P(TransportContract, StatsCountMessagesSpikesBytes) {
 }
 
 TEST_P(TransportContract, WireBytesFollowConfiguredSpikeSize) {
-  auto t = make_transport(GetParam(), 2, /*wire_bytes=*/8);
+  auto t = make_transport(kind(), 2, /*spike_wire_bytes=*/8);
   t->begin_tick();
   t->send(0, 1, std::vector<WireSpike>{{1, 0, 0}, {2, 0, 0}});
   t->exchange();
@@ -105,7 +99,7 @@ TEST_P(TransportContract, WireBytesFollowConfiguredSpikeSize) {
 }
 
 TEST_P(TransportContract, TicksAreIndependent) {
-  auto t = make_transport(GetParam(), 2);
+  auto t = make_transport(kind(), 2);
   for (int tick = 0; tick < 5; ++tick) {
     t->begin_tick();
     t->send(0, 1, std::vector<WireSpike>{{static_cast<arch::CoreId>(tick), 0, 0}});
@@ -117,7 +111,7 @@ TEST_P(TransportContract, TicksAreIndependent) {
 }
 
 TEST_P(TransportContract, SenderPaysSendTimeReceiverSyncs) {
-  auto t = make_transport(GetParam(), 3);
+  auto t = make_transport(kind(), 3);
   t->begin_tick();
   t->send(0, 1, std::vector<WireSpike>{{1, 0, 0}});
   t->exchange();
@@ -129,7 +123,7 @@ TEST_P(TransportContract, SenderPaysSendTimeReceiverSyncs) {
 }
 
 TEST_P(TransportContract, BeginTickResetsTimesAndStats) {
-  auto t = make_transport(GetParam(), 2);
+  auto t = make_transport(kind(), 2);
   t->begin_tick();
   t->send(0, 1, std::vector<WireSpike>{{1, 0, 0}});
   t->exchange();
@@ -142,7 +136,7 @@ TEST_P(TransportContract, BeginTickResetsTimesAndStats) {
 
 TEST_P(TransportContract, LargeFanOutAllRanksToAllRanks) {
   const int ranks = 8;
-  auto t = make_transport(GetParam(), ranks);
+  auto t = make_transport(kind(), ranks);
   t->begin_tick();
   for (int s = 0; s < ranks; ++s) {
     for (int d = 0; d < ranks; ++d) {

@@ -69,13 +69,13 @@ RunResult run_with(comm::Transport& transport, arch::Model model,
 TEST(TransportEquivalence, MpiAndPgasAreFunctionallyIdentical) {
   const compiler::PccResult pcc = compile_macaque();
 
-  comm::MpiTransport mpi(3, comm::CommCostModel{});
+  comm::MpiTransport mpi(3);
   std::vector<arch::Model> mpi_states;
   mpi_states.reserve(kTicks);
   const RunResult mpi_run =
       run_with(mpi, pcc.model, pcc.partition, nullptr, &mpi_states);
 
-  comm::PgasTransport pgas(3, comm::CommCostModel{});
+  comm::PgasTransport pgas(3);
   const RunResult pgas_run =
       run_with(pgas, pcc.model, pcc.partition, &mpi_states, nullptr);
 
@@ -99,10 +99,10 @@ TEST(TransportEquivalence, MpiAndPgasAreFunctionallyIdentical) {
 TEST(TransportEquivalence, OnlyCostAndMessageCountsMayDiffer) {
   const compiler::PccResult pcc = compile_macaque();
 
-  comm::MpiTransport mpi(3, comm::CommCostModel{});
+  comm::MpiTransport mpi(3);
   const RunResult mpi_run =
       run_with(mpi, pcc.model, pcc.partition, nullptr, nullptr);
-  comm::PgasTransport pgas(3, comm::CommCostModel{});
+  comm::PgasTransport pgas(3);
   const RunResult pgas_run =
       run_with(pgas, pcc.model, pcc.partition, nullptr, nullptr);
 
@@ -127,11 +127,11 @@ TEST(TransportEquivalence, HoldsOnASecondSeedAndShape) {
   const compiler::PccResult pcc =
       compiler::compile(cocomac::build_macaque_spec(mopt), popt);
 
-  comm::MpiTransport mpi(4, comm::CommCostModel{});
+  comm::MpiTransport mpi(4);
   std::vector<arch::Model> mpi_states;
   const RunResult mpi_run =
       run_with(mpi, pcc.model, pcc.partition, nullptr, &mpi_states);
-  comm::PgasTransport pgas(4, comm::CommCostModel{});
+  comm::PgasTransport pgas(4);
   const RunResult pgas_run =
       run_with(pgas, pcc.model, pcc.partition, &mpi_states, nullptr);
 

@@ -15,10 +15,6 @@
 //     bench_headline where ticks are long enough to average).
 #include <gtest/gtest.h>
 
-#ifdef COMPASS_HAVE_OPENMP
-#include <omp.h>
-#endif
-
 #include <algorithm>
 #include <memory>
 #include <sstream>
@@ -27,7 +23,6 @@
 
 #include "arch/kernels.h"
 #include "comm/mpi_transport.h"
-#include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
 #include "macaque_fixture.h"
 #include "obs/trace.h"
@@ -39,6 +34,7 @@
 namespace compass {
 namespace {
 
+using comm::TransportKind;
 using testing::compile_macaque;
 
 // --- WallPhaseStats ---------------------------------------------------------
@@ -255,7 +251,7 @@ TEST(WallProfiler, SummaryJsonRoundTripsThroughAnalyzer) {
     prof.end_tick(t);
   }
   prof.record_global(obs::WallPhase::kPccCompile, 0.5);
-  obs::KernelDispatchCounts kc;
+  arch::kernels::DispatchCounters kc;
   kc.synapse_bitparallel = 17;
   kc.neuron_stoch_soa = 99;
   prof.note_kernel_counts(kc);
@@ -302,16 +298,9 @@ struct TracedRun {
 };
 
 TracedRun run_once(const compiler::PccResult& pcc, bool with_wallprof,
-                   bool use_pgas, bool parallel) {
+                   TransportKind kind, bool parallel) {
   arch::Model model = pcc.model;
-  std::unique_ptr<comm::Transport> transport;
-  if (use_pgas) {
-    transport = std::make_unique<comm::PgasTransport>(pcc.partition.ranks(),
-                                                      comm::CommCostModel{});
-  } else {
-    transport = std::make_unique<comm::MpiTransport>(pcc.partition.ranks(),
-                                                     comm::CommCostModel{});
-  }
+  const auto transport = comm::make_transport(kind, pcc.partition.ranks());
   runtime::Config cfg;
   cfg.parallel_execution = parallel;
   cfg.measure = false;  // modelled times only: the trace is reproducible
@@ -344,18 +333,18 @@ TracedRun run_once(const compiler::PccResult& pcc, bool with_wallprof,
 
 TEST(WallprofDeterminism, AttachedProfilerLeavesTraceByteIdentical) {
   const compiler::PccResult pcc = compile_macaque();
-  for (const bool pgas : {false, true}) {
+  for (const TransportKind kind : testing::kTransports) {
     for (const bool parallel : {false, true}) {
-      const TracedRun plain = run_once(pcc, /*with_wallprof=*/false, pgas,
+      const TracedRun plain = run_once(pcc, /*with_wallprof=*/false, kind,
                                        parallel);
-      const TracedRun profiled = run_once(pcc, /*with_wallprof=*/true, pgas,
+      const TracedRun profiled = run_once(pcc, /*with_wallprof=*/true, kind,
                                           parallel);
       ASSERT_FALSE(plain.trace_jsonl.empty());
       EXPECT_EQ(plain.trace_jsonl, profiled.trace_jsonl)
-          << "wallprof perturbed the functional trace (pgas=" << pgas
-          << ", parallel=" << parallel << ")";
-      EXPECT_EQ(plain.report.fired_spikes, profiled.report.fired_spikes);
-      EXPECT_EQ(plain.report.wire_bytes, profiled.report.wire_bytes);
+          << "wallprof perturbed the functional trace ("
+          << comm::to_string(kind) << ", parallel=" << parallel << ")";
+      testing::expect_reports_equal(plain.report, profiled.report,
+                                    /*virtual_time=*/true);
       EXPECT_FALSE(profiled.wallprof_jsonl.empty());
       EXPECT_EQ(plain.trace_jsonl.find("wallprof"), std::string::npos)
           << "wall records must never ride a trace sink";
@@ -365,8 +354,8 @@ TEST(WallprofDeterminism, AttachedProfilerLeavesTraceByteIdentical) {
 
 TEST(WallprofIntegration, SimRunProducesAttributedSummary) {
   const compiler::PccResult pcc = compile_macaque();
-  const TracedRun run = run_once(pcc, /*with_wallprof=*/true, /*use_pgas=*/false,
-                                 /*parallel=*/false);
+  const TracedRun run = run_once(pcc, /*with_wallprof=*/true,
+                                 TransportKind::kMpi, /*parallel=*/false);
   std::istringstream is(run.wallprof_jsonl);
   const obs::WallReport report = obs::analyze_wallprof(is);
   ASSERT_TRUE(report.found);
@@ -381,7 +370,7 @@ TEST(WallprofIntegration, SimRunProducesAttributedSummary) {
   // Modelled comm charges flow in as virtual seconds even with measure off.
   EXPECT_GT(report.summary.phase_virtual_s(obs::WallPhase::kSend), 0.0);
   // The simulator reported the kernel-dispatch delta for the run.
-  const obs::KernelDispatchCounts& kc = report.summary.kernels;
+  const arch::kernels::DispatchCounters& kc = report.summary.kernels;
   EXPECT_GT(kc.synapse_bitparallel + kc.synapse_scalar, 0u);
   EXPECT_GT(kc.neuron_fast + kc.neuron_stoch_soa + kc.neuron_scalar, 0u);
   EXPECT_EQ(report.heartbeats, 5u);  // 40 ticks / heartbeat_every=8
@@ -391,16 +380,12 @@ TEST(WallprofIntegration, TickSharesStayWithinWallAtFourThreads) {
   // Under a 4-thread team the per-rank brackets overlap, so rank-seconds can
   // exceed the tick wall; the shares compass_prof --wall prints split each
   // rank loop's own wall instead and must sum to at most 100%.
-#ifdef COMPASS_HAVE_OPENMP
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(4);
-#endif
   const compiler::PccResult pcc = compile_macaque();
-  const TracedRun run = run_once(pcc, /*with_wallprof=*/true,
-                                 /*use_pgas=*/false, /*parallel=*/true);
-#ifdef COMPASS_HAVE_OPENMP
-  omp_set_num_threads(saved);
-#endif
+  const TracedRun run = [&] {
+    const testing::OmpWidth width(4);
+    return run_once(pcc, /*with_wallprof=*/true, TransportKind::kMpi,
+                    /*parallel=*/true);
+  }();
   std::istringstream is(run.wallprof_jsonl);
   const obs::WallprofSummary s = obs::analyze_wallprof(is).summary;
   ASSERT_GT(s.wall_s, 0.0);
@@ -436,7 +421,7 @@ TEST(WallprofIntegration, ExchangeIsTimedOncePerTickThroughAFaultDecorator) {
   // timed once per tick, not once per layer.
   const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
-  comm::MpiTransport inner(pcc.partition.ranks(), comm::CommCostModel{});
+  comm::MpiTransport inner(pcc.partition.ranks());
   resilience::FaultInjectingTransport faulty(
       inner, resilience::FaultPlan::parse("drop=0.1,dup=0.1,seed=3"));
   runtime::Config cfg;
@@ -455,7 +440,7 @@ TEST(WallprofIntegration, ExchangeIsTimedOncePerTickThroughAFaultDecorator) {
 TEST(WallprofIntegration, RankCountMismatchThrows) {
   const compiler::PccResult pcc = compile_macaque();
   arch::Model model = pcc.model;
-  comm::MpiTransport transport(pcc.partition.ranks(), comm::CommCostModel{});
+  comm::MpiTransport transport(pcc.partition.ranks());
   runtime::Compass sim(model, pcc.partition, transport, runtime::Config{});
   obs::WallProfiler wrong(pcc.partition.ranks() + 1);
   EXPECT_THROW(sim.set_wall_profiler(&wrong), std::invalid_argument);
@@ -468,8 +453,8 @@ TEST(WallprofIntegration, MeasuredOverheadStaysSmall) {
   // enough to average) — this test exists to catch pathological regressions
   // like an unconditional clock read per neuron, not to measure precisely.
   const compiler::PccResult pcc = compile_macaque();
-  const TracedRun run = run_once(pcc, /*with_wallprof=*/true, /*use_pgas=*/false,
-                                 /*parallel=*/false);
+  const TracedRun run = run_once(pcc, /*with_wallprof=*/true,
+                                 TransportKind::kMpi, /*parallel=*/false);
   std::istringstream is(run.wallprof_jsonl);
   const obs::WallReport report = obs::analyze_wallprof(is);
   ASSERT_TRUE(report.found);

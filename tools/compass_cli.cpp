@@ -20,8 +20,7 @@
 #include <vector>
 
 #include "cocomac/macaque.h"
-#include "comm/mpi_transport.h"
-#include "comm/pgas_transport.h"
+#include "comm/transport.h"
 #include "compiler/coreobject.h"
 #include "compiler/pcc.h"
 #include "io/raster.h"
@@ -312,14 +311,8 @@ int cmd_run(const Args& args) {
     std::cout << "  model written to " << args.model_file << "\n";
   }
 
-  std::unique_ptr<comm::Transport> inner_transport;
-  if (args.transport == "pgas") {
-    inner_transport = std::make_unique<comm::PgasTransport>(
-        args.ranks, comm::CommCostModel{});
-  } else {
-    inner_transport = std::make_unique<comm::MpiTransport>(
-        args.ranks, comm::CommCostModel{});
-  }
+  const std::unique_ptr<comm::Transport> inner_transport = comm::make_transport(
+      comm::parse_transport_kind(args.transport), args.ranks);
   if (active_placement) {
     // Hop charges follow the placement's rank->node embedding (attached to
     // the inner transport: the fault decorator forwards its sends there).
@@ -417,14 +410,7 @@ int cmd_run(const Args& args) {
       copt.keep = args.checkpoint_keep;
       ckpt_mgr.emplace(copt);
     }
-    resilience::RecoveryOptions ropt;
-    ropt.policy = rpolicy;
-    if (active_placement) {
-      ropt.hop_transport = inner_transport.get();
-      ropt.topology = &*topo;
-      ropt.node_of_rank = active_placement->node_of_rank;
-    }
-    supervisor.emplace(ropt, sim, pcc.model, *faulty, *ckpt_mgr);
+    supervisor.emplace(rpolicy, sim, pcc.model, *faulty, *ckpt_mgr);
     supervisor->arm();
     std::cout << "recovery armed: " << args.recovery << "\n";
   }
